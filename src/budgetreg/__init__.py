@@ -5,17 +5,15 @@ __version__ = "0.1.0"
 from .core import (
     BALL_TOL,
     Dataset,
-    Example,
     Predictor,
     Regime,
     RunResult,
-    clip,
     norm,
     project_l1_ball,
     project_l2_ball,
     squared_loss,
 )
-from .estimator import estimate_inner_product, estimate_point, gradient_estimate
+from .estimator import SolverConfig, estimate_phi, estimate_point
 from .harness import (
     ExperimentConfig,
     cross_validate,
@@ -31,30 +29,26 @@ from .sampling import (
     sample_index,
     uniform_distribution,
 )
-from .solver_lasso import EGConfig, aelr_eta, run_gaelr
-from .solver_ridge import RidgeConfig, aerr_eta, run_gaerr
+from .solver_lasso import aelr_eta, run_gaelr
+from .solver_ridge import aerr_eta, run_gaerr
 from .two_phase import TwoPhaseConfig, run_two_phase
 
 __all__ = [
     "BALL_TOL",
     "AttributeDistribution",
     "Dataset",
-    "EGConfig",
-    "Example",
     "ExperimentConfig",
     "Predictor",
     "Regime",
-    "RidgeConfig",
     "RunResult",
+    "SolverConfig",
     "TwoPhaseConfig",
     "aelr_eta",
     "aerr_eta",
-    "clip",
     "cross_validate",
     "dataset_moments",
-    "estimate_inner_product",
+    "estimate_phi",
     "estimate_point",
-    "gradient_estimate",
     "inner_product_p",
     "lasso_optimal_q",
     "norm",

@@ -1,13 +1,12 @@
-"""Full-information and adaptive baselines.
+"""Full-information baselines.
 
-Online ridge and lasso with exact gradients, a multi-pass projected
-descent for the offline empirical risk minimizer, and per-coordinate
-adaptive-step variants of the online algorithms.  Every baseline observes
-all d attributes of each training example, so its budget is m*d.
+Online ridge (with a fixed or an AdaGrad step) and lasso with exact
+gradients, and a multi-pass projected descent for the offline empirical
+risk minimizer.  Every baseline observes all d attributes of each
+training example, so its budget is m*d.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,31 +17,25 @@ from .core import (
     project_l1_ball,
     project_l2_ball,
 )
-from .estimator import estimate_point, sample_index
-from .sampling import (
-    AttributeDistribution,
-    improved_inner_product_p,
-    inner_product_p,
-)
+from .estimator import adagrad_rate
 from .solver_lasso import EGState, eg_update, eg_weights
 
 __all__ = [
     "online_ridge_full",
     "online_lasso_full",
     "offline_erm",
-    "AdaGradConfig",
-    "adagrad_variant",
 ]
 
-DELTA_ADA = 1e-8  # stabilizer under the adaptive square root
 _GRAD_TOL = 1e-8
 
 
-def online_ridge_full(dataset, b, eta, seed=None):
+def online_ridge_full(dataset, b, eta, adagrad=False):
     """Projected OGD on exact gradients; the full-information ridge baseline.
 
     Starts at zero (no sampling ever divides by the weights here) and
-    returns the average of the visited iterates.
+    returns the average of the visited iterates.  With ``adagrad`` the
+    step is per coordinate, eta / sqrt(DELTA_ADA + sum of squared
+    gradients), as in the budgeted solvers.
     """
     if len(dataset) == 0:
         raise ValueError("empty dataset")
@@ -53,11 +46,13 @@ def online_ridge_full(dataset, b, eta, seed=None):
     d = dataset.dimension
     w = np.zeros(d)
     sum_w = np.zeros(d)
+    accum = np.zeros(d)
     xs, ys = dataset.x, dataset.y
     for t in range(len(dataset)):
         sum_w += w
         g = (float(w @ xs[t]) - float(ys[t])) * xs[t]
-        w = w - eta * g
+        rate = adagrad_rate(accum, slice(None), g, eta) if adagrad else eta
+        w = w - rate * g
         nrm = math.sqrt(float(np.dot(w, w)))
         if nrm > b:
             w *= b / nrm
@@ -65,7 +60,7 @@ def online_ridge_full(dataset, b, eta, seed=None):
     return RunResult(predictor, len(dataset) * d, 0, {"final_w": w})
 
 
-def online_lasso_full(dataset, b, eta, seed=None):
+def online_lasso_full(dataset, b, eta):
     """Exponentiated gradient on exact gradients; the full-information lasso baseline."""
     if len(dataset) == 0:
         raise ValueError("empty dataset")
@@ -87,10 +82,10 @@ def online_lasso_full(dataset, b, eta, seed=None):
     return RunResult(predictor, len(dataset) * d, 0, {"final_w": eg_weights(state, b)})
 
 
-def offline_erm(dataset, b, regime, passes=1000, eta_schedule=None):
+def offline_erm(dataset, b, regime, passes=1000):
     """Multi-pass projected full-batch descent on the empirical risk.
 
-    One code path serves both ball constraints; the step defaults to 1/L
+    One code path serves both ball constraints; the step is 1/L
     with L the curvature of the empirical risk, and iteration stops when
     the projected gradient mapping drops below tolerance.
     """
@@ -111,8 +106,8 @@ def offline_erm(dataset, b, regime, passes=1000, eta_schedule=None):
     if lipschitz <= 0:
         return RunResult(Predictor(w, b, regime), m * d, 0, {"passes_used": 0, "converged": True})
     used, converged = 0, False
+    eta = 1.0 / lipschitz
     for t in range(passes):
-        eta = eta_schedule(t) if eta_schedule is not None else 1.0 / lipschitz
         g = xs.T @ (xs @ w - ys) / m
         w_next = project(w - eta * g, b)
         used = t + 1
@@ -122,125 +117,3 @@ def offline_erm(dataset, b, regime, passes=1000, eta_schedule=None):
             break
         w = w_next
     return RunResult(Predictor(w, b, regime), m * d, 0, {"passes_used": used, "converged": converged})
-
-
-@dataclass
-class AdaGradConfig:
-    b: float
-    eta0: float  # scale multiplier on the adaptive rate
-    q: AttributeDistribution | None = None
-    n_point: int = 1
-    n_inner: int = 1
-    p_mode: str = "standard"
-    moments: np.ndarray | None = None
-
-    def validate(self, d, budgeted):
-        if self.b <= 0:
-            raise ValueError("norm bound must be positive")
-        if self.eta0 <= 0:
-            raise ValueError("step scale must be positive")
-        if budgeted:
-            if self.q is None or self.q.dimension != d:
-                raise ValueError("sampling distribution dimension mismatch")
-            if self.n_point < 1 or self.n_inner < 1:
-                raise ValueError("need at least one draw per estimate")
-            if self.p_mode not in ("standard", "improved"):
-                raise ValueError(f"unknown p_mode {self.p_mode!r}")
-            if self.p_mode == "improved" and self.moments is None:
-                raise ValueError("improved inner-product sampling needs moments")
-
-
-def _inner_phi(x, y, w, config, rng, regime):
-    if config.p_mode == "improved":
-        p = improved_inner_product_p(w, config.moments, regime)
-    else:
-        p = inner_product_p(w, regime)
-    j = sample_index(p, rng.random(config.n_inner))
-    return float(np.mean(w[j] / p.probabilities[j] * x[j]) - y)
-
-
-def adagrad_variant(base, dataset, config, seed=None):
-    """Per-coordinate steps eta0 / sqrt(delta + sum of squared gradients).
-
-    The accumulator absorbs the raw gradient estimate before the step is
-    taken; the projection (or the EG clip, per coordinate at 1/eta_{t,i})
-    stays the same as in the base algorithm.  Accumulators only change on
-    the support of the estimate, so the update stays sparse.
-    """
-    if base not in ("online_full", "gaerr", "gaelr"):
-        raise ValueError(f"unknown base {base!r}")
-    if len(dataset) == 0:
-        raise ValueError("empty dataset")
-    d = dataset.dimension
-    budgeted = base != "online_full"
-    config.validate(d, budgeted)
-    regime = Regime.LINF if base == "gaelr" else Regime.L2
-    if dataset.regime is not None and dataset.regime != regime:
-        raise ValueError("dataset regime does not match the base algorithm")
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(np.random.SeedSequence(0 if seed is None else seed))
-    xs, ys = dataset.x, dataset.y
-    m = len(dataset)
-    accum = np.zeros(d)
-    consumed = 0
-    zero_steps = 0
-    sum_w = np.zeros(d)
-
-    if base == "online_full":
-        w = np.zeros(d)
-        for t in range(m):
-            sum_w += w
-            g = (float(w @ xs[t]) - float(ys[t])) * xs[t]
-            accum += g * g
-            w = w - config.eta0 / np.sqrt(DELTA_ADA + accum) * g
-            nrm = math.sqrt(float(np.dot(w, w)))
-            if nrm > config.b:
-                w *= config.b / nrm
-        consumed = m * d
-        predictor = Predictor(sum_w / m, config.b, Regime.L2)
-        return RunResult(predictor, consumed, 0, {"final_w": w, "accumulator": accum})
-
-    if base == "gaerr":
-        w = np.full(d, config.b / (2.0 * math.sqrt(d)))
-        for t in range(m):
-            sum_w += w
-            est = estimate_point(xs[t], config.q, rng.random(config.n_point))
-            if np.any(w != 0):
-                phi = _inner_phi(xs[t], float(ys[t]), w, config, rng, Regime.L2)
-            else:
-                phi = -float(ys[t])
-                zero_steps += 1
-            consumed += config.n_point + config.n_inner
-            if phi != 0.0:
-                g = phi * est.values
-                accum[est.indices] += g * g
-                w[est.indices] -= config.eta0 / np.sqrt(DELTA_ADA + accum[est.indices]) * g
-                nrm = math.sqrt(float(np.dot(w, w)))
-                if nrm > config.b:
-                    w *= config.b / nrm
-        predictor = Predictor(sum_w / m, config.b, Regime.L2)
-        return RunResult(predictor, consumed, zero_steps, {"final_w": w, "accumulator": accum})
-
-    state = EGState.initial(d)
-    for t in range(m):
-        w = eg_weights(state, config.b)
-        sum_w += w
-        est = estimate_point(xs[t], config.q, rng.random(config.n_point))
-        if np.any(w != 0):
-            phi = _inner_phi(xs[t], float(ys[t]), w, config, rng, Regime.LINF)
-        else:
-            phi = -float(ys[t])
-            zero_steps += 1
-        consumed += config.n_point + config.n_inner
-        if phi != 0.0:
-            g = phi * est.values
-            accum[est.indices] += g * g
-            eta_i = config.eta0 / np.sqrt(DELTA_ADA + accum[est.indices])
-            clipped = np.clip(g, -1.0 / eta_i, 1.0 / eta_i)
-            state.z_plus[est.indices] *= np.exp(-eta_i * clipped)
-            state.z_minus[est.indices] *= np.exp(eta_i * clipped)
-            peak = max(float(state.z_plus.max()), float(state.z_minus.max()))
-            if peak > 1e100:
-                state.z_plus /= peak
-                state.z_minus /= peak
-    predictor = Predictor(sum_w / m, config.b, Regime.LINF)
-    return RunResult(predictor, consumed, zero_steps, {"final_w": eg_weights(state, config.b), "accumulator": accum})

@@ -1,4 +1,4 @@
-"""Shared numeric primitives and the example/dataset/predictor model.
+"""Shared numeric primitives and the dataset/predictor model.
 
 Conventions used across the package: attribute vectors live in the unit
 ball of the data norm (L2 for the ridge setting, Linf for the lasso
@@ -17,11 +17,9 @@ __all__ = [
     "BALL_TOL",
     "Regime",
     "norm",
-    "clip",
     "project_l2_ball",
     "project_l1_ball",
     "squared_loss",
-    "Example",
     "Dataset",
     "Predictor",
     "RunResult",
@@ -56,13 +54,6 @@ def norm(v, p):
     if p == math.inf:
         return float(np.abs(v).max())
     raise ValueError(f"unsupported norm order {p!r}")
-
-
-def clip(x, c):
-    """Clamp scalar x into [-c, c]."""
-    if c < 0:
-        raise ValueError("clip threshold must be nonnegative")
-    return max(min(x, c), -c)
 
 
 def project_l2_ball(v, b):
@@ -108,26 +99,6 @@ def weight_norm(w, regime):
     return norm(w, 2) if regime == Regime.L2 else norm(w, 1)
 
 
-@dataclass(frozen=True)
-class Example:
-    """One observation: an attribute vector and a scalar target."""
-
-    attributes: np.ndarray
-    target: float
-
-    def validate(self, regime, b=None, tol=BALL_TOL):
-        x = np.asarray(self.attributes, dtype=float)
-        if x.size == 0:
-            raise ValueError("zero dimension")
-        if not np.all(np.isfinite(x)) or not math.isfinite(self.target):
-            raise ValueError("non-finite entry in example")
-        bound = norm(x, 2) if regime == Regime.L2 else norm(x, math.inf)
-        if bound > 1.0 + tol:
-            raise ValueError(f"attribute vector outside the unit {regime.value} ball")
-        if b is not None and abs(self.target) > b + tol:
-            raise ValueError("target exceeds the norm bound")
-
-
 class Dataset:
     """An ordered collection of examples sharing one dimension and regime.
 
@@ -148,27 +119,12 @@ class Dataset:
         self.y = y
         self.regime = Regime(regime) if regime is not None else None
 
-    @classmethod
-    def from_examples(cls, examples, regime=None):
-        if not examples:
-            raise ValueError("empty dataset")
-        x = np.stack([np.asarray(e.attributes, dtype=float) for e in examples])
-        y = np.array([e.target for e in examples], dtype=float)
-        return cls(x, y, regime)
-
     @property
     def dimension(self):
         return self.x.shape[1]
 
     def __len__(self):
         return self.x.shape[0]
-
-    def example(self, t):
-        return Example(self.x[t], float(self.y[t]))
-
-    def __iter__(self):
-        for t in range(len(self)):
-            yield self.example(t)
 
     def subset(self, indices):
         return Dataset(self.x[indices], self.y[indices], self.regime)

@@ -1,4 +1,4 @@
-"""Unbiased sparse estimates of the example and of the loss derivative.
+"""Unbiased sparse estimates and the budgeted pass that consumes them.
 
 A gradient step observes n_point sampled attribute values to build the
 sparse point estimate x~ and (unless the iterate is zero) n_inner more to
@@ -6,22 +6,37 @@ estimate phi = <w, x> - y.  The implied gradient estimate phi * x~ is
 unbiased for (<w, x> - y) x whenever q covers the support of x and p
 covers the support of w.  All randomness is injected as uniform draws in
 [0, 1), so callers control determinism.
+
+The ridge and lasso solvers share everything here: one config, one
+draw of x~ and phi per step, one step rule (fixed eta or AdaGrad), and
+one single-pass loop.  Only the geometry of the update is theirs.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .sampling import sample_index
+from .core import Predictor, RunResult
+from .sampling import (
+    AttributeDistribution,
+    improved_inner_product_p,
+    inner_product_p,
+    sample_index,
+)
 
 __all__ = [
+    "DELTA_ADA",
     "SparseEstimate",
-    "GradientEstimate",
+    "SolverConfig",
     "estimate_point",
     "estimate_from_indices",
-    "estimate_inner_product",
-    "gradient_estimate",
+    "estimate_phi",
+    "draw_step",
+    "adagrad_rate",
+    "run_pass",
 ]
+
+DELTA_ADA = 1e-8  # stabilizer under the adaptive square root
 
 
 @dataclass
@@ -39,15 +54,37 @@ class SparseEstimate:
 
 
 @dataclass
-class GradientEstimate:
-    """phi together with the point estimate; the gradient itself is phi * point."""
+class SolverConfig:
+    """One budgeted pass of the ridge (OGD) or lasso (EG) solver.
 
-    phi: float
-    point: SparseEstimate
-    attributes_consumed: int
+    With ``adagrad`` the step on coordinate i is eta / sqrt(DELTA_ADA +
+    sum of its squared gradient estimates), so ``eta`` is a scale, not a
+    step size.
+    """
 
-    def to_dense(self):
-        return self.phi * self.point.to_dense()
+    b: float
+    eta: float
+    q: AttributeDistribution
+    n_point: int = 1
+    n_inner: int = 1
+    p_mode: str = "standard"  # "standard" or "improved"
+    moments: np.ndarray | None = None  # weighting for improved p
+    initial_w: np.ndarray | None = None
+    adagrad: bool = False
+
+    def validate(self, d):
+        if self.b <= 0:
+            raise ValueError("norm bound must be positive")
+        if self.eta <= 0:
+            raise ValueError("step size must be positive")
+        if self.n_point < 1 or self.n_inner < 1:
+            raise ValueError("need at least one draw per estimate")
+        if self.q.dimension != d:
+            raise ValueError("sampling distribution dimension mismatch")
+        if self.p_mode not in ("standard", "improved"):
+            raise ValueError(f"unknown p_mode {self.p_mode!r}")
+        if self.p_mode == "improved" and self.moments is None:
+            raise ValueError("improved inner-product sampling needs moments")
 
 
 def estimate_from_indices(x, q, indices):
@@ -76,31 +113,68 @@ def estimate_point(x, q, draws):
     return estimate_from_indices(x, q, idx)
 
 
-def estimate_inner_product(x, y, w, p, draw):
-    """One-draw estimate of <w, x> - y; returns (phi, attributes_consumed).
+def estimate_phi(x, y, w, p, draws):
+    """Unbiased estimate of <w, x> - y from len(draws) attributes j ~ p.
 
-    A zero iterate needs no observation: phi = -y exactly, consumed = 0.
+    phi = mean_r(w_j / p_j * x_j) - y; averaging independent draws keeps
+    it unbiased and lowers its variance.  Needs p_j > 0 wherever
+    w_j != 0, so a zero iterate (no such p) is the caller's to handle.
     """
-    w = np.asarray(w, dtype=float)
-    if not np.any(w != 0):
-        return -float(y), 0
-    j = sample_index(p, draw)
-    return float(w[j] / p.probabilities[j] * x[j] - y), 1
+    j = sample_index(p, draws)
+    return float(np.mean(w[j] / p.probabilities[j] * x[j]) - y)
 
 
-def gradient_estimate(x, y, w, q, p, point_draws, inner_draws):
-    """Combine the point and inner-product estimates into one gradient estimate.
+def draw_step(state, w, x, y, config, rng, regime, point_estimate=None):
+    """The shared part of one budgeted step; returns (point estimate, phi).
 
-    Multiple inner draws average independent single-draw estimates of
-    <w, x>, which keeps phi unbiased while reducing its variance.  The
-    point and inner draws are disjoint randomness.
+    The pre-update iterate w enters the running average and defines p.
+    An externally built point estimate (draws shared with a moment table)
+    replaces the internal one when supplied.  The full per-example budget
+    is charged even on the zero-iterate path, where phi = -y costs no
+    observation; zero_weight_steps records how often the inner-product
+    draw was skipped.
     """
-    point = estimate_point(x, q, point_draws)
-    n_point = np.atleast_1d(np.asarray(point_draws)).size
-    w = np.asarray(w, dtype=float)
-    if not np.any(w != 0):
-        return GradientEstimate(-float(y), point, n_point)
-    inner_draws = np.atleast_1d(np.asarray(inner_draws, dtype=float))
-    j = sample_index(p, inner_draws)
-    phi = float(np.mean(w[j] / p.probabilities[j] * x[j]) - y)
-    return GradientEstimate(phi, point, n_point + inner_draws.size)
+    state.sum_w += w
+    if point_estimate is None:
+        point_estimate = estimate_point(x, config.q, rng.random(config.n_point))
+    if np.any(w != 0):
+        if config.p_mode == "improved":
+            p = improved_inner_product_p(w, config.moments, regime)
+        else:
+            p = inner_product_p(w, regime)
+        phi = estimate_phi(x, y, w, p, rng.random(config.n_inner))
+    else:
+        phi = -float(y)
+        state.zero_weight_steps += 1
+    state.steps += 1
+    state.attributes_consumed += config.n_point + config.n_inner
+    return point_estimate, phi
+
+
+def adagrad_rate(accum, indices, g, eta):
+    """AdaGrad step rule: add g^2 to the accumulator at ``indices`` and
+    return the per-coordinate rates eta / sqrt(DELTA_ADA + accumulated g^2)
+    there.  Accumulators change only where the gradient estimate lives."""
+    accum[indices] += g * g
+    return eta / np.sqrt(DELTA_ADA + accum[indices])
+
+
+def run_pass(dataset, config, seed, regime, initial_state, step):
+    """Single ordered pass over the dataset; returns the averaged predictor.
+
+    ``initial_state(d, config)`` builds the solver's state and
+    ``step(state, x, y, config, rng)`` takes one budgeted step on it.
+    """
+    if len(dataset) == 0:
+        raise ValueError("empty dataset")
+    if dataset.regime is not None and dataset.regime != regime:
+        raise ValueError(f"solver requires {regime.value.capitalize()}-regime data")
+    d = dataset.dimension
+    config.validate(d)
+    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(np.random.SeedSequence(seed))
+    state = initial_state(d, config)
+    xs, ys = dataset.x, dataset.y
+    for t in range(len(dataset)):
+        step(state, xs[t], float(ys[t]), config, rng)
+    predictor = Predictor(state.sum_w / state.steps, config.b, regime)
+    return RunResult(predictor, state.attributes_consumed, state.zero_weight_steps)

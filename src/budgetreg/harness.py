@@ -14,13 +14,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .baselines import AdaGradConfig, adagrad_variant, offline_erm, online_lasso_full, online_ridge_full
+from .baselines import offline_erm, online_lasso_full, online_ridge_full
 from .core import Regime, norm, squared_loss, weight_norm
 from .datagen import generate_dataset, power_law_means, random_target_weights
+from .estimator import SolverConfig
 from .ingest import Scaler, load_csv
 from .sampling import lasso_optimal_q, ridge_optimal_q, uniform_distribution
-from .solver_lasso import EGConfig, aelr_eta, lasso_eta_known_moments, run_gaelr
-from .solver_ridge import RidgeConfig, aerr_eta, ridge_eta_known_moments, run_gaerr
+from .solver_lasso import aelr_eta, lasso_eta_known_moments, run_gaelr
+from .solver_ridge import aerr_eta, ridge_eta_known_moments, run_gaerr
 from .two_phase import TwoPhaseConfig, run_two_phase
 
 __all__ = [
@@ -90,7 +91,6 @@ class AlgoSpec:
     regime: Regime | None
     budgeted: bool
     kind: str
-    base: str = ""
 
 
 ALGORITHMS = {
@@ -103,9 +103,9 @@ ALGORITHMS = {
     "ogd-full": AlgoSpec(Regime.L2, False, "full"),
     "eg-full": AlgoSpec(Regime.LINF, False, "full"),
     "erm": AlgoSpec(None, False, "erm"),
-    "adagrad-ogd-full": AlgoSpec(Regime.L2, False, "adagrad", base="online_full"),
-    "adagrad-gaerr": AlgoSpec(Regime.L2, True, "adagrad", base="gaerr"),
-    "adagrad-gaelr": AlgoSpec(Regime.LINF, True, "adagrad", base="gaelr"),
+    "adagrad-ogd-full": AlgoSpec(Regime.L2, False, "adagrad"),
+    "adagrad-gaerr": AlgoSpec(Regime.L2, True, "adagrad"),
+    "adagrad-gaelr": AlgoSpec(Regime.LINF, True, "adagrad"),
 }
 
 
@@ -136,14 +136,13 @@ def train_run(algo_id, train, ctx, eta, seed):
     d = train.dimension
     m = len(train)
     k, n_inner = ctx.n_point, ctx.n_inner
+    solve = run_gaerr if ridge else run_gaelr
 
     if spec.kind == "plain":
-        q = uniform_distribution(d)
         if eta is None:
             eta = aerr_eta(m, k, d, ctx.b) if ridge else aelr_eta(m, k, d, ctx.b)
-        if ridge:
-            return run_gaerr(train, RidgeConfig(b=ctx.b, eta=eta, q=q, n_point=k, n_inner=n_inner), seed)
-        return run_gaelr(train, EGConfig(b=ctx.b, eta=eta, q=q, n_point=k, n_inner=n_inner), seed)
+        cfg = SolverConfig(b=ctx.b, eta=eta, q=uniform_distribution(d), n_point=k, n_inner=n_inner)
+        return solve(train, cfg, seed)
 
     if spec.kind == "moments":
         mom = ctx.moments
@@ -154,15 +153,12 @@ def train_run(algo_id, train, ctx, eta, seed):
                 eta = ridge_eta_known_moments(m, k, float(norm(mom, 0.5)))
             else:
                 eta = lasso_eta_known_moments(m, k, d, ctx.b, float(norm(mom, 1)))
+        q = ridge_optimal_q(mom) if ridge else lasso_optimal_q(mom)
         p_mode = "improved" if ctx.improved_p else "standard"
         p_moments = mom if ctx.improved_p else None
-        if ridge:
-            cfg = RidgeConfig(b=ctx.b, eta=eta, q=ridge_optimal_q(mom), n_point=k,
-                              n_inner=n_inner, p_mode=p_mode, moments=p_moments)
-            return run_gaerr(train, cfg, seed)
-        cfg = EGConfig(b=ctx.b, eta=eta, q=lasso_optimal_q(mom), n_point=k,
-                       n_inner=n_inner, p_mode=p_mode, moments=p_moments)
-        return run_gaelr(train, cfg, seed)
+        cfg = SolverConfig(b=ctx.b, eta=eta, q=q, n_point=k, n_inner=n_inner,
+                           p_mode=p_mode, moments=p_moments)
+        return solve(train, cfg, seed)
 
     if spec.kind == "two_phase":
         m1 = int(math.ceil(ctx.m1_fraction * m))
@@ -183,17 +179,18 @@ def train_run(algo_id, train, ctx, eta, seed):
             # scale-free OGD rate; EG rate from the ln(2d) regret bound
             eta = 1.0 / math.sqrt(m) if ridge else math.sqrt(math.log(2 * d) / m) / (2 * ctx.b)
         if ridge:
-            return online_ridge_full(train, ctx.b, eta, seed)
-        return online_lasso_full(train, ctx.b, eta, seed)
+            return online_ridge_full(train, ctx.b, eta)
+        return online_lasso_full(train, ctx.b, eta)
 
     if spec.kind == "erm":
         return offline_erm(train, ctx.b, regime)
 
-    # adagrad family: uniform q for budgeted bases, standard inner-product p
-    q = uniform_distribution(d) if spec.budgeted else None
-    cfg = AdaGradConfig(b=ctx.b, eta0=ctx.b if eta is None else eta, q=q,
-                        n_point=k, n_inner=n_inner)
-    return adagrad_variant(spec.base, train, cfg, seed)
+    # adagrad family: rates scaled by b by default; uniform q, standard inner-product p
+    eta = ctx.b if eta is None else eta
+    if not spec.budgeted:
+        return online_ridge_full(train, ctx.b, eta, adagrad=True)
+    cfg = SolverConfig(b=ctx.b, eta=eta, q=uniform_distribution(d), n_point=k, n_inner=n_inner, adagrad=True)
+    return solve(train, cfg, seed)
 
 
 def cross_validate(dataset, algorithm, eta_grid, folds, seed, ctx):

@@ -1,4 +1,4 @@
-"""CSV loading, label binarization, and ball normalization.
+"""CSV loading and ball normalization.
 
 The file format is deliberately rigid: comma-separated ASCII decimal
 numbers, an optional single header line, one label column addressed by
@@ -17,7 +17,6 @@ from .core import Dataset, Regime
 __all__ = [
     "load_csv",
     "write_csv",
-    "binarize_labels",
     "Scaler",
     "normalize",
 ]
@@ -27,7 +26,7 @@ def load_csv(path, has_header=False, label_column=-1):
     """Rectangular numeric CSV -> raw Dataset (no regime attached).
 
     Row numbers in error messages are 1-based file line numbers, header
-    included.
+    included.  Cells that parse as nan or +-inf are rejected.
     """
     with open(path, "r", encoding="ascii") as fh:
         lines = fh.read().splitlines()
@@ -54,6 +53,11 @@ def load_csv(path, has_header=False, label_column=-1):
     if not rows:
         raise ValueError("empty file: no data rows")
     data = np.asarray(rows, dtype=float)
+    finite = np.isfinite(data)
+    if not finite.all():
+        row, col = np.argwhere(~finite)[0]
+        lineno = [n for n, line in enumerate(lines, start=1) if line != "" and n > start][row]
+        raise ValueError(f"row {lineno}: non-finite value {lines[lineno - 1].split(',')[col]!r}")
     label = label_column if label_column >= 0 else data.shape[1] + label_column
     if not 0 <= label < data.shape[1]:
         raise ValueError(f"label column {label_column} out of range for {data.shape[1]} columns")
@@ -80,28 +84,6 @@ def write_csv(path, dataset):
         for row, label in zip(dataset.x, dataset.y):
             cells = [f"{v:.17g}" for v in row] + [f"{label:.17g}"]
             fh.write(",".join(cells) + "\n")
-
-
-def binarize_labels(dataset, positive_class_value, keep=None):
-    """Map labels to +1 (the positive class) and -1 (everything else).
-
-    With ``keep``, rows whose label is outside that set are dropped first
-    (two-class subproblems carved out of a multiclass dataset).
-    """
-    y = dataset.y
-    x = dataset.x
-    if keep is not None:
-        keep_arr = np.asarray(sorted(keep), dtype=float)
-        mask = np.isin(y, keep_arr)
-        x, y = x[mask], y[mask]
-    if y.size == 0:
-        raise ValueError("no rows left after filtering")
-    if np.unique(y).size < 2:
-        raise ValueError("labels take fewer than two distinct values")
-    if not np.any(y == positive_class_value):
-        raise ValueError("positive class absent")
-    new_y = np.where(y == positive_class_value, 1.0, -1.0)
-    return Dataset(x, new_y, dataset.regime)
 
 
 @dataclass

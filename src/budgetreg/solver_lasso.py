@@ -5,7 +5,10 @@ weight vector is their scaled difference on the L1 ball of radius b.
 Gradient estimates are clipped at 1/eta before entering the exponent, so
 each multiplicative factor stays in [1/e, e] and the z entries remain
 positive.  Updates touch only the support of the sparse gradient
-estimate: all other coordinates would be multiplied by exp(0) = 1.
+estimate: all other coordinates would be multiplied by exp(0) = 1.  With
+``SolverConfig.adagrad`` each coordinate has its own rate and clip
+(AdaGrad).  The estimates, the budget and the pass are shared with the
+ridge solver (``estimator``); only the EG geometry lives here.
 """
 
 import math
@@ -14,16 +17,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Predictor, Regime, RunResult
-from .estimator import estimate_point, sample_index
-from .sampling import (
-    AttributeDistribution,
-    improved_inner_product_p,
-    inner_product_p,
-)
+from .core import Regime
+from .estimator import adagrad_rate, draw_step, run_pass
 
 __all__ = [
-    "EGConfig",
     "EGState",
     "eg_weights",
     "eg_state_from_weights",
@@ -39,32 +36,6 @@ _RENORM_THRESHOLD = 1e100
 
 
 @dataclass
-class EGConfig:
-    b: float
-    eta: float
-    q: AttributeDistribution
-    n_point: int = 1
-    n_inner: int = 1
-    p_mode: str = "standard"  # "standard" or "improved"
-    moments: np.ndarray | None = None  # weighting for improved p
-    initial_w: np.ndarray | None = None
-
-    def validate(self, d):
-        if self.b <= 0:
-            raise ValueError("norm bound must be positive")
-        if self.eta <= 0:
-            raise ValueError("step size must be positive")
-        if self.n_point < 1 or self.n_inner < 1:
-            raise ValueError("need at least one draw per estimate")
-        if self.q.dimension != d:
-            raise ValueError("sampling distribution dimension mismatch")
-        if self.p_mode not in ("standard", "improved"):
-            raise ValueError(f"unknown p_mode {self.p_mode!r}")
-        if self.p_mode == "improved" and self.moments is None:
-            raise ValueError("improved inner-product sampling needs moments")
-
-
-@dataclass
 class EGState:
     z_plus: np.ndarray
     z_minus: np.ndarray
@@ -72,12 +43,17 @@ class EGState:
     steps: int = 0
     attributes_consumed: int = 0
     zero_weight_steps: int = 0
+    accum: np.ndarray | None = None  # AdaGrad squared-gradient sums
 
     @classmethod
     def initial(cls, d, config=None):
         if config is not None and config.initial_w is not None:
-            return eg_state_from_weights(config.initial_w, config.b)
-        return cls(z_plus=np.ones(d), z_minus=np.ones(d), sum_w=np.zeros(d))
+            state = eg_state_from_weights(config.initial_w, config.b)
+        else:
+            state = cls(z_plus=np.ones(d), z_minus=np.ones(d), sum_w=np.zeros(d))
+        if config is not None and config.adagrad:
+            state.accum = np.zeros(d)
+        return state
 
 
 def eg_weights(state, b):
@@ -113,9 +89,11 @@ def eg_state_from_weights(w, b):
 def eg_update(state, indices, values, eta):
     """Clipped multiplicative update on the gradient estimate's support.
 
-    Off-support coordinates are untouched; both z vectors are rescaled by
-    the same factor if an entry overflows the renormalization threshold
-    (the derived weights are invariant to common rescaling).
+    ``eta`` is a scalar or one rate per index (AdaGrad); each value is
+    clipped at 1/eta of its own coordinate.  Off-support coordinates are
+    untouched; both z vectors are rescaled by the same factor if an entry
+    overflows the renormalization threshold (the derived weights are
+    invariant to common rescaling).
     """
     g = np.clip(values, -1.0 / eta, 1.0 / eta)
     state.z_plus[indices] *= np.exp(-eta * g)
@@ -130,51 +108,22 @@ def eg_update(state, indices, values, eta):
 def gaelr_step(state, x, y, config, rng, point_estimate=None):
     """One budgeted EG step; mutates and returns the state.
 
-    The pre-update weight vector enters the running average and defines
-    the inner-product distribution.  A zero iterate (the fresh initial
-    state, in particular) needs no inner-product observation, but the
-    full per-example budget is charged regardless; zero_weight_steps
-    records how often the draw was skipped.  An externally built point
-    estimate (draws shared with a moment table) replaces the internal
-    one when supplied.
+    draw_step averages the pre-update weight vector (which also defines
+    the inner-product distribution), charges the budget and draws x~ and
+    phi; this step applies the clipped multiplicative update to phi x~.
     """
     w = eg_weights(state, config.b)
-    state.sum_w += w
-    if point_estimate is None:
-        point_estimate = estimate_point(x, config.q, rng.random(config.n_point))
-    if np.any(w != 0):
-        if config.p_mode == "improved":
-            p = improved_inner_product_p(w, config.moments, Regime.LINF)
-        else:
-            p = inner_product_p(w, Regime.LINF)
-        j = sample_index(p, rng.random(config.n_inner))
-        phi = float(np.mean(w[j] / p.probabilities[j] * x[j]) - y)
-    else:
-        phi = -float(y)
-        state.zero_weight_steps += 1
+    est, phi = draw_step(state, w, x, y, config, rng, Regime.LINF, point_estimate)
     if phi != 0.0:
-        eg_update(state, point_estimate.indices, phi * point_estimate.values, config.eta)
-    state.steps += 1
-    state.attributes_consumed += config.n_point + config.n_inner
+        g = phi * est.values
+        eta = adagrad_rate(state.accum, est.indices, g, config.eta) if config.adagrad else config.eta
+        eg_update(state, est.indices, g, eta)
     return state
 
 
 def run_gaelr(dataset, config, seed):
     """Single ordered pass over the dataset; returns the averaged predictor."""
-    if len(dataset) == 0:
-        raise ValueError("empty dataset")
-    if dataset.regime is not None and dataset.regime != Regime.LINF:
-        raise ValueError("lasso solver requires Linf-regime data")
-    d = dataset.dimension
-    config.validate(d)
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(np.random.SeedSequence(seed))
-    state = EGState.initial(d, config)
-    xs, ys = dataset.x, dataset.y
-    for t in range(len(dataset)):
-        gaelr_step(state, xs[t], float(ys[t]), config, rng)
-    w_bar = state.sum_w / state.steps
-    predictor = Predictor(w_bar, config.b, Regime.LINF)
-    return RunResult(predictor, state.attributes_consumed, state.zero_weight_steps)
+    return run_pass(dataset, config, seed, Regime.LINF, EGState.initial, gaelr_step)
 
 
 def aelr_eta(m, k, d, b):

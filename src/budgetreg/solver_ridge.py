@@ -5,30 +5,24 @@ attribute values, takes a gradient step, and projects back onto the L2
 ball of radius b.  The returned predictor is the average of the visited
 iterates.  With uniform q this is the no-prior-knowledge baseline (AERR);
 with q proportional to sqrt(E[x^2]) it is the data-dependent variant
-(DDAERR).
+(DDAERR); with ``SolverConfig.adagrad`` the step is per coordinate
+(AdaGrad).  The estimates, the budget and the pass are shared with the
+lasso solver (``estimator``); only the projected update lives here.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Predictor, Regime, RunResult
-from .estimator import estimate_point, sample_index
-from .sampling import (
-    AttributeDistribution,
-    improved_inner_product_p,
-    inner_product_p,
-    uniform_distribution,
-)
+from .core import Regime
+from .estimator import adagrad_rate, draw_step, run_pass
 
 __all__ = [
-    "RidgeConfig",
     "RidgeState",
     "default_initial_w",
     "gaerr_step",
     "run_gaerr",
-    "aerr_q",
     "aerr_eta",
     "ridge_eta_known_moments",
 ]
@@ -40,106 +34,48 @@ def default_initial_w(d, b):
 
 
 @dataclass
-class RidgeConfig:
-    b: float
-    eta: float
-    q: AttributeDistribution
-    n_point: int = 1
-    n_inner: int = 1
-    p_mode: str = "standard"  # "standard" or "improved"
-    moments: np.ndarray | None = None  # weighting for improved p
-    initial_w: np.ndarray | None = None
-
-    def validate(self, d):
-        if self.b <= 0:
-            raise ValueError("norm bound must be positive")
-        if self.eta <= 0:
-            raise ValueError("step size must be positive")
-        if self.n_point < 1 or self.n_inner < 1:
-            raise ValueError("need at least one draw per estimate")
-        if self.q.dimension != d:
-            raise ValueError("sampling distribution dimension mismatch")
-        if self.p_mode not in ("standard", "improved"):
-            raise ValueError(f"unknown p_mode {self.p_mode!r}")
-        if self.p_mode == "improved" and self.moments is None:
-            raise ValueError("improved inner-product sampling needs moments")
-
-
-@dataclass
 class RidgeState:
     w: np.ndarray
     sum_w: np.ndarray
     steps: int = 0
     attributes_consumed: int = 0
     zero_weight_steps: int = 0
+    accum: np.ndarray | None = None  # AdaGrad squared-gradient sums
 
     @classmethod
     def initial(cls, d, config):
         w0 = config.initial_w
         w0 = default_initial_w(d, config.b) if w0 is None else np.asarray(w0, dtype=float).copy()
-        return cls(w=w0, sum_w=np.zeros(d))
-
-
-def _inner_phi(x, y, w, config, rng):
-    """phi estimate for a nonzero iterate."""
-    if config.p_mode == "improved":
-        p = improved_inner_product_p(w, config.moments, Regime.L2)
-    else:
-        p = inner_product_p(w, Regime.L2)
-    j = sample_index(p, rng.random(config.n_inner))
-    return float(np.mean(w[j] / p.probabilities[j] * x[j]) - y)
+        return cls(w=w0, sum_w=np.zeros(d), accum=np.zeros(d) if config.adagrad else None)
 
 
 def gaerr_step(state, x, y, config, rng, point_estimate=None):
     """One budgeted OGD step; mutates and returns the state.
 
-    The pre-update iterate enters the running average, mirroring the
-    output definition w_bar = mean of visited iterates.  An externally
-    built point estimate (draws shared with a moment table) replaces the
-    internal one when supplied.  The full per-example budget is charged
-    even on the zero-iterate path, where phi = -y costs no observation;
-    zero_weight_steps records how often the inner-product draw was
-    skipped.
+    draw_step averages the pre-update iterate, charges the budget and
+    draws x~ and phi; this step moves along -phi x~ and projects back
+    onto the L2 ball of radius b.
     """
     w = state.w
-    state.sum_w += w
-    est = point_estimate if point_estimate is not None else estimate_point(x, config.q, rng.random(config.n_point))
-    if np.any(w != 0):
-        phi = _inner_phi(x, y, w, config, rng)
-    else:
-        phi = -float(y)
-        state.zero_weight_steps += 1
+    est, phi = draw_step(state, w, x, y, config, rng, Regime.L2, point_estimate)
     if phi != 0.0:
-        w[est.indices] -= config.eta * phi * est.values
+        # the two rules round differently on purpose: rate * (phi x~) per
+        # coordinate, (eta phi) * x~ for the fixed step; the fixed-seed
+        # fingerprints pin both
+        if config.adagrad:
+            g = phi * est.values
+            w[est.indices] -= adagrad_rate(state.accum, est.indices, g, config.eta) * g
+        else:
+            w[est.indices] -= config.eta * phi * est.values
         nrm = math.sqrt(float(np.dot(w, w)))
         if nrm > config.b:
             w *= config.b / nrm
-    state.steps += 1
-    state.attributes_consumed += config.n_point + config.n_inner
     return state
 
 
 def run_gaerr(dataset, config, seed):
     """Single ordered pass over the dataset; returns the averaged predictor."""
-    if len(dataset) == 0:
-        raise ValueError("empty dataset")
-    if dataset.regime is not None and dataset.regime != Regime.L2:
-        raise ValueError("ridge solver requires L2-regime data")
-    d = dataset.dimension
-    config.validate(d)
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(np.random.SeedSequence(seed))
-    state = RidgeState.initial(d, config)
-    xs, ys = dataset.x, dataset.y
-    for t in range(len(dataset)):
-        gaerr_step(state, xs[t], float(ys[t]), config, rng)
-    w_bar = state.sum_w / state.steps
-    predictor = Predictor(w_bar, config.b, Regime.L2)
-    return RunResult(predictor, state.attributes_consumed, state.zero_weight_steps)
-
-
-def aerr_q(d):
-    """Uniform attribute sampling: the no-prior-knowledge choice."""
-    return uniform_distribution(d)
+    return run_pass(dataset, config, seed, Regime.L2, RidgeState.initial, gaerr_step)
 
 
 def aerr_eta(m, k, d, b):

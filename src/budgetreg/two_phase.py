@@ -15,17 +15,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Regime, RunResult, norm
-from .estimator import estimate_from_indices
+from .estimator import SolverConfig, estimate_from_indices
 from .sampling import apply_floor, build_distribution, sample_index, uniform_distribution
 from .solver_lasso import (
-    EGConfig,
     EGState,
     aelr_eta,
     gaelr_step,
     lasso_eta_two_phase,
     run_gaelr,
 )
-from .solver_ridge import RidgeConfig, RidgeState, aerr_eta, gaerr_step, run_gaerr
+from .solver_ridge import RidgeState, aerr_eta, gaerr_step, run_gaerr
 
 __all__ = [
     "MomentTable",
@@ -199,7 +198,9 @@ def _phase1_warm_start(dataset, config, rng):
 
     The k point-estimation draws of each step are shared with the moment
     table; the inner-product draw follows p(w) and stays out of the
-    moment statistics.
+    moment statistics.  The table adds each raw draw with np.add.at,
+    duplicates included (count * x^2 would round differently), so this
+    loop draws the indices itself instead of going through run_pass.
     """
     d = dataset.dimension
     m1 = len(dataset)
@@ -212,14 +213,9 @@ def _phase1_warm_start(dataset, config, rng):
     eta1 = config.eta
     if eta1 is None:
         eta1 = aerr_eta(m1, config.k, d, config.b) if ridge else aelr_eta(m1, config.k, d, config.b)
-    if ridge:
-        cfg = RidgeConfig(b=config.b, eta=eta1, q=uniform, n_point=config.k, n_inner=config.n_inner)
-        state = RidgeState.initial(d, cfg)
-        step = gaerr_step
-    else:
-        cfg = EGConfig(b=config.b, eta=eta1, q=uniform, n_point=config.k, n_inner=config.n_inner)
-        state = EGState.initial(d, cfg)
-        step = gaelr_step
+    cfg = SolverConfig(b=config.b, eta=eta1, q=uniform, n_point=config.k, n_inner=config.n_inner)
+    state = (RidgeState if ridge else EGState).initial(d, cfg)
+    step = gaerr_step if ridge else gaelr_step
     xs, ys = dataset.x, dataset.y
     for t in range(m1):
         idx = sample_index(uniform, rng.random(config.k))
@@ -283,18 +279,11 @@ def run_two_phase(dataset, config, seed):
 
     phase2 = dataset.subset(np.arange(config.m1, config.m1 + config.m2))
     moments = table.A if config.p_mode == "improved" else None
-    if ridge:
-        cfg2 = RidgeConfig(
-            b=config.b, eta=eta2, q=q2, n_point=config.k, n_inner=config.n_inner,
-            p_mode=config.p_mode, moments=moments, initial_w=w_start,
-        )
-        result = run_gaerr(phase2, cfg2, rng)
-    else:
-        cfg2 = EGConfig(
-            b=config.b, eta=eta2, q=q2, n_point=config.k, n_inner=config.n_inner,
-            p_mode=config.p_mode, moments=moments, initial_w=w_start,
-        )
-        result = run_gaelr(phase2, cfg2, rng)
+    cfg2 = SolverConfig(
+        b=config.b, eta=eta2, q=q2, n_point=config.k, n_inner=config.n_inner,
+        p_mode=config.p_mode, moments=moments, initial_w=w_start,
+    )
+    result = (run_gaerr if ridge else run_gaelr)(phase2, cfg2, rng)
 
     diagnostics = {
         "m1": config.m1,

@@ -26,7 +26,7 @@ from budgetreg.datagen import (
     power_law_means,
     random_target_weights,
 )
-from budgetreg.estimator import estimate_from_indices, estimate_point, gradient_estimate
+from budgetreg.estimator import SolverConfig, estimate_from_indices, estimate_phi, estimate_point
 from budgetreg.harness import ExperimentConfig, RunContext, dataset_moments, run_experiment, split_budget, train_run
 from budgetreg.ingest import load_csv, normalize
 from budgetreg.sampling import (
@@ -37,8 +37,8 @@ from budgetreg.sampling import (
     sample_index,
     uniform_distribution,
 )
-from budgetreg.solver_lasso import EGConfig, EGState, aelr_eta, eg_weights, gaelr_step, lasso_eta_known_moments, lasso_eta_two_phase
-from budgetreg.solver_ridge import RidgeConfig, RidgeState, aerr_eta, gaerr_step, ridge_eta_known_moments
+from budgetreg.solver_lasso import EGState, aelr_eta, eg_weights, gaelr_step, lasso_eta_known_moments, lasso_eta_two_phase
+from budgetreg.solver_ridge import RidgeState, aerr_eta, gaerr_step, ridge_eta_known_moments
 from budgetreg.two_phase import TwoPhaseConfig, epsilon, estimate_half_norm, estimate_moments, ridge_eta_two_phase, run_two_phase
 
 
@@ -124,7 +124,8 @@ def _random_instance(rng, d):
 def test_criterion_02_gradient_unbiasedness_enumeration():
     """Exhaustive enumeration of every (point-draw combo, inner draw) shows
     E[g~] = (<w,x> - y) x to 1e-12 for 50 random rational instances per
-    (d, k) in {1,2,3} x {1,2}."""
+    (d, k) in {1,2,3} x {1,2}.  g~ = phi x~ is built by estimate_point and
+    estimate_phi, the two estimators every solver step calls."""
     rng = np.random.default_rng(20)
     worst = 0.0
     for d, k in itertools.product((1, 2, 3), (1, 2)):
@@ -133,10 +134,10 @@ def test_criterion_02_gradient_unbiasedness_enumeration():
             acc = np.zeros(d)
             for combo in itertools.product(range(d), repeat=k):
                 wq = float(np.prod(q.probabilities[list(combo)]))
-                point_draws = [_mid_draw(q, i) for i in combo]
+                point = estimate_point(x, q, [_mid_draw(q, i) for i in combo]).to_dense()
                 for j in range(d):
-                    est = gradient_estimate(x, y, w, q, p, point_draws, [_mid_draw(p, j)])
-                    acc += wq * float(p.probabilities[j]) * est.to_dense()
+                    phi = estimate_phi(x, y, w, p, np.array([_mid_draw(p, j)]))
+                    acc += wq * float(p.probabilities[j]) * phi * point
             expected = (float(w @ x) - y) * x
             worst = max(worst, float(np.abs(acc - expected).max()))
             np.testing.assert_allclose(acc, expected, rtol=0, atol=1e-12)
@@ -227,7 +228,7 @@ def test_criterion_06_feasibility_and_sparse_dense_equivalence():
     x = rng.normal(size=(250, 8))
     x /= np.maximum(1.0, np.sqrt((x * x).sum(axis=1)))[:, None]
     y = rng.normal(size=250)
-    config = RidgeConfig(b=b, eta=0.4, q=build_distribution(rng.uniform(0.5, 1.5, 8)), n_point=2, n_inner=2)
+    config = SolverConfig(b=b, eta=0.4, q=build_distribution(rng.uniform(0.5, 1.5, 8)), n_point=2, n_inner=2)
     state = RidgeState.initial(8, config)
     step_rng = np.random.default_rng(np.random.SeedSequence((60, 0)))
     for t in range(250):
@@ -238,7 +239,7 @@ def test_criterion_06_feasibility_and_sparse_dense_equivalence():
     xl = rng.uniform(-1.0, 1.0, (150, d))
     yl = rng.normal(size=150)
     q = build_distribution(rng.uniform(0.5, 1.5, d))
-    cfg = EGConfig(b=b, eta=eta, q=q, n_point=n_point, n_inner=1)
+    cfg = SolverConfig(b=b, eta=eta, q=q, n_point=n_point, n_inner=1)
     sparse = EGState.initial(d, cfg)
     rng_sparse = np.random.default_rng(np.random.SeedSequence((61, 0)))
     rng_dense = np.random.default_rng(np.random.SeedSequence((61, 0)))

@@ -2,15 +2,16 @@ import numpy as np
 import pytest
 
 from budgetreg.baselines import (
-    AdaGradConfig,
-    adagrad_variant,
     offline_erm,
     online_lasso_full,
     online_ridge_full,
 )
 from budgetreg.core import Dataset, Regime
 from budgetreg.datagen import generate_dataset, power_law_means, random_target_weights
+from budgetreg.estimator import SolverConfig
 from budgetreg.sampling import uniform_distribution
+from budgetreg.solver_lasso import run_gaelr
+from budgetreg.solver_ridge import run_gaerr
 
 
 def make_dataset(d, m, seed, regime, alpha=-1.0):
@@ -103,45 +104,37 @@ def test_erm_zero_radius():
     assert result.attributes_consumed == 10 * 3
 
 
-def test_adagrad_unknown_base():
-    ds = make_dataset(3, 5, 6, Regime.L2)
-    config = AdaGradConfig(b=1.0, eta0=1.0)
-    with pytest.raises(ValueError, match="unknown base"):
-        adagrad_variant("sgd", ds, config)
-
-
 def test_adagrad_full_budget_and_ball():
     ds = make_dataset(5, 80, 7, Regime.L2)
-    config = AdaGradConfig(b=2.0, eta0=2.0)
-    result = adagrad_variant("online_full", ds, config)
+    result = online_ridge_full(ds, b=2.0, eta=2.0, adagrad=True)
     assert result.attributes_consumed == 80 * 5
     result.predictor.validate()
-    assert np.all(result.info["accumulator"] >= 0)
+    assert np.linalg.norm(result.info["final_w"]) <= 2.0 + 1e-12
 
 
 def test_adagrad_budgeted_budget_charged_fully():
-    for base, regime in (("gaerr", Regime.L2), ("gaelr", Regime.LINF)):
+    for run, regime in ((run_gaerr, Regime.L2), (run_gaelr, Regime.LINF)):
         ds = make_dataset(5, 150, 8, regime)
-        config = AdaGradConfig(b=2.0, eta0=2.0, q=uniform_distribution(5), n_point=2, n_inner=1)
-        result = adagrad_variant(base, ds, config, seed=9)
+        config = SolverConfig(b=2.0, eta=2.0, q=uniform_distribution(5), n_point=2, n_inner=1, adagrad=True)
+        result = run(ds, config, 9)
         assert result.attributes_consumed == 150 * 3
         result.predictor.validate()
 
 
 def test_adagrad_deterministic():
     ds = make_dataset(4, 60, 10, Regime.LINF)
-    config = AdaGradConfig(b=1.5, eta0=1.5, q=uniform_distribution(4))
-    r1 = adagrad_variant("gaelr", ds, config, seed=11)
-    r2 = adagrad_variant("gaelr", ds, config, seed=11)
+    config = SolverConfig(b=1.5, eta=1.5, q=uniform_distribution(4), adagrad=True)
+    r1 = run_gaelr(ds, config, 11)
+    r2 = run_gaelr(ds, config, 11)
     np.testing.assert_array_equal(r1.predictor.weights, r2.predictor.weights)
 
 
 def test_adagrad_config_errors():
     ds = make_dataset(4, 10, 12, Regime.L2)
     with pytest.raises(ValueError, match="dimension mismatch"):
-        adagrad_variant("gaerr", ds, AdaGradConfig(b=1.0, eta0=1.0))
-    with pytest.raises(ValueError, match="step scale must be positive"):
-        adagrad_variant("online_full", ds, AdaGradConfig(b=1.0, eta0=0.0))
+        run_gaerr(ds, SolverConfig(b=1.0, eta=1.0, q=uniform_distribution(3), adagrad=True), 0)
+    with pytest.raises(ValueError, match="must be positive"):
+        online_ridge_full(ds, 1.0, 0.0, adagrad=True)
     linf = make_dataset(4, 10, 12, Regime.LINF)
-    with pytest.raises(ValueError, match="does not match the base algorithm"):
-        adagrad_variant("gaerr", linf, AdaGradConfig(b=1.0, eta0=1.0, q=uniform_distribution(4)))
+    with pytest.raises(ValueError, match="requires L2-regime data"):
+        run_gaerr(linf, SolverConfig(b=1.0, eta=1.0, q=uniform_distribution(4), adagrad=True), 0)

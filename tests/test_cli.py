@@ -89,6 +89,18 @@ def test_train_full_information_budget(data_csv, tmp_path):
     assert json.loads(proc.stdout)["attributes_observed"] == 40 * 6
 
 
+def test_train_rejects_non_finite_label(data_csv, tmp_path):
+    lines = data_csv.read_text().splitlines()
+    lines[2] = ",".join(lines[2].split(",")[:-1] + ["nan"])
+    bad = tmp_path / "bad.csv"
+    bad.write_text("\n".join(lines) + "\n")
+    model = tmp_path / "ogd.json"
+    proc = run_cli("train", "--algo", "ogd-full", "--data", bad, "--eta-auto", "--out-model", model)
+    assert proc.returncode == 1
+    assert "error: row 3: non-finite value 'nan'" in proc.stderr
+    assert not model.exists()
+
+
 def test_train_flag_validation(data_csv, tmp_path):
     model = tmp_path / "m.json"
     base = ("train", "--data", data_csv, "--out-model", model)

@@ -6,10 +6,8 @@ import pytest
 from budgetreg.core import (
     BALL_TOL,
     Dataset,
-    Example,
     Predictor,
     Regime,
-    clip,
     norm,
     project_l1_ball,
     project_l2_ball,
@@ -41,22 +39,6 @@ def test_norm_errors():
         norm([], 2)
     with pytest.raises(ValueError, match="unsupported norm order"):
         norm([1.0], 3)
-
-
-def test_clip_values():
-    assert clip(5.0, 2.0) == 2.0
-    assert clip(-3.0, 2.0) == -2.0
-    assert clip(1.0, 2.0) == 1.0
-
-
-def test_clip_monotone_and_odd():
-    xs = np.linspace(-4, 4, 33)
-    out = [clip(x, 1.5) for x in xs]
-    assert all(a <= b + 1e-15 for a, b in zip(out, out[1:]))
-    for x in xs:
-        assert clip(-x, 1.5) == -clip(x, 1.5)
-    with pytest.raises(ValueError):
-        clip(1.0, -0.5)
 
 
 def test_project_l2_ball():
@@ -112,13 +94,14 @@ def test_weight_norm_pairs_regimes():
 
 
 def test_example_validate():
-    Example(np.array([0.6, 0.8]), 1.0).validate(Regime.L2, b=2.0)
+    # one-example datasets: each row is checked against the ball and the bound
+    Dataset(np.array([[0.6, 0.8]]), np.array([1.0]), Regime.L2).validate(b=2.0)
     with pytest.raises(ValueError, match="outside the unit l2 ball"):
-        Example(np.array([1.0, 1.0]), 0.0).validate(Regime.L2)
+        Dataset(np.array([[1.0, 1.0]]), np.array([0.0]), Regime.L2).validate()
     with pytest.raises(ValueError, match="target exceeds the norm bound"):
-        Example(np.array([0.5, 0.0]), 3.0).validate(Regime.L2, b=2.0)
-    with pytest.raises(ValueError, match="zero dimension"):
-        Example(np.array([]), 0.0).validate(Regime.L2)
+        Dataset(np.array([[0.5, 0.0]]), np.array([3.0]), Regime.L2).validate(b=2.0)
+    with pytest.raises(ValueError, match="non-finite entry"):
+        Dataset(np.array([[np.nan, 0.0]]), np.array([0.0]), Regime.L2).validate()
 
 
 def test_dataset_shape_errors():
@@ -134,16 +117,14 @@ def test_dataset_accessors_and_subset():
     ds = Dataset(np.array([[1.0, 0.0], [0.0, 1.0], [0.5, 0.5]]), np.array([1.0, 2.0, 3.0]), Regime.LINF)
     assert len(ds) == 3
     assert ds.dimension == 2
-    assert ds.example(1).target == 2.0
     sub = ds.subset([2, 0])
     np.testing.assert_array_equal(sub.y, [3.0, 1.0])
+    np.testing.assert_array_equal(sub.x, [[0.5, 0.5], [1.0, 0.0]])
     assert sub.regime == Regime.LINF
-    ex = list(ds)
-    assert len(ex) == 3 and ex[0].target == 1.0
 
 
 def test_dataset_from_examples_and_validate():
-    ds = Dataset.from_examples([Example(np.array([0.5]), 0.2), Example(np.array([1.0]), -0.7)], Regime.L2)
+    ds = Dataset(np.array([[0.5], [1.0]]), np.array([0.2, -0.7]), Regime.L2)
     ds.validate(b=1.0)
     with pytest.raises(ValueError, match="target exceeds the norm bound"):
         ds.validate(b=0.5)
@@ -151,7 +132,7 @@ def test_dataset_from_examples_and_validate():
     with pytest.raises(ValueError, match="outside the unit l2 ball"):
         bad.validate()
     with pytest.raises(ValueError, match="empty dataset"):
-        Dataset.from_examples([])
+        Dataset(np.zeros((0, 1)), np.zeros(0), Regime.L2).validate()
 
 
 def test_predictor_predict_and_validate():

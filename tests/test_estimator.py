@@ -3,7 +3,9 @@
 Every uniform draw in [0, 1) maps to an index through the inverse CDF, so
 expectations over the estimator's randomness are finite sums: enumerate
 index combinations, weight each by its probability, and feed the solver
-the midpoint of the matching CDF segment.
+the midpoint of the matching CDF segment.  The gradient enumerations run
+draw_step, the draw every solver step makes, with a scripted stream of
+those midpoints in place of the solver's generator.
 """
 
 import itertools
@@ -13,12 +15,14 @@ import pytest
 
 from budgetreg.core import Regime, norm
 from budgetreg.estimator import (
+    SolverConfig,
+    draw_step,
     estimate_from_indices,
-    estimate_inner_product,
+    estimate_phi,
     estimate_point,
-    gradient_estimate,
 )
 from budgetreg.sampling import build_distribution, inner_product_p, uniform_distribution
+from budgetreg.solver_ridge import RidgeState
 
 
 def draw_for(dist, i):
@@ -31,23 +35,41 @@ def support(dist):
     return [i for i in range(dist.dimension) if dist.probabilities[i] > 0]
 
 
-def enumerate_gradient(x, y, w, q, p, k):
-    """E[g~] and E[phi~] by exact enumeration of all draw combinations."""
+class ScriptedDraws:
+    """Stands in for a solver's Generator: hands out fixed draws in order."""
+
+    def __init__(self, draws):
+        self.draws = list(draws)
+
+    def random(self, n):
+        out, self.draws = self.draws[:n], self.draws[n:]
+        return np.array(out)
+
+
+def fresh_state(d):
+    return RidgeState(w=np.zeros(d), sum_w=np.zeros(d))
+
+
+def enumerate_gradient(x, y, w, q, k, n_inner=1):
+    """E[g~] and E[phi~] over every draw combination of one ridge step."""
+    config = SolverConfig(b=1.0, eta=1.0, q=q, n_point=k, n_inner=n_inner)
     mean_g = np.zeros(len(x))
     mean_phi = 0.0
-    inner = support(p) if np.any(w != 0) else [None]
+    if np.any(w != 0):
+        p = inner_product_p(w, Regime.L2)
+        inner = list(itertools.product(support(p), repeat=n_inner))
+    else:
+        inner = [()]  # a zero iterate draws no inner-product attribute
     for combo in itertools.product(support(q), repeat=k):
         wq = float(np.prod([q.probabilities[i] for i in combo]))
-        us = np.array([draw_for(q, i) for i in combo])
-        for j in inner:
-            if j is None:
-                est = gradient_estimate(x, y, w, q, p, us, np.array([0.5]))
-                weight = wq
-            else:
-                est = gradient_estimate(x, y, w, q, p, us, np.array([draw_for(p, j)]))
-                weight = wq * p.probabilities[j]
-            mean_g += weight * est.to_dense()
-            mean_phi += weight * est.phi
+        us = [draw_for(q, i) for i in combo]
+        for js in inner:
+            weight = wq * float(np.prod([p.probabilities[j] for j in js]))
+            rng = ScriptedDraws(us + [draw_for(p, j) for j in js])
+            est, phi = draw_step(fresh_state(len(x)), w, x, y, config, rng, Regime.L2)
+            assert rng.draws == []
+            mean_g += weight * phi * est.to_dense()
+            mean_phi += weight * phi
     return mean_g, mean_phi
 
 
@@ -91,17 +113,22 @@ def test_estimate_point_unbiased_enumeration():
 
 
 def test_estimate_inner_product_zero_weight():
-    p = build_distribution([1.0])
-    phi, consumed = estimate_inner_product(np.array([1.0]), 2.0, np.array([0.0]), p, 0.5)
+    # a zero iterate gives phi = -y exactly and skips the inner draw, but
+    # the step is still charged n_point + n_inner
+    q = build_distribution([1.0])
+    state = fresh_state(1)
+    rng = ScriptedDraws([0.5, 0.5])
+    config = SolverConfig(b=1.0, eta=1.0, q=q, n_point=1, n_inner=1)
+    _, phi = draw_step(state, np.array([0.0]), np.array([1.0]), 2.0, config, rng, Regime.L2)
     assert phi == -2.0
-    assert consumed == 0
+    assert rng.draws == [0.5]
+    assert state.zero_weight_steps == 1 and state.attributes_consumed == 2
 
 
 def test_estimate_inner_product_single_attribute():
     p = build_distribution([1.0])
-    phi, consumed = estimate_inner_product(np.array([0.8]), 0.0, np.array([0.5]), p, 0.3)
+    phi = estimate_phi(np.array([0.8]), 0.0, np.array([0.5]), p, np.array([0.3]))
     assert phi == pytest.approx(0.4)
-    assert consumed == 1
 
 
 def test_estimate_inner_product_unbiased():
@@ -109,44 +136,52 @@ def test_estimate_inner_product_unbiased():
     x = np.array([0.6, 0.4])
     p = inner_product_p(w, Regime.L2)
     mean = sum(
-        p.probabilities[j] * estimate_inner_product(x, 0.0, w, p, draw_for(p, j))[0]
+        p.probabilities[j] * estimate_phi(x, 0.0, w, p, np.array([draw_for(p, j)]))
         for j in support(p)
+    )
+    assert mean == pytest.approx(0.7, abs=1e-12)
+    # two averaged draws stay unbiased
+    mean = sum(
+        p.probabilities[i] * p.probabilities[j]
+        * estimate_phi(x, 0.0, w, p, np.array([draw_for(p, i), draw_for(p, j)]))
+        for i in support(p) for j in support(p)
     )
     assert mean == pytest.approx(0.7, abs=1e-12)
 
 
 def test_gradient_estimate_budget():
     q = uniform_distribution(2)
-    p = build_distribution([0.5, 0.5])
     x, y = np.array([0.5, 0.5]), 0.2
-    est = gradient_estimate(x, y, np.array([1.0, 0.0]), q, p, np.array([0.1, 0.4, 0.9]), np.array([0.2]))
-    assert est.attributes_consumed == 4
-    est = gradient_estimate(x, y, np.array([0.0, 0.0]), q, p, np.array([0.1, 0.4, 0.9]), np.array([0.2]))
-    assert est.attributes_consumed == 3
-    assert est.phi == -0.2
+    config = SolverConfig(b=1.0, eta=1.0, q=q, n_point=3, n_inner=1)
+    for w, zero_steps in ((np.array([1.0, 0.0]), 0), (np.array([0.0, 0.0]), 1)):
+        state = fresh_state(2)
+        _, phi = draw_step(state, w, x, y, config, ScriptedDraws([0.1, 0.4, 0.9, 0.2]), Regime.L2)
+        assert state.attributes_consumed == 4
+        assert state.steps == 1 and state.zero_weight_steps == zero_steps
+        np.testing.assert_array_equal(state.sum_w, w)
+    assert phi == -0.2
 
 
 def test_gradient_estimate_unbiased_enumeration():
     rng = np.random.default_rng(6)
     for d in (1, 2, 3):
         for k in (1, 2):
-            for _ in range(5):
-                x = rng.standard_normal(d)
-                y = float(rng.standard_normal())
-                w = rng.standard_normal(d)
-                q = build_distribution(rng.random(d) + 0.05)
-                p = inner_product_p(w, Regime.L2)
-                mean_g, mean_phi = enumerate_gradient(x, y, w, q, p, k)
-                expected = (float(w @ x) - y) * x
-                np.testing.assert_allclose(mean_g, expected, atol=1e-12)
-                assert mean_phi == pytest.approx(float(w @ x) - y, abs=1e-12)
+            for n_inner in (1, 2):
+                for _ in range(5):
+                    x = rng.standard_normal(d)
+                    y = float(rng.standard_normal())
+                    w = rng.standard_normal(d)
+                    q = build_distribution(rng.random(d) + 0.05)
+                    mean_g, mean_phi = enumerate_gradient(x, y, w, q, k, n_inner)
+                    expected = (float(w @ x) - y) * x
+                    np.testing.assert_allclose(mean_g, expected, atol=1e-12)
+                    assert mean_phi == pytest.approx(float(w @ x) - y, abs=1e-12)
 
 
 def test_gradient_estimate_zero_weight_enumeration():
     x = np.array([0.3, -0.2])
     q = build_distribution([0.4, 0.6])
-    p = build_distribution([1.0, 0.0])  # unused on the zero path
-    mean_g, mean_phi = enumerate_gradient(x, 1.5, np.zeros(2), q, p, 2)
+    mean_g, mean_phi = enumerate_gradient(x, 1.5, np.zeros(2), q, 2)
     np.testing.assert_allclose(mean_g, -1.5 * x, atol=1e-12)
     assert mean_phi == pytest.approx(-1.5)
 
@@ -196,7 +231,7 @@ def test_phi_second_moment_bounded():
             y = float(b * (2 * rng.random() - 1))
             p = inner_product_p(w, regime)
             second = sum(
-                p.probabilities[j] * estimate_inner_product(x, y, w, p, draw_for(p, j))[0] ** 2
+                p.probabilities[j] * estimate_phi(x, y, w, p, np.array([draw_for(p, j)])) ** 2
                 for j in support(p)
             )
             assert second <= 4 * b * b + 1e-9

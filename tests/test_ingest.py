@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from budgetreg.core import Dataset, Regime
-from budgetreg.ingest import Scaler, binarize_labels, load_csv, normalize, write_csv
+from budgetreg.ingest import Scaler, load_csv, normalize, write_csv
 
 
 def test_csv_round_trip(tmp_path):
@@ -49,28 +49,26 @@ def test_load_csv_errors(tmp_path):
         load_csv(path, label_column=4)
 
 
-def test_binarize_labels():
-    ds = Dataset(np.arange(8.0).reshape(4, 2), np.array([0.0, 3.0, 7.0, 3.0]))
-    out = binarize_labels(ds, positive_class_value=3.0)
-    np.testing.assert_array_equal(out.y, [-1.0, 1.0, -1.0, 1.0])
-    np.testing.assert_array_equal(out.x, ds.x)
+def test_load_csv_rejects_non_finite_cells(tmp_path):
+    path = tmp_path / "bad.csv"
+    # the row number counts the header and blank lines, like every other ingest error
+    path.write_text("a,b,c\n1,2,3\n\n4,5,nan\n", encoding="ascii")
+    with pytest.raises(ValueError, match="row 4: non-finite value 'nan'"):
+        load_csv(path, has_header=True)
+    path.write_text("1,2,3\n-inf,5,6\n", encoding="ascii")
+    with pytest.raises(ValueError, match="row 2: non-finite value '-inf'"):
+        load_csv(path)
+    # a finite-looking literal that overflows to inf is just as unusable
+    path.write_text("1,1e999,3\n", encoding="ascii")
+    with pytest.raises(ValueError, match="row 1: non-finite value '1e999'"):
+        load_csv(path)
 
 
-def test_binarize_labels_keep_filter():
-    ds = Dataset(np.arange(8.0).reshape(4, 2), np.array([0.0, 3.0, 7.0, 3.0]))
-    out = binarize_labels(ds, positive_class_value=3.0, keep={0.0, 3.0})
-    assert len(out) == 3
-    np.testing.assert_array_equal(out.y, [-1.0, 1.0, 1.0])
-
-
-def test_binarize_labels_errors():
-    ds = Dataset(np.zeros((3, 2)), np.array([1.0, 1.0, 2.0]))
-    with pytest.raises(ValueError, match="positive class absent"):
-        binarize_labels(ds, positive_class_value=9.0)
-    with pytest.raises(ValueError, match="fewer than two distinct values"):
-        binarize_labels(Dataset(np.zeros((2, 1)), np.ones(2)), positive_class_value=1.0)
-    with pytest.raises(ValueError, match="no rows left"):
-        binarize_labels(ds, positive_class_value=1.0, keep={5.0})
+def test_load_csv_rejects_first_non_finite_cell(tmp_path):
+    path = tmp_path / "bad.csv"
+    path.write_text("1,2\n3,4\nNaN,inf\n5,nan\n", encoding="ascii")
+    with pytest.raises(ValueError, match="row 3: non-finite value 'NaN'"):
+        load_csv(path, label_column=0)
 
 
 def test_scaler_l2_uses_worst_row():

@@ -5,9 +5,9 @@ import pytest
 
 from budgetreg.core import Dataset, Regime
 from budgetreg.datagen import generate_dataset, power_law_means, random_target_weights
+from budgetreg.estimator import DELTA_ADA, SolverConfig, estimate_point
 from budgetreg.sampling import build_distribution, inner_product_p, sample_index, uniform_distribution
 from budgetreg.solver_lasso import (
-    EGConfig,
     EGState,
     aelr_eta,
     eg_state_from_weights,
@@ -69,6 +69,11 @@ def test_eg_update_clips_at_inverse_eta():
     eg_update(s2, np.array([0]), np.array([20.0]), eta=0.1)
     np.testing.assert_allclose(s1.z_plus, s2.z_plus)
     np.testing.assert_allclose(s1.z_plus, [math.exp(-1.0)])
+    # one rate per index (AdaGrad): each value is clipped at its own 1/eta_i
+    s3 = EGState.initial(2)
+    eg_update(s3, np.array([0, 1]), np.array([10.0, 0.5]), eta=np.array([0.1, 0.5]))
+    np.testing.assert_allclose(s3.z_plus, [math.exp(-1.0), math.exp(-0.25)], rtol=1e-15)
+    np.testing.assert_allclose(s3.z_minus, [math.exp(1.0), math.exp(0.25)], rtol=1e-15)
 
 
 def test_eg_update_off_support_untouched():
@@ -90,7 +95,7 @@ def test_renormalization_preserves_weights():
 
 
 def test_zero_gradient_leaves_state():
-    config = EGConfig(b=1.0, eta=0.5, q=uniform_distribution(2))
+    config = SolverConfig(b=1.0, eta=0.5, q=uniform_distribution(2))
     state = EGState.initial(2)
     # zero iterate and y=0 give phi=0: no multiplicative change
     gaelr_step(state, np.array([1.0, 0.0]), 0.0, config, np.random.default_rng(0))
@@ -101,7 +106,7 @@ def test_zero_gradient_leaves_state():
 
 
 def test_zero_iterate_charges_full_budget():
-    config = EGConfig(b=1.0, eta=0.5, q=uniform_distribution(2), n_point=3, n_inner=2)
+    config = SolverConfig(b=1.0, eta=0.5, q=uniform_distribution(2), n_point=3, n_inner=2)
     state = EGState.initial(2)
     gaelr_step(state, np.array([1.0, 1.0]), 1.0, config, np.random.default_rng(0))
     assert state.attributes_consumed == 5
@@ -110,14 +115,14 @@ def test_zero_iterate_charges_full_budget():
 
 def test_single_example_returns_zero():
     ds = Dataset(np.array([[1.0, -1.0]]), np.array([0.5]), Regime.LINF)
-    config = EGConfig(b=1.0, eta=0.1, q=uniform_distribution(2))
+    config = SolverConfig(b=1.0, eta=0.1, q=uniform_distribution(2))
     result = run_gaelr(ds, config, 0)
     np.testing.assert_allclose(result.predictor.weights, [0.0, 0.0])
 
 
 def test_all_zero_data_returns_zero():
     ds = Dataset(np.zeros((10, 3)), np.zeros(10), Regime.LINF)
-    config = EGConfig(b=1.0, eta=0.1, q=uniform_distribution(3))
+    config = SolverConfig(b=1.0, eta=0.1, q=uniform_distribution(3))
     result = run_gaelr(ds, config, 1)
     np.testing.assert_array_equal(result.predictor.weights, np.zeros(3))
 
@@ -125,7 +130,7 @@ def test_all_zero_data_returns_zero():
 def test_budget_and_ball_on_synthetic_run():
     ds, _ = linf_dataset(5, 200, seed=3)
     k = 2
-    config = EGConfig(b=2.0, eta=0.05, q=uniform_distribution(5), n_point=k, n_inner=1)
+    config = SolverConfig(b=2.0, eta=0.05, q=uniform_distribution(5), n_point=k, n_inner=1)
     result = run_gaelr(ds, config, 5)
     assert result.attributes_consumed == 200 * (k + 1)
     assert np.abs(result.predictor.weights).sum() <= 2.0 + 1e-9
@@ -133,7 +138,7 @@ def test_budget_and_ball_on_synthetic_run():
 
 def test_regime_checked():
     l2 = Dataset(np.array([[0.5, 0.5]]), np.array([0.0]), Regime.L2)
-    config = EGConfig(b=1.0, eta=0.1, q=uniform_distribution(2))
+    config = SolverConfig(b=1.0, eta=0.1, q=uniform_distribution(2))
     with pytest.raises(ValueError, match="requires Linf-regime data"):
         run_gaelr(l2, config, 0)
     with pytest.raises(ValueError, match="empty dataset"):
@@ -150,7 +155,7 @@ def test_sparse_update_matches_dense_loop():
     dense = EGState.initial(6)
     rng_s = np.random.default_rng(21)
     rng_d = np.random.default_rng(21)
-    config = EGConfig(b=b, eta=eta, q=q, n_point=k, n_inner=1)
+    config = SolverConfig(b=b, eta=eta, q=q, n_point=k, n_inner=1)
     for t in range(len(ds)):
         gaelr_step(sparse, ds.x[t], float(ds.y[t]), config, rng_s)
 
@@ -175,6 +180,52 @@ def test_sparse_update_matches_dense_loop():
         np.testing.assert_allclose(sparse.z_plus, dense.z_plus, atol=1e-12)
         np.testing.assert_allclose(sparse.z_minus, dense.z_minus, atol=1e-12)
         assert np.abs(eg_weights(sparse, b)).sum() <= b + 1e-9
+
+
+def test_adagrad_sparse_update_matches_dense_replica():
+    """AdaGrad EG through gaelr_step replays the reference per-coordinate
+    update applied to every coordinate: accumulators, rates
+    eta / sqrt(DELTA_ADA + sum g^2) and the clip at 1/eta_i, where
+    off-support gradients are 0 and change nothing.  Every iterate stays
+    in the L1 ball, and the clip binds on some coordinates."""
+    d, b, eta0, k = 6, 1.5, 1.5, 2
+    ds, _ = linf_dataset(d, 150, seed=7)
+    q = build_distribution(np.arange(1.0, d + 1.0))
+    config = SolverConfig(b=b, eta=eta0, q=q, n_point=k, n_inner=1, adagrad=True)
+    sparse = EGState.initial(d, config)
+    rng_s = np.random.default_rng(31)
+    rng_d = np.random.default_rng(31)
+    z_plus, z_minus, accum = np.ones(d), np.ones(d), np.zeros(d)
+    clipped = 0
+    for t in range(len(ds)):
+        gaelr_step(sparse, ds.x[t], float(ds.y[t]), config, rng_s)
+        assert np.abs(eg_weights(sparse, b)).sum() <= b + 1e-9
+
+        # dense replica: same draws, per-coordinate rates on every coordinate
+        w = (z_plus - z_minus) * b / (z_plus.sum() + z_minus.sum())
+        est = estimate_point(ds.x[t], q, rng_d.random(k))
+        if np.any(w != 0):
+            p = inner_product_p(w, Regime.LINF)
+            j = sample_index(p, rng_d.random(1))
+            phi = float(np.mean(w[j] / p.probabilities[j] * ds.x[t][j]) - ds.y[t])
+        else:
+            phi = -float(ds.y[t])
+        if phi != 0.0:
+            g = phi * est.to_dense()
+            accum += g * g
+            eta_i = eta0 / np.sqrt(DELTA_ADA + accum)
+            clipped += int(np.count_nonzero(np.abs(g) > 1.0 / eta_i))
+            g = np.clip(g, -1.0 / eta_i, 1.0 / eta_i)
+            z_plus *= np.exp(-eta_i * g)
+            z_minus *= np.exp(eta_i * g)
+            peak = max(float(z_plus.max()), float(z_minus.max()))
+            if peak > 1e100:
+                z_plus /= peak
+                z_minus /= peak
+        np.testing.assert_allclose(sparse.z_plus, z_plus, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(sparse.z_minus, z_minus, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(sparse.accum, accum, rtol=1e-12, atol=0)
+    assert clipped > 0
 
 
 def test_aelr_eta_branches():

@@ -5,12 +5,12 @@ import pytest
 
 from budgetreg.core import Dataset, Regime
 from budgetreg.datagen import generate_dataset, power_law_means, random_target_weights
-from budgetreg.sampling import build_distribution, uniform_distribution
+from budgetreg.estimator import DELTA_ADA, SolverConfig, estimate_point
+from budgetreg.harness import RunContext, train_run
+from budgetreg.sampling import build_distribution, inner_product_p, sample_index, uniform_distribution
 from budgetreg.solver_ridge import (
-    RidgeConfig,
     RidgeState,
     aerr_eta,
-    aerr_q,
     default_initial_w,
     gaerr_step,
     ridge_eta_known_moments,
@@ -33,20 +33,20 @@ def test_default_initial_w():
 def test_config_validation():
     q = uniform_distribution(2)
     with pytest.raises(ValueError, match="step size must be positive"):
-        RidgeConfig(b=1.0, eta=0.0, q=q).validate(2)
+        SolverConfig(b=1.0, eta=0.0, q=q).validate(2)
     with pytest.raises(ValueError, match="norm bound must be positive"):
-        RidgeConfig(b=0.0, eta=0.1, q=q).validate(2)
+        SolverConfig(b=0.0, eta=0.1, q=q).validate(2)
     with pytest.raises(ValueError, match="dimension mismatch"):
-        RidgeConfig(b=1.0, eta=0.1, q=q).validate(3)
+        SolverConfig(b=1.0, eta=0.1, q=q).validate(3)
     with pytest.raises(ValueError, match="needs moments"):
-        RidgeConfig(b=1.0, eta=0.1, q=q, p_mode="improved").validate(2)
+        SolverConfig(b=1.0, eta=0.1, q=q, p_mode="improved").validate(2)
     with pytest.raises(ValueError, match="unknown p_mode"):
-        RidgeConfig(b=1.0, eta=0.1, q=q, p_mode="x").validate(2)
+        SolverConfig(b=1.0, eta=0.1, q=q, p_mode="x").validate(2)
 
 
 def test_step_from_zero_iterate():
     # w=0: phi = -y with no inner draw, so the step is +eta*y*x~
-    config = RidgeConfig(b=1.0, eta=0.5, q=build_distribution([1.0]), initial_w=np.array([0.0]))
+    config = SolverConfig(b=1.0, eta=0.5, q=build_distribution([1.0]), initial_w=np.array([0.0]))
     state = RidgeState.initial(1, config)
     rng = np.random.default_rng(0)
     gaerr_step(state, np.array([1.0]), 1.0, config, rng)
@@ -58,7 +58,7 @@ def test_step_from_zero_iterate():
 
 def test_step_projects_back_to_ball():
     # w=1, x=1, y=0, eta=3: phi=1, raw step to -2, projected to -1
-    config = RidgeConfig(b=1.0, eta=3.0, q=build_distribution([1.0]), initial_w=np.array([1.0]))
+    config = SolverConfig(b=1.0, eta=3.0, q=build_distribution([1.0]), initial_w=np.array([1.0]))
     state = RidgeState.initial(1, config)
     gaerr_step(state, np.array([1.0]), 0.0, config, np.random.default_rng(0))
     np.testing.assert_allclose(state.w, [-1.0])
@@ -68,21 +68,21 @@ def test_step_projects_back_to_ball():
 
 def test_single_example_returns_initial_iterate():
     ds = Dataset(np.array([[0.5, 0.5]]), np.array([0.3]), Regime.L2)
-    config = RidgeConfig(b=1.0, eta=0.1, q=uniform_distribution(2))
+    config = SolverConfig(b=1.0, eta=0.1, q=uniform_distribution(2))
     result = run_gaerr(ds, config, 0)
     np.testing.assert_allclose(result.predictor.weights, default_initial_w(2, 1.0))
 
 
 def test_budget_charged_every_step():
     ds, _ = l2_dataset(5, 200, seed=1)
-    config = RidgeConfig(b=2.0, eta=0.05, q=uniform_distribution(5), n_point=2, n_inner=1)
+    config = SolverConfig(b=2.0, eta=0.05, q=uniform_distribution(5), n_point=2, n_inner=1)
     result = run_gaerr(ds, config, 3)
     assert result.attributes_consumed == 200 * 3
     result.predictor.validate()
 
 
 def test_empty_and_mismatched_dataset():
-    config = RidgeConfig(b=1.0, eta=0.1, q=uniform_distribution(2))
+    config = SolverConfig(b=1.0, eta=0.1, q=uniform_distribution(2))
     with pytest.raises(ValueError, match="empty dataset"):
         run_gaerr(Dataset(np.zeros((0, 2)), np.zeros(0), Regime.L2), config, 0)
     linf = Dataset(np.array([[1.0, 1.0]]), np.array([0.0]), Regime.LINF)
@@ -93,7 +93,7 @@ def test_empty_and_mismatched_dataset():
 def test_feasible_after_every_step():
     ds, _ = l2_dataset(4, 300, seed=2)
     b = 1.5
-    config = RidgeConfig(b=b, eta=0.4, q=uniform_distribution(4))
+    config = SolverConfig(b=b, eta=0.4, q=uniform_distribution(4))
     state = RidgeState.initial(4, config)
     rng = np.random.default_rng(11)
     for t in range(len(ds)):
@@ -101,9 +101,41 @@ def test_feasible_after_every_step():
         assert np.linalg.norm(state.w) <= b + 1e-9
 
 
+def test_adagrad_step_matches_reference_update():
+    """AdaGrad OGD through gaerr_step replays, bit for bit, a reference
+    written out per step: unless phi = 0, accumulate g^2 on the estimate's
+    support, step by eta / sqrt(DELTA_ADA + sum g^2) * g there, and project
+    onto the ball."""
+    d, b, eta0, k = 5, 1.2, 1.2, 2
+    ds, _ = l2_dataset(d, 200, seed=8)
+    q = build_distribution(np.arange(1.0, d + 1.0))
+    config = SolverConfig(b=b, eta=eta0, q=q, n_point=k, n_inner=2, adagrad=True)
+    state = RidgeState.initial(d, config)
+    rng_s = np.random.default_rng(41)
+    rng_r = np.random.default_rng(41)
+    w, accum = default_initial_w(d, b), np.zeros(d)
+    for t in range(len(ds)):
+        gaerr_step(state, ds.x[t], float(ds.y[t]), config, rng_s)
+        assert np.linalg.norm(state.w) <= b + 1e-9
+
+        est = estimate_point(ds.x[t], q, rng_r.random(k))
+        p = inner_product_p(w, Regime.L2)
+        j = sample_index(p, rng_r.random(2))
+        phi = float(np.mean(w[j] / p.probabilities[j] * ds.x[t][j]) - ds.y[t])
+        if phi != 0.0:
+            g = phi * est.values
+            accum[est.indices] += g * g
+            w[est.indices] -= eta0 / np.sqrt(DELTA_ADA + accum[est.indices]) * g
+            nrm = math.sqrt(float(np.dot(w, w)))
+            if nrm > b:
+                w *= b / nrm
+        np.testing.assert_array_equal(state.w, w)
+        np.testing.assert_array_equal(state.accum, accum)
+
+
 def test_deterministic_given_seed():
     ds, _ = l2_dataset(6, 50, seed=3)
-    config = RidgeConfig(b=1.0, eta=0.1, q=uniform_distribution(6))
+    config = SolverConfig(b=1.0, eta=0.1, q=uniform_distribution(6))
     r1 = run_gaerr(ds, config, 42)
     r2 = run_gaerr(ds, config, 42)
     np.testing.assert_array_equal(r1.predictor.weights, r2.predictor.weights)
@@ -112,7 +144,12 @@ def test_deterministic_given_seed():
 
 
 def test_aerr_q_uniform():
-    np.testing.assert_allclose(aerr_q(5).probabilities, [0.2] * 5)
+    # the aerr algorithm is the budgeted pass with uniform q
+    ds, _ = l2_dataset(5, 40, seed=6)
+    ctx = RunContext(regime=Regime.L2, b=1.0, n_point=2, n_inner=1)
+    via_harness = train_run("aerr", ds, ctx, 0.05, 3)
+    direct = run_gaerr(ds, SolverConfig(b=1.0, eta=0.05, q=uniform_distribution(5), n_point=2, n_inner=1), 3)
+    np.testing.assert_array_equal(via_harness.predictor.weights, direct.predictor.weights)
 
 
 def test_aerr_eta_values():
@@ -138,8 +175,8 @@ def test_equal_moments_recover_uniform_run():
     data-dependent run replays the plain one step for step."""
     ds, _ = l2_dataset(5, 80, seed=4)
     eta = 0.07
-    plain = RidgeConfig(b=1.0, eta=eta, q=uniform_distribution(5))
-    tuned = RidgeConfig(b=1.0, eta=eta, q=build_distribution(np.sqrt(np.full(5, 0.2))))
+    plain = SolverConfig(b=1.0, eta=eta, q=uniform_distribution(5))
+    tuned = SolverConfig(b=1.0, eta=eta, q=build_distribution(np.sqrt(np.full(5, 0.2))))
     r1 = run_gaerr(ds, plain, 9)
     r2 = run_gaerr(ds, tuned, 9)
     # the two qs agree only up to rounding (1/5 vs w/(5w)), so the replay
@@ -150,8 +187,8 @@ def test_equal_moments_recover_uniform_run():
 def test_improved_p_changes_only_inner_draws():
     ds, _ = l2_dataset(5, 60, seed=5)
     moments = np.full(5, 0.2)
-    base = RidgeConfig(b=1.0, eta=0.05, q=uniform_distribution(5))
-    improved = RidgeConfig(b=1.0, eta=0.05, q=uniform_distribution(5), p_mode="improved", moments=moments)
+    base = SolverConfig(b=1.0, eta=0.05, q=uniform_distribution(5))
+    improved = SolverConfig(b=1.0, eta=0.05, q=uniform_distribution(5), p_mode="improved", moments=moments)
     r1 = run_gaerr(ds, base, 7)
     r2 = run_gaerr(ds, improved, 7)
     # equal moments make the improved weighting proportional to |w|, a
@@ -169,7 +206,7 @@ def test_more_examples_help():
         b = float(np.linalg.norm(w_star))
         for m, bucket in ((100, small), (10_000, large)):
             sub = ds.subset(np.arange(m))
-            config = RidgeConfig(b=b, eta=aerr_eta(m, 1, 5, b), q=uniform_distribution(5))
+            config = SolverConfig(b=b, eta=aerr_eta(m, 1, 5, b), q=uniform_distribution(5))
             w = run_gaerr(sub, config, seed).predictor.weights
             err = float(np.mean((test.x @ w - test.y) ** 2))
             bucket.append(err)
