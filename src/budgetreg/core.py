@@ -176,3 +176,4 @@ class RunResult:
     attributes_consumed: int
     zero_weight_steps: int = 0
     info: dict = field(default_factory=dict)
+    p_fallbacks: int = 0  # steps where the improved inner-product p fell back to the standard one

@@ -12,7 +12,8 @@ draw of x~ and phi per step, one step rule (fixed eta or AdaGrad), and
 one single-pass loop.  Only the geometry of the update is theirs.
 """
 
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -21,6 +22,7 @@ from .sampling import (
     AttributeDistribution,
     improved_inner_product_p,
     inner_product_p,
+    moment_roots,
     sample_index,
 )
 
@@ -71,6 +73,7 @@ class SolverConfig:
     moments: np.ndarray | None = None  # weighting for improved p
     initial_w: np.ndarray | None = None
     adagrad: bool = False
+    root_moments: np.ndarray | None = field(default=None, init=False, repr=False)  # set by validate
 
     def validate(self, d):
         if self.b <= 0:
@@ -85,21 +88,26 @@ class SolverConfig:
             raise ValueError(f"unknown p_mode {self.p_mode!r}")
         if self.p_mode == "improved" and self.moments is None:
             raise ValueError("improved inner-product sampling needs moments")
+        self.root_moments = None if self.moments is None else moment_roots(self.moments, d)
 
 
 def estimate_from_indices(x, q, indices):
     """Build the point estimate from already-drawn indices.
 
     The estimate is (1/k) sum_r x[i_r] e_{i_r} / q_{i_r}; repeated draws
-    merge by summation.
+    merge by summation: counts * x / (k q) at the sorted distinct indices.
     """
-    indices = np.asarray(indices, dtype=np.intp)
-    k = indices.size
+    drawn = np.asarray(indices, dtype=np.intp).ravel().tolist()
+    k = len(drawn)
     if k == 0:
         raise ValueError("need at least one draw")
-    uniq, counts = np.unique(indices, return_counts=True)
-    values = counts * x[uniq] / (k * q.probabilities[uniq])
-    return SparseEstimate(uniq, values, int(np.asarray(x).size))
+    distinct = sorted(set(drawn))
+    uniq = np.array(distinct, dtype=np.intp)
+    values = x[uniq]  # a count of 1 leaves x exact, so only duplicates multiply
+    if uniq.size < k:
+        counts = Counter(drawn)
+        values = np.array([counts[i] for i in distinct]) * values
+    return SparseEstimate(uniq, values / (k * q.probabilities[uniq]), len(x))
 
 
 def estimate_point(x, q, draws):
@@ -121,7 +129,7 @@ def estimate_phi(x, y, w, p, draws):
     w_j != 0, so a zero iterate (no such p) is the caller's to handle.
     """
     j = sample_index(p, draws)
-    return float(np.mean(w[j] / p.probabilities[j] * x[j]) - y)
+    return float((w[j] / p.probabilities[j] * x[j]).mean() - y)
 
 
 def draw_step(state, w, x, y, config, rng, regime, point_estimate=None):
@@ -137,9 +145,10 @@ def draw_step(state, w, x, y, config, rng, regime, point_estimate=None):
     state.sum_w += w
     if point_estimate is None:
         point_estimate = estimate_point(x, config.q, rng.random(config.n_point))
-    if np.any(w != 0):
+    if w.any():
         if config.p_mode == "improved":
-            p = improved_inner_product_p(w, config.moments, regime)
+            p = improved_inner_product_p(w, config.moments, regime, config.root_moments)
+            state.p_fallbacks += p.fallback
         else:
             p = inner_product_p(w, regime)
         phi = estimate_phi(x, y, w, p, rng.random(config.n_inner))
@@ -177,4 +186,4 @@ def run_pass(dataset, config, seed, regime, initial_state, step):
     for t in range(len(dataset)):
         step(state, xs[t], float(ys[t]), config, rng)
     predictor = Predictor(state.sum_w / state.steps, config.b, regime)
-    return RunResult(predictor, state.attributes_consumed, state.zero_weight_steps)
+    return RunResult(predictor, state.attributes_consumed, state.zero_weight_steps, p_fallbacks=state.p_fallbacks)

@@ -8,6 +8,7 @@ function of the configuration regardless of worker-pool size.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -205,29 +206,36 @@ def cross_validate(dataset, algorithm, eta_grid, folds, seed, ctx):
         raise ValueError("empty step-size grid")
     if folds < 2:
         raise ValueError("need at least two folds")
-    n = len(dataset)
+    scores = [[_fold_score(dataset, len(dataset), folds, f, algorithm, ctx, float(eta), seed)
+               for f in range(folds)] for eta in eta_grid]
+    return _pick_eta(eta_grid, scores)
+
+
+def _fold_score(dataset, n, folds, f, algorithm, ctx, eta, seed):
+    """Validation relative loss of the fold-f run at eta, the folds split
+    from the first n examples by the (seed) stream alone; None when the
+    fold's validation targets are all zero (the fold is skipped)."""
     if n < folds:
         raise ValueError("fewer examples than folds")
-    order = _stream(seed, _TAG_CV_SPLIT).permutation(n)
-    blocks = np.array_split(order, folds)
-    best = None
-    for j, eta in enumerate(eta_grid):
-        eta = float(eta)
-        scores = []
-        for f in range(folds):
-            val = dataset.subset(blocks[f])
-            if not np.any(val.y != 0):
-                continue
-            train_idx = np.concatenate([blocks[g] for g in range(folds) if g != f])
-            rng = _stream(seed, _TAG_CV_RUN, f)
-            result = train_run(algorithm, dataset.subset(train_idx), ctx, eta, rng)
-            scores.append(relative_loss(result.predictor, val))
-        if not scores:
+    blocks = np.array_split(_stream(seed, _TAG_CV_SPLIT).permutation(n), folds)
+    val = dataset.subset(blocks[f])
+    if not np.any(val.y != 0):
+        return None
+    train_idx = np.concatenate([blocks[g] for g in range(folds) if g != f])
+    result = train_run(algorithm, dataset.subset(train_idx), ctx, eta, _stream(seed, _TAG_CV_RUN, f))
+    return relative_loss(result.predictor, val)
+
+
+def _pick_eta(eta_grid, scores):
+    """The candidate with the smallest mean fold score (ties: smaller eta,
+    then earlier entry); ``scores[j]`` holds candidate j's fold scores."""
+    keys = []
+    for j, (eta, per_fold) in enumerate(zip(eta_grid, scores)):
+        per_fold = [v for v in per_fold if v is not None]
+        if not per_fold:
             raise ValueError("zero-predictor loss undefined")
-        key = (float(np.mean(scores)), eta, j)
-        if best is None or key < best[0]:
-            best = (key, eta)
-    return best[1]
+        keys.append((float(np.mean(per_fold)), float(eta), j))
+    return min(keys)[1]
 
 
 @dataclass
@@ -385,14 +393,25 @@ def _init_worker(payload):
 
 
 def _run_task(task):
-    algo_index, algo_id, prefix_index, m, repeat, eta = task
+    """One training run: a CV fold's score when ``fold`` is set, else a final run."""
+    algo_index, algo_id, prefix_index, m, eta, fold, repeat = task
     payload = _WORKER["payload"]
     pool, test, ctx, seed = payload["pool"], payload["test"], payload["ctx"], payload["seed"]
+    if fold is not None:
+        cv_seed = (seed, _TAG_CV, algo_index, prefix_index)
+        return _fold_score(pool, m, payload["folds"], fold, algo_id, ctx, eta, cv_seed)
     order = _stream(seed, _TAG_SHUFFLE, repeat).permutation(len(pool))
     train = pool.subset(order[:m])
     rng = _stream(seed, _TAG_RUN, algo_index, prefix_index, repeat)
     result = train_run(algo_id, train, ctx, eta, rng)
-    return algo_index, prefix_index, repeat, int(result.attributes_consumed), relative_loss(result.predictor, test)
+    return int(result.attributes_consumed), relative_loss(result.predictor, test)
+
+
+def _map_tasks(pool_exec, workers, tasks):
+    """Run the tasks in order, in the worker pool when there is one."""
+    if workers == 1:
+        return [_run_task(t) for t in tasks]
+    return list(pool_exec.map(_run_task, tasks, chunksize=max(1, len(tasks) // (4 * workers))))
 
 
 def run_experiment(config, workers: int = 1) -> ExperimentResult:
@@ -402,8 +421,9 @@ def run_experiment(config, workers: int = 1) -> ExperimentResult:
     algorithms and all prefixes see nested slices of the same ordering
     (paired comparisons).  Step sizes come from one cross-validation per
     (algorithm, prefix) on the unshuffled pool prefix, or from each
-    algorithm's own rate when no grid is configured.  The worker count is
-    an execution detail and never affects the result.
+    algorithm's own rate when no grid is configured.  CV fold fits, then
+    final runs, are tasks for the same workers.  The worker count is an
+    execution detail and never affects the result.
     """
     config.validate()
     if workers < 1:
@@ -420,38 +440,31 @@ def run_experiment(config, workers: int = 1) -> ExperimentResult:
         m1_fraction=config.m1_fraction, delta=config.delta,
         epsilon_override=config.epsilon_override,
     )
+    cells = [(ai, algo, pi, int(m)) for ai, algo in enumerate(config.algorithms)
+             for pi, m in enumerate(config.prefixes)]
+    cv_cells = [c for c in cells if config.eta_grid is not None and ALGORITHMS[c[1]].kind != "erm"]
+    cv_tasks = [(ai, algo, pi, m, float(eta), f, None) for ai, algo, pi, m in cv_cells
+                for eta in config.eta_grid for f in range(config.folds)]
 
-    etas = {}
-    for ai, algo in enumerate(config.algorithms):
-        for pi, m in enumerate(config.prefixes):
-            m = int(m)
-            if config.eta_grid is None or ALGORITHMS[algo].kind == "erm":
-                etas[(algo, m)] = None
-            else:
-                etas[(algo, m)] = cross_validate(
-                    pool.subset(np.arange(m)), algo, config.eta_grid,
-                    config.folds, (config.seed, _TAG_CV, ai, pi), ctx,
-                )
-
-    tasks = []
-    for ai, algo in enumerate(config.algorithms):
-        for pi, m in enumerate(config.prefixes):
-            for r in range(config.repeats):
-                tasks.append((ai, algo, pi, int(m), r, etas[(algo, int(m))]))
-
-    payload = {"pool": pool, "test": test, "ctx": ctx, "seed": config.seed}
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers,
-                                 initializer=_init_worker, initargs=(payload,)) as pool_exec:
-            raw = list(pool_exec.map(_run_task, tasks, chunksize=max(1, len(tasks) // (4 * workers))))
-    else:
-        _init_worker(payload)
-        raw = [_run_task(t) for t in tasks]
+    payload = {"pool": pool, "test": test, "ctx": ctx, "seed": config.seed, "folds": config.folds}
+    pool_exec = (ProcessPoolExecutor(max_workers=workers, initializer=_init_worker, initargs=(payload,))
+                 if workers > 1 else contextlib.nullcontext())
+    with pool_exec:
+        if workers == 1:
+            _init_worker(payload)
+        scores = iter(_map_tasks(pool_exec, workers, cv_tasks))
+        etas = {(algo, m): None for _, algo, _, m in cells}
+        for _, algo, _, m in cv_cells:
+            etas[(algo, m)] = _pick_eta(config.eta_grid, [[next(scores) for _ in range(config.folds)]
+                                                          for _ in config.eta_grid])
+        tasks = [(ai, algo, pi, m, etas[(algo, m)], None, r) for ai, algo, pi, m in cells
+                 for r in range(config.repeats)]
+        raw = _map_tasks(pool_exec, workers, tasks)
 
     records = [
-        RunRecord(algorithm=task[1], seed=task[4], m=task[3],
+        RunRecord(algorithm=task[1], seed=task[6], m=task[3],
                   attributes_observed=attrs, test_relative_loss=rel)
-        for task, (_, _, _, attrs, rel) in zip(tasks, raw)
+        for task, (attrs, rel) in zip(tasks, raw)
     ]
     curves = {}
     for ai, algo in enumerate(config.algorithms):

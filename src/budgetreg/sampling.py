@@ -21,6 +21,7 @@ __all__ = [
     "lasso_optimal_q",
     "inner_product_p",
     "improved_inner_product_p",
+    "moment_roots",
 ]
 
 _SUM_TOL = 1e-9
@@ -31,9 +32,10 @@ class AttributeDistribution:
 
     ``cumulative[i]`` is sum(probabilities[: i + 1]); draws resolve by
     binary search, and zero-probability indices are never returned.
+    ``fallback`` marks an improved inner-product p that fell back.
     """
 
-    __slots__ = ("probabilities", "cumulative", "_prev_positive")
+    __slots__ = ("probabilities", "cumulative", "_last", "fallback")
 
     def __init__(self, probabilities):
         p = np.asarray(probabilities, dtype=float)
@@ -44,17 +46,14 @@ class AttributeDistribution:
         total = float(p.sum())
         if abs(total - 1.0) > _SUM_TOL:
             raise ValueError("invalid weights: probabilities must sum to 1")
+        self._fill(p)
+
+    def _fill(self, p):
         self.probabilities = p
-        self.cumulative = np.cumsum(p)
-        # For each index, the nearest index at or before it with positive mass;
-        # shields sample_index from float edges at the top of the table.
-        positive = p > 0
-        if not positive.any():
-            raise ValueError("invalid weights")
-        idx = np.where(positive, np.arange(p.size), -1)
-        self._prev_positive = np.maximum.accumulate(idx)
-        first = int(np.argmax(positive))
-        self._prev_positive[self._prev_positive < 0] = first
+        self.cumulative = c = np.cumsum(p)
+        self._last = int(c.searchsorted(c[-1]))  # the last index with a nonempty segment
+        self.fallback = False
+        return self
 
     @property
     def dimension(self):
@@ -104,14 +103,13 @@ def sample_index(dist, u):
 
     Returns the smallest index whose cumulative mass strictly exceeds u.
     Accepts a scalar or an array of draws; zero-probability indices are
-    never returned.
+    never returned: searching with side="right" lands on one only past the
+    end of the table, which resolves to the last index with mass.
     """
-    idx = np.searchsorted(dist.cumulative, u, side="right")
-    idx = np.minimum(idx, dist.dimension - 1)
-    idx = dist._prev_positive[idx]
-    if np.ndim(u) == 0:
-        return int(idx)
-    return idx
+    idx = dist.cumulative.searchsorted(u, side="right")
+    if idx.ndim == 0:
+        return min(int(idx), dist._last)
+    return np.minimum(idx, dist._last, out=idx)
 
 
 def ridge_optimal_q(moments):
@@ -144,6 +142,16 @@ def lasso_optimal_q(moments):
     return build_distribution(m)
 
 
+def _trusted(weights):
+    """AttributeDistribution of weights / sum without re-validation: the
+    p builders' weights are nonnegative; a zero or non-finite sum is refused."""
+    total = weights.sum()
+    if not 0.0 < total < np.inf:
+        raise ValueError("zero weight vector" if total == 0.0 else "invalid weights")
+    weights /= total
+    return AttributeDistribution.__new__(AttributeDistribution)._fill(weights)
+
+
 def inner_product_p(w, regime):
     """Inner-product sampling weights from the current iterate.
 
@@ -153,33 +161,38 @@ def inner_product_p(w, regime):
     w = np.asarray(w, dtype=float)
     if w.size == 0:
         raise ValueError("zero dimension")
-    if not np.any(w != 0):
-        raise ValueError("zero weight vector")
-    if Regime(regime) == Regime.L2:
-        return build_distribution(w * w)
-    return build_distribution(np.abs(w))
+    return _trusted(w * w if Regime(regime) == Regime.L2 else np.abs(w))
 
 
-def improved_inner_product_p(w, moments, regime):
+def improved_inner_product_p(w, moments, regime, root_moments=None):
     """Variance-reducing alternative: p_j proportional to sqrt(w_j^2 E[x_j^2]).
 
     Identical formula for both regimes; an empirical refinement with no
     accompanying bound.  Unbiasedness of the inner-product estimate needs
     p positive wherever w is nonzero, so a zero moment estimate on the
     support (possible with estimated moments) voids the weighting and the
-    standard distribution is used instead.
+    standard distribution is used instead (``fallback`` is then set).  A
+    solver passes ``root_moments``, its moment_roots, computed once per run.
     """
     w = np.asarray(w, dtype=float)
-    m = np.asarray(moments, dtype=float)
     if w.size == 0:
         raise ValueError("zero dimension")
-    if w.shape != m.shape:
+    if root_moments is None:
+        root_moments = moment_roots(moments, w.size)
+    weights = np.abs(w) * root_moments
+    if np.count_nonzero(weights) != np.count_nonzero(w):
+        p = inner_product_p(w, regime)
+        p.fallback = True
+        return p
+    return _trusted(weights)
+
+
+def moment_roots(moments, d):
+    """sqrt(moments), refusing a length other than d or a negative or
+    non-finite entry."""
+    m = np.asarray(moments, dtype=float)
+    if m.shape != (d,):
         raise ValueError("invalid weights: moment vector length mismatch")
-    if np.any(m < 0):
+    if np.any(m < 0) or not np.all(np.isfinite(m)):
         raise ValueError("degenerate moments")
-    if not np.any(w != 0):
-        raise ValueError("zero weight vector")
-    weights = np.abs(w) * np.sqrt(m)
-    if np.any((w != 0) & (weights == 0)):
-        return inner_product_p(w, regime)
-    return build_distribution(weights)
+    return np.sqrt(m)

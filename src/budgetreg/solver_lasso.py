@@ -43,6 +43,7 @@ class EGState:
     steps: int = 0
     attributes_consumed: int = 0
     zero_weight_steps: int = 0
+    p_fallbacks: int = 0  # improved-p steps that fell back to the standard p
     accum: np.ndarray | None = None  # AdaGrad squared-gradient sums
 
     @classmethod

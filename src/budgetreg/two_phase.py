@@ -207,7 +207,7 @@ def _phase1_warm_start(dataset, config, rng):
     counts = np.zeros(d, dtype=int)
     square_sums = np.zeros(d)
     if m1 == 0:
-        return _finalize_table(counts, square_sums, 0), None, 0, 0
+        return _finalize_table(counts, square_sums, 0), None, 0, 0, 0
     uniform = uniform_distribution(d)
     ridge = config.regime == Regime.L2
     eta1 = config.eta
@@ -225,7 +225,7 @@ def _phase1_warm_start(dataset, config, rng):
         step(state, xs[t], float(ys[t]), cfg, rng, point_estimate=est)
     table = _finalize_table(counts, square_sums, m1)
     w_start = state.sum_w / state.steps
-    return table, w_start, state.attributes_consumed, state.zero_weight_steps
+    return table, w_start, state.attributes_consumed, state.zero_weight_steps, state.p_fallbacks
 
 
 def run_two_phase(dataset, config, seed):
@@ -251,10 +251,10 @@ def run_two_phase(dataset, config, seed):
     budget = config.k + config.n_inner
     phase1 = dataset.subset(np.arange(config.m1))
     phase1_consumed = budget * config.m1
-    zero_steps_1 = 0
+    zero_steps_1 = fallbacks_1 = 0
     w_start = None
     if config.phase1_mode == "uniform_solver_warm_start":
-        table, w_start, phase1_consumed, zero_steps_1 = _phase1_warm_start(phase1, config, rng)
+        table, w_start, phase1_consumed, zero_steps_1, fallbacks_1 = _phase1_warm_start(phase1, config, rng)
         if w_start is not None and not np.any(w_start != 0):
             w_start = None
     else:
@@ -305,4 +305,5 @@ def run_two_phase(dataset, config, seed):
         phase1_consumed + result.attributes_consumed,
         zero_steps_1 + result.zero_weight_steps,
         diagnostics,
+        fallbacks_1 + result.p_fallbacks,
     )

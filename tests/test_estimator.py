@@ -97,6 +97,21 @@ def test_estimate_from_indices_merges_duplicates():
         estimate_from_indices(np.array([1.0]), build_distribution([1.0]), [])
 
 
+def test_estimate_from_indices_matches_unique_formula_enumeration():
+    """Every index tuple of k <= 4 draws over d = 4: the merge gives the
+    sorted distinct indices and counts * x / (k q) of np.unique, bit for bit."""
+    x = np.array([0.3, -1.7, 1.0 / 3.0, 2.9e-3])
+    q = build_distribution([1.0, 3.0, 7.0, 11.0])
+    for k in range(1, 5):
+        for combo in itertools.product(range(4), repeat=k):
+            idx = np.array(combo, dtype=np.intp)
+            uniq, counts = np.unique(idx, return_counts=True)
+            expected = counts * x[uniq] / (k * q.probabilities[uniq])
+            est = estimate_from_indices(x, q, idx)
+            assert est.indices.dtype == uniq.dtype and est.indices.tobytes() == uniq.tobytes(), combo
+            assert est.values.tobytes() == expected.tobytes(), combo
+
+
 def test_estimate_point_unbiased_enumeration():
     rng = np.random.default_rng(5)
     for d in (1, 2, 3):

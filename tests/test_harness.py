@@ -7,8 +7,10 @@ from budgetreg.harness import (
     ALGORITHMS,
     ExperimentConfig,
     RunContext,
+    _TAG_CV,
     _TAG_CV_RUN,
     _TAG_CV_SPLIT,
+    _materialize,
     _stream,
     cross_validate,
     dataset_moments,
@@ -218,6 +220,28 @@ def test_run_experiment_deterministic_across_workers():
         (r.algorithm, r.seed, r.m, r.attributes_observed, r.test_relative_loss) for r in r2.records
     ]
     assert r1.etas == r2.etas
+
+
+def test_run_experiment_pooled_cv_matches_cross_validate_across_workers():
+    """CV fold fits are pool tasks like the final runs: records and chosen
+    step sizes must not depend on the worker count, and each chosen step
+    size must be what cross_validate picks on the same prefix and key."""
+    for regime, algos, seed in ((Regime.L2, ["aerr", "ddaerr", "2p-ddaerr"], 5),
+                                (Regime.LINF, ["aelr", "2p-ddaelr"], 7)):
+        config = small_config(algorithms=algos, regime=regime, prefixes=[30, 45], repeats=2, folds=3,
+                              eta_grid=[0.02, 0.1, 0.5, 2.0], seed=seed)
+        runs = [run_experiment(config, workers=w) for w in (1, 2, 3)]
+        rows = [[(r.algorithm, r.seed, r.m, r.attributes_observed, r.test_relative_loss) for r in run.records]
+                for run in runs]
+        assert rows[0] == rows[1] == rows[2]
+        assert runs[0].etas == runs[1].etas == runs[2].etas
+        pool, _, b, moments = _materialize(config)
+        ctx = make_ctx(regime, b=b, n_point=2, n_inner=1, moments=moments)
+        for ai, algo in enumerate(algos):
+            for pi, m in enumerate(config.prefixes):
+                direct = cross_validate(pool.subset(np.arange(m)), algo, config.eta_grid, config.folds,
+                                        (config.seed, _TAG_CV, ai, pi), ctx)
+                assert runs[0].etas[(algo, m)] == direct, (algo, m)
 
 
 def test_run_experiment_cv_and_erm_skip():

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from budgetreg.core import Regime, norm
 from budgetreg.sampling import (
@@ -187,3 +189,53 @@ def test_improved_inner_product_p_errors():
         improved_inner_product_p([1.0, 1.0], [1.0], Regime.L2)
     with pytest.raises(ValueError, match="degenerate moments"):
         improved_inner_product_p([1.0], [-1.0], Regime.L2)
+
+
+@st.composite
+def p_inputs(draw):
+    """An iterate with runs of zeros (trailing ones included), moments
+    that may be zero on or off its support, a regime and a p mode."""
+    d = draw(st.integers(1, 10))
+    magnitude = st.floats(1e-3, 10.0)
+    w = np.array([draw(st.sampled_from([0.0, 0.0, 1.0, -1.0])) * draw(magnitude) for _ in range(d)])
+    w = np.concatenate([w, np.zeros(draw(st.integers(0, 3)))])
+    if not w.any():
+        w[draw(st.integers(0, w.size - 1))] = draw(magnitude)
+    moments = np.array([draw(st.sampled_from([0.0, 1.0, 1.0])) * draw(st.floats(1e-3, 2.0)) for _ in w])
+    regime = draw(st.sampled_from([Regime.L2, Regime.LINF]))
+    u = draw(st.lists(st.floats(0.0, 1.0, exclude_max=True), max_size=8))
+    return w, moments, regime, draw(st.booleans()), u
+
+
+@settings(max_examples=300, deadline=None)
+@given(p_inputs())
+def test_step_p_equals_validated_distribution(case):
+    """The per-step p builders skip re-validation; their p must still be
+    bit for bit the validated distribution of the same weights, and draws
+    from it (past the top of the table included) must match."""
+    w, moments, regime, improved, u = case
+    standard = w * w if regime == Regime.L2 else np.abs(w)
+    falls_back = improved and bool(np.any((w != 0) & (moments == 0)))
+    if improved and not falls_back:
+        weights = np.abs(w) * np.sqrt(moments)
+        p = improved_inner_product_p(w, moments, regime)
+        assert p.probabilities.tobytes() == improved_inner_product_p(
+            w, None, regime, root_moments=np.sqrt(moments)).probabilities.tobytes()
+    else:
+        weights = standard
+        p = improved_inner_product_p(w, moments, regime) if improved else inner_product_p(w, regime)
+    assert p.fallback == falls_back
+    ref = AttributeDistribution(weights / weights.sum())
+    assert p.probabilities.tobytes() == ref.probabilities.tobytes()
+    assert p.cumulative.tobytes() == ref.cumulative.tobytes()
+    draws = np.array(u + [np.nextafter(1.0, 0.0)] + [c for c in ref.cumulative if c < 1.0])
+    got = sample_index(p, draws)
+    np.testing.assert_array_equal(got, sample_index(ref, draws))
+    # oracle: the first index whose cumulative mass exceeds u, or past the
+    # top of the table the last index with mass
+    last = int(np.flatnonzero(ref.probabilities)[-1])
+    for ui, gi in zip(draws, got):
+        above = np.flatnonzero(ref.cumulative > ui)
+        assert gi == (above[0] if above.size else last)
+        assert sample_index(p, float(ui)) == gi
+        assert ref.probabilities[gi] > 0

@@ -211,3 +211,23 @@ def test_more_examples_help():
             err = float(np.mean((test.x @ w - test.y) ** 2))
             bucket.append(err)
     assert np.mean(large) < np.mean(small)
+
+
+def test_p_fallbacks_counted_when_a_moment_is_zero_on_the_support():
+    """The ridge iterate starts nonzero on every coordinate, so a zero
+    moment voids the improved p at every step; the run counts each one."""
+    ds, _ = l2_dataset(5, 50, seed=6)
+    ds.x[:, 1] = 0.0  # attribute 1 is never observed nonzero: exact moment 0
+    moments = np.mean(ds.x**2, axis=0)
+    q = uniform_distribution(5)
+    dead = run_gaerr(ds, SolverConfig(b=1.0, eta=0.05, q=q, p_mode="improved", moments=moments), 3)
+    assert dead.zero_weight_steps == 0
+    assert dead.p_fallbacks == 50
+    # a falling-back run draws exactly what the standard p draws
+    standard = run_gaerr(ds, SolverConfig(b=1.0, eta=0.05, q=q), 3)
+    np.testing.assert_array_equal(dead.predictor.weights, standard.predictor.weights)
+    assert standard.p_fallbacks == 0
+    alive = SolverConfig(b=1.0, eta=0.05, q=q, p_mode="improved", moments=moments + 0.1)
+    assert run_gaerr(ds, alive, 3).p_fallbacks == 0
+    ctx = RunContext(regime=Regime.L2, b=1.0, n_point=2, n_inner=1, moments=moments)
+    assert train_run("ddaerr", ds, ctx, 0.05, 3).p_fallbacks == 50

@@ -266,3 +266,19 @@ def test_half_norm_upper_bounds_with_high_probability():
         if estimate_half_norm(table.A, eps) >= truth:
             hits += 1
     assert hits / runs >= 0.88
+
+
+def test_two_phase_p_fallbacks_add_up_both_phases():
+    """A zero moment estimate on w's support makes every phase-2 step fall
+    back; the warm-start phase uses the standard p and adds none."""
+    ds = make_dataset(4, 100, 17, Regime.L2)
+    ds.x[:, 2] = 0.0
+    config = TwoPhaseConfig(
+        m1=20, m2=80, b=2.0, k=2, regime=Regime.L2, p_mode="improved",
+        phase1_mode="uniform_solver_warm_start", epsilon_override=0.0, q_floor=1e-9,
+    )
+    result = run_two_phase(ds, config, 4)
+    assert result.info["moment_table"].A[2] == 0.0
+    assert result.p_fallbacks == 80
+    standard = run_two_phase(ds, TwoPhaseConfig(**{**config.__dict__, "p_mode": "standard"}), 4)
+    assert standard.p_fallbacks == 0
