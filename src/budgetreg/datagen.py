@@ -9,6 +9,7 @@ second moments differ from u; ``binary_l2_moments`` computes them exactly.
 import numpy as np
 
 from .core import Dataset, Regime, norm
+from .sampling import checked_moments
 
 __all__ = [
     "power_law_means",
@@ -138,13 +139,7 @@ def improvement_ratio(moments, kind):
     kind "lasso" (or Regime.LINF): ||m||_1 / (d * ||m||_inf).
     Values lie in (0, 1]; small values mean uneven moments and large gains.
     """
-    m = np.asarray(moments, dtype=float)
-    if m.size == 0:
-        raise ValueError("zero dimension")
-    if np.any(m < 0):
-        raise ValueError("degenerate moments")
-    if not np.any(m > 0):
-        raise ValueError("degenerate moments")
+    m = checked_moments(moments)
     if isinstance(kind, Regime):
         kind = "ridge" if kind == Regime.L2 else "lasso"
     d = m.size

@@ -69,8 +69,7 @@ class SolverConfig:
     q: AttributeDistribution
     n_point: int = 1
     n_inner: int = 1
-    p_mode: str = "standard"  # "standard" or "improved"
-    moments: np.ndarray | None = None  # weighting for improved p
+    moments: np.ndarray | None = None  # weighting for the improved p; None: standard p
     initial_w: np.ndarray | None = None
     adagrad: bool = False
     root_moments: np.ndarray | None = field(default=None, init=False, repr=False)  # set by validate
@@ -84,10 +83,6 @@ class SolverConfig:
             raise ValueError("need at least one draw per estimate")
         if self.q.dimension != d:
             raise ValueError("sampling distribution dimension mismatch")
-        if self.p_mode not in ("standard", "improved"):
-            raise ValueError(f"unknown p_mode {self.p_mode!r}")
-        if self.p_mode == "improved" and self.moments is None:
-            raise ValueError("improved inner-product sampling needs moments")
         self.root_moments = None if self.moments is None else moment_roots(self.moments, d)
 
 
@@ -146,8 +141,8 @@ def draw_step(state, w, x, y, config, rng, regime, point_estimate=None):
     if point_estimate is None:
         point_estimate = estimate_point(x, config.q, rng.random(config.n_point))
     if w.any():
-        if config.p_mode == "improved":
-            p = improved_inner_product_p(w, config.moments, regime, config.root_moments)
+        if config.root_moments is not None:
+            p = improved_inner_product_p(w, config.root_moments, regime)
             state.p_fallbacks += p.fallback
         else:
             p = inner_product_p(w, regime)

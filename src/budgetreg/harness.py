@@ -11,7 +11,7 @@ from __future__ import annotations
 import contextlib
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -155,23 +155,16 @@ def train_run(algo_id, train, ctx, eta, seed):
             else:
                 eta = lasso_eta_known_moments(m, k, d, ctx.b, float(norm(mom, 1)))
         q = ridge_optimal_q(mom) if ridge else lasso_optimal_q(mom)
-        p_mode = "improved" if ctx.improved_p else "standard"
-        p_moments = mom if ctx.improved_p else None
         cfg = SolverConfig(b=ctx.b, eta=eta, q=q, n_point=k, n_inner=n_inner,
-                           p_mode=p_mode, moments=p_moments)
+                           moments=mom if ctx.improved_p else None)
         return solve(train, cfg, seed)
 
     if spec.kind == "two_phase":
         m1 = int(math.ceil(ctx.m1_fraction * m))
-        # tiny floor keeps zero-count coordinates reachable under the
-        # practical epsilon = 0 override
         cfg = TwoPhaseConfig(
             m1=m1, m2=m - m1, b=ctx.b, k=k, regime=regime, delta=ctx.delta,
-            eta=eta, n_inner=n_inner,
-            p_mode="improved" if ctx.improved_p else "standard",
-            phase1_mode="uniform_solver_warm_start",
+            eta=eta, n_inner=n_inner, improved_p=ctx.improved_p,
             epsilon_override=ctx.epsilon_override,
-            q_floor=1e-9,
         )
         return run_two_phase(train, cfg, seed)
 
@@ -261,17 +254,11 @@ class ExperimentConfig:
     epsilon_override: float | None = 0.0
     improved_p: bool = True
 
-    _FIELDS = (
-        "algorithms", "regime", "prefixes", "k", "data", "dim", "alpha",
-        "budget_split", "repeats", "folds", "eta_grid", "m1_fraction",
-        "test_fraction", "seed", "b", "delta", "epsilon_override",
-        "improved_p",
-    )
     _REQUIRED = ("algorithms", "regime", "prefixes", "k")
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
-        unknown = sorted(set(raw) - set(cls._FIELDS))
+        unknown = sorted(set(raw) - {f.name for f in fields(cls)})
         if unknown:
             raise ValueError("invalid config keys: " + ", ".join(unknown))
         missing = sorted(k for k in cls._REQUIRED if k not in raw)
@@ -284,8 +271,8 @@ class ExperimentConfig:
         return config
 
     def to_dict(self) -> dict:
-        return {name: (self.regime.value if name == "regime" else getattr(self, name))
-                for name in self._FIELDS}
+        return {f.name: (self.regime.value if f.name == "regime" else getattr(self, f.name))
+                for f in fields(self)}
 
     def validate(self):
         if not self.algorithms:
@@ -466,11 +453,13 @@ def run_experiment(config, workers: int = 1) -> ExperimentResult:
                   attributes_observed=attrs, test_relative_loss=rel)
         for task, (attrs, rel) in zip(tasks, raw)
     ]
+    # tasks run cell by cell in (algorithm, prefix) order, repeats innermost
     curves = {}
     for ai, algo in enumerate(config.algorithms):
         points = []
-        for pi, m in enumerate(config.prefixes):
-            cell = [rec for rec, task in zip(records, tasks) if task[0] == ai and task[2] == pi]
+        for pi in range(len(config.prefixes)):
+            start = (ai * len(config.prefixes) + pi) * config.repeats
+            cell = records[start:start + config.repeats]
             losses = np.array([rec.test_relative_loss for rec in cell])
             std = float(np.std(losses, ddof=1)) if len(losses) > 1 else 0.0
             points.append((cell[0].attributes_observed, float(np.mean(losses)), std))

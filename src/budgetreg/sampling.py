@@ -17,6 +17,7 @@ __all__ = [
     "uniform_distribution",
     "apply_floor",
     "sample_index",
+    "checked_moments",
     "ridge_optimal_q",
     "lasso_optimal_q",
     "inner_product_p",
@@ -112,19 +113,22 @@ def sample_index(dist, u):
     return np.minimum(idx, dist._last, out=idx)
 
 
+def checked_moments(moments):
+    """Moments as a float array, refusing an empty, negative or all-zero vector."""
+    m = np.asarray(moments, dtype=float)
+    if m.size == 0:
+        raise ValueError("zero dimension")
+    if np.any(m < 0) or not np.any(m > 0):
+        raise ValueError("degenerate moments")
+    return m
+
+
 def ridge_optimal_q(moments):
     """q_i proportional to sqrt(E[x_i^2]): minimizes sum_i m_i / q_i.
 
     At the optimum the objective equals ||m||_{1/2}.
     """
-    m = np.asarray(moments, dtype=float)
-    if m.size == 0:
-        raise ValueError("zero dimension")
-    if np.any(m < 0):
-        raise ValueError("degenerate moments")
-    if not np.any(m > 0):
-        raise ValueError("degenerate moments")
-    return build_distribution(np.sqrt(m))
+    return build_distribution(np.sqrt(checked_moments(moments)))
 
 
 def lasso_optimal_q(moments):
@@ -132,14 +136,7 @@ def lasso_optimal_q(moments):
 
     At the optimum every ratio m_i / q_i equals ||m||_1.
     """
-    m = np.asarray(moments, dtype=float)
-    if m.size == 0:
-        raise ValueError("zero dimension")
-    if np.any(m < 0):
-        raise ValueError("degenerate moments")
-    if not np.any(m > 0):
-        raise ValueError("degenerate moments")
-    return build_distribution(m)
+    return build_distribution(checked_moments(moments))
 
 
 def _trusted(weights):
@@ -164,21 +161,19 @@ def inner_product_p(w, regime):
     return _trusted(w * w if Regime(regime) == Regime.L2 else np.abs(w))
 
 
-def improved_inner_product_p(w, moments, regime, root_moments=None):
+def improved_inner_product_p(w, root_moments, regime):
     """Variance-reducing alternative: p_j proportional to sqrt(w_j^2 E[x_j^2]).
 
     Identical formula for both regimes; an empirical refinement with no
     accompanying bound.  Unbiasedness of the inner-product estimate needs
     p positive wherever w is nonzero, so a zero moment estimate on the
     support (possible with estimated moments) voids the weighting and the
-    standard distribution is used instead (``fallback`` is then set).  A
-    solver passes ``root_moments``, its moment_roots, computed once per run.
+    standard distribution is used instead (``fallback`` is then set).
+    ``root_moments`` is moment_roots(E[x^2]), computed once per run.
     """
     w = np.asarray(w, dtype=float)
     if w.size == 0:
         raise ValueError("zero dimension")
-    if root_moments is None:
-        root_moments = moment_roots(moments, w.size)
     weights = np.abs(w) * root_moments
     if np.count_nonzero(weights) != np.count_nonzero(w):
         p = inner_product_p(w, regime)

@@ -4,9 +4,10 @@ Phase 1 spends a (k+1)-per-example budget on uniformly sampled attribute
 values and turns them into empirical second-moment estimates A.  Phase 2
 runs the ridge or lasso solver on the remaining examples with sampling
 probabilities built from A, smoothed by a confidence width eps so that
-badly underestimated attributes still get probability mass.  A practical
-variant runs the uniform-sampling solver during phase 1 (reusing the same
-draws for the moment table) and starts phase 2 from its output.
+badly underestimated attributes still get probability mass.  Phase 1 runs
+the uniform-sampling solver and tables its point draws (its inner-product
+draws follow the iterate and stay out of A); phase 2 starts from its
+averaged output.
 """
 
 import math
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Regime, RunResult, norm
-from .estimator import SolverConfig, estimate_from_indices
+from .estimator import SolverConfig, estimate_from_indices, run_pass
 from .sampling import apply_floor, build_distribution, sample_index, uniform_distribution
 from .solver_lasso import (
     EGState,
@@ -39,18 +40,33 @@ __all__ = [
 ]
 
 
-@dataclass
+# tiny floor keeps zero-count coordinates reachable under the practical
+# epsilon = 0 override
+_Q_FLOOR = 1e-9
+
+
 class MomentTable:
-    """Per-attribute draw counts, sums of squares, and their ratios A."""
+    """Per-attribute draw counts and sums of squares over m1 examples."""
 
-    counts: np.ndarray
-    square_sums: np.ndarray
-    A: np.ndarray
-    m1: int
+    def __init__(self, d):
+        self.counts = np.zeros(d, dtype=int)
+        self.square_sums = np.zeros(d)
+        self.m1 = 0
 
-    @classmethod
-    def zeros(cls, d):
-        return cls(np.zeros(d, dtype=int), np.zeros(d), np.zeros(d), 0)
+    def add(self, indices, x):
+        """Table one example's draws at ``indices``, each raw draw on its
+        own (count * x^2 for a duplicate would round differently)."""
+        np.add.at(self.counts, indices, 1)
+        np.add.at(self.square_sums, indices, x[indices] ** 2)
+        self.m1 += 1
+
+    @property
+    def A(self):
+        """Mean observed square per attribute; 0 where never drawn."""
+        a = np.zeros_like(self.square_sums)
+        seen = self.counts > 0
+        a[seen] = self.square_sums[seen] / self.counts[seen]
+        return a
 
 
 @dataclass
@@ -58,13 +74,6 @@ class SmoothingParams:
     epsilon: float
     delta: float
     capped: bool = False
-
-
-def _finalize_table(counts, square_sums, m1):
-    a = np.zeros_like(square_sums)
-    seen = counts > 0
-    a[seen] = square_sums[seen] / counts[seen]
-    return MomentTable(counts, square_sums, a, m1)
 
 
 def estimate_moments(dataset, k, seed):
@@ -75,26 +84,14 @@ def estimate_moments(dataset, k, seed):
     """
     if k < 1:
         raise ValueError("k must be positive")
-    m1 = len(dataset)
-    d = dataset.dimension
-    counts = np.zeros(d, dtype=int)
-    square_sums = np.zeros(d)
-    if m1 == 0:
-        return _finalize_table(counts, square_sums, 0)
+    table = MomentTable(dataset.dimension)
+    if len(dataset) == 0:
+        return table
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(np.random.SeedSequence(seed))
-    uniform = uniform_distribution(d)
-    xs = dataset.x
-    for t in range(m1):
-        idx = sample_index(uniform, rng.random(k + 1))
-        np.add.at(counts, idx, 1)
-        np.add.at(square_sums, idx, xs[t, idx] ** 2)
-    return _finalize_table(counts, square_sums, m1)
-
-
-def _as_regime(regime):
-    if isinstance(regime, Regime):
-        return regime
-    return {"ridge": Regime.L2, "lasso": Regime.LINF}[regime]
+    uniform = uniform_distribution(dataset.dimension)
+    for x in dataset.x:
+        table.add(sample_index(uniform, rng.random(k + 1)), x)
+    return table
 
 
 def epsilon(d, delta, k, m1, regime):
@@ -105,7 +102,6 @@ def epsilon(d, delta, k, m1, regime):
         raise ValueError("delta must lie in (0, 1)")
     if k < 1:
         raise ValueError("k must be positive")
-    regime = _as_regime(regime)
     if m1 == 0:
         if regime == Regime.L2:
             raise ValueError("no phase-1 data")
@@ -131,7 +127,7 @@ def smoothed_q(a, eps, regime, q_floor=0.0):
         if q_floor > 0:
             return uniform_distribution(a.size)
         raise ValueError("degenerate smoothed distribution")
-    weights = np.sqrt(shifted) if _as_regime(regime) == Regime.L2 else shifted
+    weights = np.sqrt(shifted) if regime == Regime.L2 else shifted
     dist = build_distribution(weights)
     if q_floor > 0:
         dist = apply_floor(dist, q_floor)
@@ -175,10 +171,8 @@ class TwoPhaseConfig:
     delta: float = 0.1
     eta: float | None = None  # None: phase-specific defaults
     n_inner: int = 1
-    p_mode: str = "standard"
-    phase1_mode: str = "pure_estimation"  # or "uniform_solver_warm_start"
+    improved_p: bool = False  # phase 2's inner-product p weighted by the table's A
     epsilon_override: float | None = None  # replaces eps in smoothed_q only
-    q_floor: float = 0.0
 
     def validate(self):
         if self.m2 < 1:
@@ -189,49 +183,37 @@ class TwoPhaseConfig:
             raise ValueError("k must be positive")
         if self.b <= 0:
             raise ValueError("norm bound must be positive")
-        if self.phase1_mode not in ("pure_estimation", "uniform_solver_warm_start"):
-            raise ValueError(f"unknown phase1_mode {self.phase1_mode!r}")
 
 
-def _phase1_warm_start(dataset, config, rng):
+def _phase1_warm_start(dataset, config, table, rng):
     """Uniform-q solver over the phase-1 slice, feeding the moment table.
 
     The k point-estimation draws of each step are shared with the moment
-    table; the inner-product draw follows p(w) and stays out of the
-    moment statistics.  The table adds each raw draw with np.add.at,
-    duplicates included (count * x^2 would round differently), so this
-    loop draws the indices itself instead of going through run_pass.
+    table; the inner-product draws follow p(w) and stay out of the moment
+    statistics.
     """
     d = dataset.dimension
     m1 = len(dataset)
-    counts = np.zeros(d, dtype=int)
-    square_sums = np.zeros(d)
-    if m1 == 0:
-        return _finalize_table(counts, square_sums, 0), None, 0, 0, 0
     uniform = uniform_distribution(d)
     ridge = config.regime == Regime.L2
     eta1 = config.eta
     if eta1 is None:
         eta1 = aerr_eta(m1, config.k, d, config.b) if ridge else aelr_eta(m1, config.k, d, config.b)
     cfg = SolverConfig(b=config.b, eta=eta1, q=uniform, n_point=config.k, n_inner=config.n_inner)
-    state = (RidgeState if ridge else EGState).initial(d, cfg)
-    step = gaerr_step if ridge else gaelr_step
-    xs, ys = dataset.x, dataset.y
-    for t in range(m1):
-        idx = sample_index(uniform, rng.random(config.k))
-        np.add.at(counts, idx, 1)
-        np.add.at(square_sums, idx, xs[t, idx] ** 2)
-        est = estimate_from_indices(xs[t], uniform, idx)
-        step(state, xs[t], float(ys[t]), cfg, rng, point_estimate=est)
-    table = _finalize_table(counts, square_sums, m1)
-    w_start = state.sum_w / state.steps
-    return table, w_start, state.attributes_consumed, state.zero_weight_steps, state.p_fallbacks
+    solver_step = gaerr_step if ridge else gaelr_step
+
+    def step(state, x, y, cfg, rng):
+        idx = sample_index(uniform, rng.random(cfg.n_point))
+        table.add(idx, x)
+        solver_step(state, x, y, cfg, rng, point_estimate=estimate_from_indices(x, uniform, idx))
+
+    return run_pass(dataset, cfg, rng, config.regime, (RidgeState if ridge else EGState).initial, step)
 
 
 def run_two_phase(dataset, config, seed):
-    """Both phases on one dataset prefix: first m1 examples feed the moment
-    table (and, in warm-start mode, a uniform-sampling run whose averaged
-    output seeds phase 2), the next m2 examples get the smoothed solver.
+    """Both phases on one dataset prefix: the first m1 examples feed the
+    moment table and a uniform-sampling run whose averaged output seeds
+    phase 2, the next m2 examples get the smoothed solver.
 
     epsilon_override only reshapes the sampling distribution; step sizes
     always use the theoretical width.
@@ -249,39 +231,38 @@ def run_two_phase(dataset, config, seed):
 
     # per-example budget: k point draws plus n_inner inner-product draws
     budget = config.k + config.n_inner
-    phase1 = dataset.subset(np.arange(config.m1))
-    phase1_consumed = budget * config.m1
-    zero_steps_1 = fallbacks_1 = 0
+    table = MomentTable(d)
+    phase1_consumed = zero_steps_1 = fallbacks_1 = 0
     w_start = None
-    if config.phase1_mode == "uniform_solver_warm_start":
-        table, w_start, phase1_consumed, zero_steps_1, fallbacks_1 = _phase1_warm_start(phase1, config, rng)
-        if w_start is not None and not np.any(w_start != 0):
-            w_start = None
-    else:
-        table = estimate_moments(phase1, budget - 1, rng)
+    if config.m1 > 0:  # an empty phase 1 (lasso only) runs no solver
+        phase1 = _phase1_warm_start(dataset.subset(np.arange(config.m1)), config, table, rng)
+        phase1_consumed = phase1.attributes_consumed
+        zero_steps_1, fallbacks_1 = phase1.zero_weight_steps, phase1.p_fallbacks
+        if np.any(phase1.predictor.weights != 0):
+            w_start = phase1.predictor.weights
+    a = table.A
 
     smoothing = epsilon(d, config.delta, budget - 1, config.m1, config.regime)
     eps_for_q = smoothing.epsilon if config.epsilon_override is None else config.epsilon_override
-    q2 = smoothed_q(table.A, eps_for_q, config.regime, config.q_floor)
+    q2 = smoothed_q(a, eps_for_q, config.regime, _Q_FLOOR)
 
     eta2 = config.eta
     half_norm = None
     if ridge:
-        half_norm = estimate_half_norm(table.A, smoothing.epsilon)
+        half_norm = estimate_half_norm(a, smoothing.epsilon)
         if eta2 is None:
             eta2 = ridge_eta_two_phase(
                 config.m1, config.m2, config.k, d, config.delta, half_norm, epsilon=smoothing.epsilon
             )
     elif eta2 is None:
         eta2 = lasso_eta_two_phase(
-            config.m1, config.m2, config.k, d, config.delta, table.A, config.b, epsilon=smoothing.epsilon
+            config.m1, config.m2, config.k, d, config.delta, a, config.b, epsilon=smoothing.epsilon
         )
 
     phase2 = dataset.subset(np.arange(config.m1, config.m1 + config.m2))
-    moments = table.A if config.p_mode == "improved" else None
     cfg2 = SolverConfig(
         b=config.b, eta=eta2, q=q2, n_point=config.k, n_inner=config.n_inner,
-        p_mode=config.p_mode, moments=moments, initial_w=w_start,
+        moments=a if config.improved_p else None, initial_w=w_start,
     )
     result = (run_gaerr if ridge else run_gaelr)(phase2, cfg2, rng)
 
@@ -292,7 +273,6 @@ def run_two_phase(dataset, config, seed):
         "epsilon_capped": smoothing.capped,
         "epsilon_for_q": eps_for_q,
         "eta": eta2,
-        "phase1_mode": config.phase1_mode,
         "phase1_budget": phase1_consumed,
         "phase2_budget": result.attributes_consumed,
         "moment_table": table,

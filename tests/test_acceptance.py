@@ -316,7 +316,7 @@ def test_criterion_07_mnist_ratios_optional():
 
 def test_criterion_08_budget_accounting():
     """Attribute-efficient runs consume m(k+1) exactly, full-information
-    runs m*d, and pure phase-1 estimation m1*(k+1)."""
+    runs m*d, and a two-phase run's phase 1 m1*(k+1)."""
     d, m, k = 12, 60, 4
     n_point, n_inner = split_budget(k + 1)
     datasets = {
@@ -340,10 +340,10 @@ def test_criterion_08_budget_accounting():
             result = train_run(algo, data, ctx, None, (9,))
             assert result.attributes_consumed == m * d, algo
 
-    pure = run_two_phase(datasets[Regime.L2], TwoPhaseConfig(
-        m1=20, m2=40, b=2.0, k=k, regime=Regime.L2, phase1_mode="pure_estimation"), 4)
-    assert pure.info["phase1_budget"] == 20 * (k + 1)
-    assert pure.attributes_consumed == m * (k + 1)
+    two_phase = run_two_phase(datasets[Regime.L2], TwoPhaseConfig(
+        m1=20, m2=40, b=2.0, k=k, regime=Regime.L2), 4)
+    assert two_phase.info["phase1_budget"] == 20 * (k + 1)
+    assert two_phase.attributes_consumed == m * (k + 1)
     print(f"all budgets exact: m(k+1)={m * (k + 1)}, m*d={m * d}, phase-1 {20 * (k + 1)}")
 
 

@@ -11,6 +11,7 @@ from budgetreg.sampling import (
     improved_inner_product_p,
     inner_product_p,
     lasso_optimal_q,
+    moment_roots,
     ridge_optimal_q,
     sample_index,
     uniform_distribution,
@@ -167,28 +168,31 @@ def test_inner_product_p_zero_weight_error():
 
 def test_improved_inner_product_p_examples():
     np.testing.assert_allclose(
-        improved_inner_product_p([1.0, 1.0], [4.0, 1.0], Regime.L2).probabilities, [2 / 3, 1 / 3]
+        improved_inner_product_p([1.0, 1.0], moment_roots([4.0, 1.0], 2), Regime.L2).probabilities,
+        [2 / 3, 1 / 3],
     )
     np.testing.assert_allclose(
-        improved_inner_product_p([2.0, 1.0], [1.0, 4.0], Regime.L2).probabilities, [0.5, 0.5]
+        improved_inner_product_p([2.0, 1.0], moment_roots([1.0, 4.0], 2), Regime.L2).probabilities,
+        [0.5, 0.5],
     )
 
 
 def test_improved_inner_product_p_falls_back_on_dead_support():
     # a zero moment estimate on the support would break unbiasedness
-    p = improved_inner_product_p([1.0, 1.0], [1.0, 0.0], Regime.L2)
+    p = improved_inner_product_p([1.0, 1.0], moment_roots([1.0, 0.0], 2), Regime.L2)
     np.testing.assert_allclose(p.probabilities, inner_product_p([1.0, 1.0], Regime.L2).probabilities)
-    p = improved_inner_product_p([1.0, -3.0], [0.0, 0.0], Regime.LINF)
+    p = improved_inner_product_p([1.0, -3.0], moment_roots([0.0, 0.0], 2), Regime.LINF)
     np.testing.assert_allclose(p.probabilities, [0.25, 0.75])
 
 
 def test_improved_inner_product_p_errors():
     with pytest.raises(ValueError, match="zero weight vector"):
-        improved_inner_product_p([0.0], [1.0], Regime.L2)
+        improved_inner_product_p([0.0], moment_roots([1.0], 1), Regime.L2)
     with pytest.raises(ValueError, match="moment vector length mismatch"):
-        improved_inner_product_p([1.0, 1.0], [1.0], Regime.L2)
-    with pytest.raises(ValueError, match="degenerate moments"):
-        improved_inner_product_p([1.0], [-1.0], Regime.L2)
+        moment_roots([1.0], 2)
+    for bad in ([-1.0], [np.nan], [np.inf]):
+        with pytest.raises(ValueError, match="degenerate moments"):
+            moment_roots(bad, 1)
 
 
 @st.composite
@@ -216,14 +220,13 @@ def test_step_p_equals_validated_distribution(case):
     w, moments, regime, improved, u = case
     standard = w * w if regime == Regime.L2 else np.abs(w)
     falls_back = improved and bool(np.any((w != 0) & (moments == 0)))
+    roots = moment_roots(moments, w.size)
     if improved and not falls_back:
         weights = np.abs(w) * np.sqrt(moments)
-        p = improved_inner_product_p(w, moments, regime)
-        assert p.probabilities.tobytes() == improved_inner_product_p(
-            w, None, regime, root_moments=np.sqrt(moments)).probabilities.tobytes()
+        p = improved_inner_product_p(w, roots, regime)
     else:
         weights = standard
-        p = improved_inner_product_p(w, moments, regime) if improved else inner_product_p(w, regime)
+        p = improved_inner_product_p(w, roots, regime) if improved else inner_product_p(w, regime)
     assert p.fallback == falls_back
     ref = AttributeDistribution(weights / weights.sum())
     assert p.probabilities.tobytes() == ref.probabilities.tobytes()

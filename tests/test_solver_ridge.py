@@ -38,10 +38,6 @@ def test_config_validation():
         SolverConfig(b=0.0, eta=0.1, q=q).validate(2)
     with pytest.raises(ValueError, match="dimension mismatch"):
         SolverConfig(b=1.0, eta=0.1, q=q).validate(3)
-    with pytest.raises(ValueError, match="needs moments"):
-        SolverConfig(b=1.0, eta=0.1, q=q, p_mode="improved").validate(2)
-    with pytest.raises(ValueError, match="unknown p_mode"):
-        SolverConfig(b=1.0, eta=0.1, q=q, p_mode="x").validate(2)
 
 
 def test_step_from_zero_iterate():
@@ -188,7 +184,7 @@ def test_improved_p_changes_only_inner_draws():
     ds, _ = l2_dataset(5, 60, seed=5)
     moments = np.full(5, 0.2)
     base = SolverConfig(b=1.0, eta=0.05, q=uniform_distribution(5))
-    improved = SolverConfig(b=1.0, eta=0.05, q=uniform_distribution(5), p_mode="improved", moments=moments)
+    improved = SolverConfig(b=1.0, eta=0.05, q=uniform_distribution(5), moments=moments)
     r1 = run_gaerr(ds, base, 7)
     r2 = run_gaerr(ds, improved, 7)
     # equal moments make the improved weighting proportional to |w|, a
@@ -220,14 +216,14 @@ def test_p_fallbacks_counted_when_a_moment_is_zero_on_the_support():
     ds.x[:, 1] = 0.0  # attribute 1 is never observed nonzero: exact moment 0
     moments = np.mean(ds.x**2, axis=0)
     q = uniform_distribution(5)
-    dead = run_gaerr(ds, SolverConfig(b=1.0, eta=0.05, q=q, p_mode="improved", moments=moments), 3)
+    dead = run_gaerr(ds, SolverConfig(b=1.0, eta=0.05, q=q, moments=moments), 3)
     assert dead.zero_weight_steps == 0
     assert dead.p_fallbacks == 50
     # a falling-back run draws exactly what the standard p draws
     standard = run_gaerr(ds, SolverConfig(b=1.0, eta=0.05, q=q), 3)
     np.testing.assert_array_equal(dead.predictor.weights, standard.predictor.weights)
     assert standard.p_fallbacks == 0
-    alive = SolverConfig(b=1.0, eta=0.05, q=q, p_mode="improved", moments=moments + 0.1)
+    alive = SolverConfig(b=1.0, eta=0.05, q=q, moments=moments + 0.1)
     assert run_gaerr(ds, alive, 3).p_fallbacks == 0
     ctx = RunContext(regime=Regime.L2, b=1.0, n_point=2, n_inner=1, moments=moments)
     assert train_run("ddaerr", ds, ctx, 0.05, 3).p_fallbacks == 50

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -57,22 +58,22 @@ def test_estimate_moments_empty_and_errors():
 
 
 def test_epsilon_values():
-    params = epsilon(10, 0.1, 4, 100, "ridge")
+    params = epsilon(10, 0.1, 4, 100, Regime.L2)
     assert params.epsilon == pytest.approx(10 * math.log(200) / 500, abs=1e-15)
     assert params.epsilon == pytest.approx(0.105966, abs=1e-6)
     assert not params.capped
 
 
 def test_epsilon_cap_and_errors():
-    capped = epsilon(10, 0.1, 1, 7, "lasso")  # raw width 3.78
+    capped = epsilon(10, 0.1, 1, 7, Regime.LINF)  # raw width 3.78
     assert capped.epsilon == 1.0 and capped.capped
-    assert epsilon(10, 0.1, 1, 7, "ridge").epsilon == pytest.approx(10 * math.log(200) / 14)
+    assert epsilon(10, 0.1, 1, 7, Regime.L2).epsilon == pytest.approx(10 * math.log(200) / 14)
     with pytest.raises(ValueError, match="no phase-1 data"):
-        epsilon(10, 0.1, 4, 0, "ridge")
-    lasso_empty = epsilon(10, 0.1, 4, 0, "lasso")
+        epsilon(10, 0.1, 4, 0, Regime.L2)
+    lasso_empty = epsilon(10, 0.1, 4, 0, Regime.LINF)
     assert lasso_empty.epsilon == 1.0 and lasso_empty.capped
     with pytest.raises(ValueError, match="delta must lie"):
-        epsilon(10, 1.5, 4, 100, "ridge")
+        epsilon(10, 1.5, 4, 100, Regime.L2)
 
 
 def test_epsilon_scaling_law():
@@ -81,35 +82,35 @@ def test_epsilon_scaling_law():
 
 
 def test_smoothed_q_uniform_under_pure_smoothing():
-    q = smoothed_q(np.zeros(5), 0.3, "ridge")
+    q = smoothed_q(np.zeros(5), 0.3, Regime.L2)
     np.testing.assert_allclose(q.probabilities, [0.2] * 5)
-    q = smoothed_q(np.zeros(4), 1.0, "lasso")
+    q = smoothed_q(np.zeros(4), 1.0, Regime.LINF)
     np.testing.assert_allclose(q.probabilities, [0.25] * 4)
 
 
 def test_smoothed_q_ridge_square_root_weights():
-    q = smoothed_q(np.array([0.36, 0.01]), 0.0, "ridge")
+    q = smoothed_q(np.array([0.36, 0.01]), 0.0, Regime.L2)
     np.testing.assert_allclose(q.probabilities, [6 / 7, 1 / 7], atol=1e-15)
 
 
 def test_smoothed_q_lasso_direct_weights():
     # shift 13 eps / 6 = 0.5
-    q = smoothed_q(np.array([0.3, 0.1]), 3 / 13, "lasso")
+    q = smoothed_q(np.array([0.3, 0.1]), 3 / 13, Regime.LINF)
     np.testing.assert_allclose(q.probabilities, [4 / 7, 3 / 7], atol=1e-15)
 
 
 def test_smoothed_q_degenerate():
     with pytest.raises(ValueError, match="degenerate smoothed distribution"):
-        smoothed_q(np.zeros(3), 0.0, "ridge")
+        smoothed_q(np.zeros(3), 0.0, Regime.L2)
     # a configured floor degrades to uniform instead
-    q = smoothed_q(np.zeros(3), 0.0, "ridge", q_floor=1e-6)
+    q = smoothed_q(np.zeros(3), 0.0, Regime.L2, q_floor=1e-6)
     np.testing.assert_allclose(q.probabilities, [1 / 3] * 3)
     with pytest.raises(ValueError, match="negative smoothing width"):
-        smoothed_q(np.ones(3), -0.1, "ridge")
+        smoothed_q(np.ones(3), -0.1, Regime.L2)
 
 
 def test_smoothed_q_floor_lifts_zeros():
-    q = smoothed_q(np.array([1.0, 0.0]), 0.0, "lasso", q_floor=0.01)
+    q = smoothed_q(np.array([1.0, 0.0]), 0.0, Regime.LINF, q_floor=0.01)
     np.testing.assert_allclose(q.probabilities, [0.98 + 0.01, 0.01])
 
 
@@ -140,7 +141,7 @@ def test_ridge_eta_two_phase_max_of_branches():
         assert ridge_eta_two_phase(m1, m2, k, d, delta, h) == pytest.approx(expected, abs=1e-15)
 
 
-def test_two_phase_budget_pure_mode():
+def test_two_phase_budget_per_phase():
     for regime in (Regime.L2, Regime.LINF):
         ds = make_dataset(6, 300, 7, regime)
         k = 2
@@ -156,9 +157,7 @@ def test_two_phase_budget_warm_start_mode():
     for regime in (Regime.L2, Regime.LINF):
         ds = make_dataset(6, 300, 8, regime)
         k = 3
-        config = TwoPhaseConfig(
-            m1=60, m2=240, b=3.0, k=k, regime=regime, phase1_mode="uniform_solver_warm_start"
-        )
+        config = TwoPhaseConfig(m1=60, m2=240, b=3.0, k=k, regime=regime)
         result = run_two_phase(ds, config, 12)
         assert result.attributes_consumed == 300 * (k + 1)
         result.predictor.validate()
@@ -182,8 +181,6 @@ def test_two_phase_config_errors():
     linf = make_dataset(4, 50, 10, Regime.LINF)
     with pytest.raises(ValueError, match="regime does not match"):
         run_two_phase(linf, TwoPhaseConfig(m1=10, m2=10, b=1.0, k=1, regime=Regime.L2), 0)
-    with pytest.raises(ValueError, match="unknown phase1_mode"):
-        TwoPhaseConfig(m1=10, m2=10, b=1.0, k=1, regime=Regime.L2, phase1_mode="x").validate()
 
 
 def test_two_phase_lasso_empty_phase1_uses_cap():
@@ -211,9 +208,7 @@ def test_two_phase_epsilon_override_only_reshapes_q():
 def test_warm_start_seeds_second_phase():
     # m2=1 makes the returned average equal the phase-2 starting iterate
     ds = make_dataset(4, 41, 16, Regime.L2)
-    config = TwoPhaseConfig(
-        m1=40, m2=1, b=2.0, k=2, regime=Regime.L2, phase1_mode="uniform_solver_warm_start"
-    )
+    config = TwoPhaseConfig(m1=40, m2=1, b=2.0, k=2, regime=Regime.L2)
     result = run_two_phase(ds, config, 6)
     default = default_initial_w(4, 2.0)
     assert np.any(result.predictor.weights != default)
@@ -225,22 +220,23 @@ def test_warm_start_zero_average_falls_back():
     # cannot seed the multiplicative state and the fresh start is used
     x = np.tile([0.4, 0.2, 0.1], (31, 1))
     ds = Dataset(x, np.zeros(31), Regime.LINF)
-    config = TwoPhaseConfig(
-        m1=30, m2=1, b=2.0, k=1, regime=Regime.LINF, phase1_mode="uniform_solver_warm_start"
-    )
+    config = TwoPhaseConfig(m1=30, m2=1, b=2.0, k=1, regime=Regime.LINF)
     result = run_two_phase(ds, config, 7)
     np.testing.assert_array_equal(result.predictor.weights, np.zeros(3))
 
 
-def test_pure_and_warm_start_differ():
-    ds = make_dataset(5, 120, 17, Regime.LINF)
-    pure = TwoPhaseConfig(m1=30, m2=90, b=2.0, k=2, regime=Regime.LINF)
-    warm = TwoPhaseConfig(
-        m1=30, m2=90, b=2.0, k=2, regime=Regime.LINF, phase1_mode="uniform_solver_warm_start"
-    )
-    r1 = run_two_phase(ds, pure, 8)
-    r2 = run_two_phase(ds, warm, 8)
-    assert np.any(r1.predictor.weights != r2.predictor.weights)
+def test_warm_start_tables_only_point_draws():
+    """The moment table holds the k point draws of each phase-1 example;
+    the inner-product draws follow p(w) and are never tabled."""
+    for regime in (Regime.L2, Regime.LINF):
+        ds = make_dataset(5, 100, 17, regime)
+        m1, k, n_inner = 30, 2, 3
+        config = TwoPhaseConfig(m1=m1, m2=70, b=2.0, k=k, regime=regime, n_inner=n_inner)
+        result = run_two_phase(ds, config, 8)
+        table = result.info["moment_table"]
+        assert table.m1 == m1
+        assert table.counts.sum() == m1 * k
+        assert result.info["phase1_budget"] == m1 * (k + n_inner)
 
 
 def test_two_phase_deterministic():
@@ -262,7 +258,7 @@ def test_half_norm_upper_bounds_with_high_probability():
     for r in range(runs):
         ds = generate_dataset(u, np.zeros(d), m1, Regime.LINF, 1000 + r)
         table = estimate_moments(ds, k, seed=2000 + r)
-        eps = epsilon(d, delta, k, m1, "lasso").epsilon
+        eps = epsilon(d, delta, k, m1, Regime.LINF).epsilon
         if estimate_half_norm(table.A, eps) >= truth:
             hits += 1
     assert hits / runs >= 0.88
@@ -274,11 +270,10 @@ def test_two_phase_p_fallbacks_add_up_both_phases():
     ds = make_dataset(4, 100, 17, Regime.L2)
     ds.x[:, 2] = 0.0
     config = TwoPhaseConfig(
-        m1=20, m2=80, b=2.0, k=2, regime=Regime.L2, p_mode="improved",
-        phase1_mode="uniform_solver_warm_start", epsilon_override=0.0, q_floor=1e-9,
+        m1=20, m2=80, b=2.0, k=2, regime=Regime.L2, improved_p=True, epsilon_override=0.0,
     )
     result = run_two_phase(ds, config, 4)
     assert result.info["moment_table"].A[2] == 0.0
     assert result.p_fallbacks == 80
-    standard = run_two_phase(ds, TwoPhaseConfig(**{**config.__dict__, "p_mode": "standard"}), 4)
+    standard = run_two_phase(ds, dataclasses.replace(config, improved_p=False), 4)
     assert standard.p_fallbacks == 0
