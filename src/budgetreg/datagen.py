@@ -30,12 +30,12 @@ def _stream(seed, tag):
 def power_law_means(d, alpha, regime):
     """Attribute means u_i = i**alpha, scaled into the regime's unit ball.
 
-    alpha must be <= 0 so every raw mean lies in (0, 1].
+    alpha must be finite and <= 0 so every raw mean lies in (0, 1].
     """
     if d <= 0:
         raise ValueError("zero dimension")
-    if alpha > 0:
-        raise ValueError("power-law exponent must be nonpositive")
+    if not -np.inf < alpha <= 0:
+        raise ValueError("power-law exponent must be finite and nonpositive")
     regime = Regime(regime)
     u = np.arange(1, d + 1, dtype=float) ** alpha
     scale = norm(u, 2) if regime == Regime.L2 else norm(u, float("inf"))

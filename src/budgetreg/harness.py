@@ -290,14 +290,18 @@ class ExperimentConfig:
             raise ValueError("k must be at least 1")
         if budgeted:
             split_budget(self.k + 1, self.budget_split)
-        if self.data is None and (self.dim < 1 or self.alpha > 0):
-            raise ValueError("synthetic data needs dim >= 1 and alpha <= 0")
+        if self.data is None and (self.dim < 1 or not -math.inf < self.alpha <= 0):
+            raise ValueError("synthetic data needs dim >= 1 and a finite alpha <= 0")
         if self.repeats < 1:
             raise ValueError("repeats must be positive")
         if self.folds < 2:
             raise ValueError("need at least two folds")
         if self.eta_grid is not None and len(self.eta_grid) == 0:
             raise ValueError("empty step-size grid")
+        if self.eta_grid is not None and not all(0 < float(eta) < math.inf for eta in self.eta_grid):
+            raise ValueError("eta_grid entries must be finite and positive")
+        if self.b is not None and not 0 < self.b < math.inf:
+            raise ValueError("b must be finite and positive")
         if not 0.0 < self.test_fraction < 1.0:
             raise ValueError("test fraction must lie in (0, 1)")
         if not 0.0 < self.m1_fraction < 1.0:

@@ -15,7 +15,6 @@ __all__ = [
     "AttributeDistribution",
     "build_distribution",
     "uniform_distribution",
-    "apply_floor",
     "sample_index",
     "checked_moments",
     "ridge_optimal_q",
@@ -81,22 +80,6 @@ def uniform_distribution(d):
     if d <= 0:
         raise ValueError("zero dimension")
     return AttributeDistribution(np.full(d, 1.0 / d))
-
-
-def apply_floor(dist, q_floor):
-    """Mix a distribution with the uniform floor: (1 - d*q_floor) q + q_floor.
-
-    q_floor = 0 returns the distribution unchanged.  Requires
-    d * q_floor <= 1.
-    """
-    if q_floor < 0:
-        raise ValueError("invalid weights: negative floor")
-    if q_floor == 0:
-        return dist
-    d = dist.dimension
-    if d * q_floor > 1.0:
-        raise ValueError("invalid weights: floor exceeds 1/d")
-    return AttributeDistribution((1.0 - d * q_floor) * dist.probabilities + q_floor)
 
 
 def sample_index(dist, u):

@@ -29,7 +29,6 @@ __all__ = [
     "run_gaelr",
     "aelr_eta",
     "lasso_eta_known_moments",
-    "lasso_eta_two_phase",
 ]
 
 _RENORM_THRESHOLD = 1e100
@@ -157,22 +156,3 @@ def lasso_eta_known_moments(m, k, d, b, l1_moment):
         warnings.warn("m below ln(2d): the regret bound is not guaranteed", stacklevel=2)
     return math.sqrt(math.log(2 * d) / (5.0 * m * (l1_moment / k + 1.0))) / (2.0 * b)
 
-
-def lasso_eta_two_phase(m1, m2, k, d, delta, moment_estimates, b, epsilon=None):
-    """Step size for the second phase when moments come from phase-1 estimates.
-
-    eta = sqrt(k ln(2d) / (20 b^2 m2 (8 ||A||_1 + 20 d eps + k))) with
-    eps = min(d ln(2d/delta) / ((k+1) m1), 1); an empty first phase pins
-    eps at its cap.  Pass epsilon to bypass the recomputation.
-    """
-    if m2 < 1 or k < 1 or d < 1:
-        raise ValueError("m2, k, d must be positive")
-    if b <= 0:
-        raise ValueError("norm bound must be positive")
-    if not 0 < delta < 1:
-        raise ValueError("delta must lie in (0, 1)")
-    a1 = float(np.abs(np.asarray(moment_estimates, dtype=float)).sum())
-    if epsilon is None:
-        epsilon = 1.0 if m1 == 0 else min(d * math.log(2 * d / delta) / ((k + 1.0) * m1), 1.0)
-    bracket = 8.0 * a1 + 20.0 * d * epsilon + k
-    return math.sqrt(k * math.log(2 * d) / (20.0 * b * b * m2 * bracket))

@@ -1,13 +1,12 @@
 """Two-phase solvers: estimate attribute moments first, then exploit them.
 
-Phase 1 spends a (k+1)-per-example budget on uniformly sampled attribute
-values and turns them into empirical second-moment estimates A.  Phase 2
-runs the ridge or lasso solver on the remaining examples with sampling
-probabilities built from A, smoothed by a confidence width eps so that
-badly underestimated attributes still get probability mass.  Phase 1 runs
-the uniform-sampling solver and tables its point draws (its inner-product
-draws follow the iterate and stay out of A); phase 2 starts from its
-averaged output.
+Phase 1 runs the uniform-sampling solver and tables its k point draws per
+example into empirical second-moment estimates A (its inner-product draws
+follow the iterate and stay out of A).  Phase 2 runs the ridge or lasso
+solver on the remaining examples, starting from phase 1's averaged output,
+with sampling probabilities built from A smoothed by a confidence width
+eps, so that badly underestimated attributes still get probability mass.
+eps counts the draws the table holds; it also sets phase 2's step size.
 """
 
 import math
@@ -17,25 +16,18 @@ import numpy as np
 
 from .core import Regime, RunResult, norm
 from .estimator import SolverConfig, estimate_from_indices, run_pass
-from .sampling import apply_floor, build_distribution, sample_index, uniform_distribution
-from .solver_lasso import (
-    EGState,
-    aelr_eta,
-    gaelr_step,
-    lasso_eta_two_phase,
-    run_gaelr,
-)
+from .sampling import AttributeDistribution, build_distribution, sample_index, uniform_distribution
+from .solver_lasso import EGState, aelr_eta, gaelr_step, run_gaelr
 from .solver_ridge import RidgeState, aerr_eta, gaerr_step, run_gaerr
 
 __all__ = [
     "MomentTable",
-    "SmoothingParams",
     "TwoPhaseConfig",
-    "estimate_moments",
     "epsilon",
     "smoothed_q",
     "estimate_half_norm",
     "ridge_eta_two_phase",
+    "lasso_eta_two_phase",
     "run_two_phase",
 ]
 
@@ -69,69 +61,44 @@ class MomentTable:
         return a
 
 
-@dataclass
-class SmoothingParams:
-    epsilon: float
-    delta: float
-    capped: bool = False
+def epsilon(d, delta, draws, m1, regime):
+    """Confidence width d ln(2d/delta) / (draws m1); capped at 1 for lasso.
 
-
-def estimate_moments(dataset, k, seed):
-    """Uniform-sampling moment table over a dataset (a phase-1 slice).
-
-    Each example contributes k+1 independent uniform index draws; A[i] is
-    the mean of the squared values observed at index i (0 if never drawn).
+    ``draws`` is the number of attribute values tabled per phase-1 example
+    (the warm start's k point draws).  An empty phase 1 pins the lasso
+    width at its cap; ridge needs phase-1 data.
     """
-    if k < 1:
-        raise ValueError("k must be positive")
-    table = MomentTable(dataset.dimension)
-    if len(dataset) == 0:
-        return table
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(np.random.SeedSequence(seed))
-    uniform = uniform_distribution(dataset.dimension)
-    for x in dataset.x:
-        table.add(sample_index(uniform, rng.random(k + 1)), x)
-    return table
-
-
-def epsilon(d, delta, k, m1, regime):
-    """Confidence width d ln(2d/delta) / ((k+1) m1); capped at 1 for lasso."""
     if d < 1:
         raise ValueError("zero dimension")
     if not 0 < delta < 1:
         raise ValueError("delta must lie in (0, 1)")
-    if k < 1:
-        raise ValueError("k must be positive")
+    if draws < 1:
+        raise ValueError("draws must be positive")
     if m1 == 0:
         if regime == Regime.L2:
             raise ValueError("no phase-1 data")
-        return SmoothingParams(1.0, delta, capped=True)
-    raw = d * math.log(2 * d / delta) / ((k + 1.0) * m1)
-    if regime == Regime.LINF and raw > 1.0:
-        return SmoothingParams(1.0, delta, capped=True)
-    return SmoothingParams(raw, delta, capped=False)
+        return 1.0
+    raw = d * math.log(2 * d / delta) / (draws * m1)
+    return min(raw, 1.0) if regime == Regime.LINF else raw
 
 
-def smoothed_q(a, eps, regime, q_floor=0.0):
+def smoothed_q(a, eps, regime):
     """Sampling distribution from smoothed moment estimates.
 
     Ridge weights sqrt(A + 13 eps / 6); lasso uses A + 13 eps / 6 as is.
-    A configured floor lifts zero-probability coordinates; when the whole
-    table is zero it degrades gracefully to the uniform distribution.
+    The result is mixed with a tiny uniform floor, (1 - d f) q + f, so
+    zero-count attributes stay reachable under eps = 0; an all-zero table
+    at eps = 0 gives the uniform distribution.
     """
     a = np.asarray(a, dtype=float)
     if eps < 0:
         raise ValueError("negative smoothing width")
     shifted = a + 13.0 * eps / 6.0
     if not np.any(shifted > 0):
-        if q_floor > 0:
-            return uniform_distribution(a.size)
-        raise ValueError("degenerate smoothed distribution")
+        return uniform_distribution(a.size)
     weights = np.sqrt(shifted) if regime == Regime.L2 else shifted
-    dist = build_distribution(weights)
-    if q_floor > 0:
-        dist = apply_floor(dist, q_floor)
-    return dist
+    q = build_distribution(weights).probabilities
+    return AttributeDistribution((1.0 - a.size * _Q_FLOOR) * q + _Q_FLOOR)
 
 
 def estimate_half_norm(a, eps):
@@ -140,25 +107,34 @@ def estimate_half_norm(a, eps):
     return norm(2.0 * a + 10.0 * eps / 3.0, 0.5)
 
 
-def ridge_eta_two_phase(m1, m2, k, d, delta, h, epsilon=None):
-    """Second-phase step size: the better of the moment-free and moment-aware rates.
+def ridge_eta_two_phase(m2, k, d, h, eps):
+    """Second-phase ridge step size: the better of the moment-free and moment-aware rates.
 
     max(sqrt(k/(6 d m2)), sqrt(k / (m2 (2H + 2 sqrt(5/3) d sqrt(H) sqrt(eps) + k))))
-    with eps = d ln(2d/delta) / ((k+1) m1).  Pass epsilon to bypass the
-    recomputation.
+    with H the half-norm estimate and eps the width ``epsilon`` gives the
+    phase-1 table.
     """
     if m2 < 1 or k < 1 or d < 1:
         raise ValueError("m2, k, d must be positive")
     if h < 0:
         raise ValueError("negative half-norm estimate")
-    if epsilon is None:
-        if m1 == 0:
-            raise ValueError("no phase-1 data")
-        if not 0 < delta < 1:
-            raise ValueError("delta must lie in (0, 1)")
-        epsilon = d * math.log(2 * d / delta) / ((k + 1.0) * m1)
-    bracket = 2.0 * h + 2.0 * math.sqrt(5.0 / 3.0) * d * math.sqrt(h) * math.sqrt(epsilon) + k
+    bracket = 2.0 * h + 2.0 * math.sqrt(5.0 / 3.0) * d * math.sqrt(h) * math.sqrt(eps) + k
     return max(math.sqrt(k / (6.0 * d * m2)), math.sqrt(k / (m2 * bracket)))
+
+
+def lasso_eta_two_phase(m2, k, d, a, b, eps):
+    """Second-phase lasso step size from the phase-1 moment estimates A.
+
+    eta = sqrt(k ln(2d) / (20 b^2 m2 (8 ||A||_1 + 20 d eps + k))) with eps
+    the (capped) width ``epsilon`` gives the phase-1 table.
+    """
+    if m2 < 1 or k < 1 or d < 1:
+        raise ValueError("m2, k, d must be positive")
+    if b <= 0:
+        raise ValueError("norm bound must be positive")
+    a1 = float(np.abs(np.asarray(a, dtype=float)).sum())
+    bracket = 8.0 * a1 + 20.0 * d * eps + k
+    return math.sqrt(k * math.log(2 * d) / (20.0 * b * b * m2 * bracket))
 
 
 @dataclass
@@ -224,13 +200,9 @@ def run_two_phase(dataset, config, seed):
         raise ValueError("dataset regime does not match configuration")
     if config.m1 + config.m2 > len(dataset):
         raise ValueError("phase sizes exceed the dataset")
-    if ridge and config.m1 == 0:
-        raise ValueError("no phase-1 data")
     d = dataset.dimension
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(np.random.SeedSequence(seed))
 
-    # per-example budget: k point draws plus n_inner inner-product draws
-    budget = config.k + config.n_inner
     table = MomentTable(d)
     phase1_consumed = zero_steps_1 = fallbacks_1 = 0
     w_start = None
@@ -242,22 +214,19 @@ def run_two_phase(dataset, config, seed):
             w_start = phase1.predictor.weights
     a = table.A
 
-    smoothing = epsilon(d, config.delta, budget - 1, config.m1, config.regime)
-    eps_for_q = smoothing.epsilon if config.epsilon_override is None else config.epsilon_override
-    q2 = smoothed_q(a, eps_for_q, config.regime, _Q_FLOOR)
+    # the table holds the k point draws of each phase-1 example
+    eps = epsilon(d, config.delta, config.k, config.m1, config.regime)
+    eps_for_q = eps if config.epsilon_override is None else config.epsilon_override
+    q2 = smoothed_q(a, eps_for_q, config.regime)
 
     eta2 = config.eta
     half_norm = None
     if ridge:
-        half_norm = estimate_half_norm(a, smoothing.epsilon)
+        half_norm = estimate_half_norm(a, eps)
         if eta2 is None:
-            eta2 = ridge_eta_two_phase(
-                config.m1, config.m2, config.k, d, config.delta, half_norm, epsilon=smoothing.epsilon
-            )
+            eta2 = ridge_eta_two_phase(config.m2, config.k, d, half_norm, eps)
     elif eta2 is None:
-        eta2 = lasso_eta_two_phase(
-            config.m1, config.m2, config.k, d, config.delta, a, config.b, epsilon=smoothing.epsilon
-        )
+        eta2 = lasso_eta_two_phase(config.m2, config.k, d, a, config.b, eps)
 
     phase2 = dataset.subset(np.arange(config.m1, config.m1 + config.m2))
     cfg2 = SolverConfig(
@@ -269,8 +238,7 @@ def run_two_phase(dataset, config, seed):
     diagnostics = {
         "m1": config.m1,
         "m2": config.m2,
-        "epsilon": smoothing.epsilon,
-        "epsilon_capped": smoothing.capped,
+        "epsilon": eps,
         "epsilon_for_q": eps_for_q,
         "eta": eta2,
         "phase1_budget": phase1_consumed,

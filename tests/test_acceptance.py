@@ -37,9 +37,16 @@ from budgetreg.sampling import (
     sample_index,
     uniform_distribution,
 )
-from budgetreg.solver_lasso import EGState, aelr_eta, eg_weights, gaelr_step, lasso_eta_known_moments, lasso_eta_two_phase
+from budgetreg.solver_lasso import EGState, aelr_eta, eg_weights, gaelr_step, lasso_eta_known_moments
 from budgetreg.solver_ridge import RidgeState, aerr_eta, gaerr_step, ridge_eta_known_moments
-from budgetreg.two_phase import TwoPhaseConfig, epsilon, estimate_half_norm, estimate_moments, ridge_eta_two_phase, run_two_phase
+from budgetreg.two_phase import (
+    TwoPhaseConfig,
+    epsilon,
+    estimate_half_norm,
+    lasso_eta_two_phase,
+    ridge_eta_two_phase,
+    run_two_phase,
+)
 
 
 def _power_sum(d, e):
@@ -191,14 +198,17 @@ def test_criterion_04_sampling_optimality_grid():
 
 
 def test_criterion_05_confidence_sandwich_monte_carlo():
-    """Over 1000 simulated uniform-sampling moment tables (d=10, m1=200,
-    k+1=5) the two-sided moment sandwich holds jointly for all attributes,
-    and H upper-bounds the true half-norm, each in >=88% of runs."""
-    d, delta, k, m1, runs = 10, 0.1, 4, 200, 1000
+    """Over 1000 moment tables built by the two-phase warm start (d=10,
+    m1=200, 5 uniform point draws tabled per example, eps=0.0530) the
+    two-sided moment sandwich holds jointly for all attributes, and H
+    upper-bounds the true half-norm, each in >=88% of runs."""
+    d, delta, n_point, m1, runs = 10, 0.1, 5, 200, 1000
     u = power_law_means(d, -1.0, Regime.L2)
     w_star = random_target_weights(d, Regime.L2, 0)
     mom = binary_l2_moments(u)
-    eps = epsilon(d, delta, k, m1, Regime.L2).epsilon
+    eps = d * math.log(2 * d / delta) / (n_point * m1)
+    assert eps == pytest.approx(0.0530, abs=1e-4)
+    config = TwoPhaseConfig(m1=m1, m2=1, b=weight_norm(w_star, Regime.L2), k=n_point, regime=Regime.L2, n_inner=1)
     upper = 2.0 * mom + 7.0 * eps / 6.0
     lower = 0.5 * mom - 5.0 * eps / 3.0
     true_half = float(norm(mom, 0.5))
@@ -206,8 +216,11 @@ def test_criterion_05_confidence_sandwich_monte_carlo():
     start = time.perf_counter()
     sandwich_hits = h_hits = 0
     for run in range(runs):
-        data = generate_dataset(u, w_star, m1, Regime.L2, run)
-        table = estimate_moments(data, k, (run, 5))
+        data = generate_dataset(u, w_star, m1 + 1, Regime.L2, run)
+        result = run_two_phase(data, config, (run, 5))
+        table = result.info["moment_table"]
+        assert table.m1 == m1 and table.counts.sum() == m1 * n_point
+        assert result.info["epsilon"] == pytest.approx(eps, rel=1e-12)
         if np.all(table.A <= upper) and np.all(table.A >= lower):
             sandwich_hits += 1
         if estimate_half_norm(table.A, eps) >= true_half:
@@ -362,15 +375,16 @@ def test_criterion_09_step_size_formulas():
     assert lasso_eta_known_moments(math.log(4), 1, 2, 1.0, 0.0) == pytest.approx(1 / (2 * math.sqrt(5)), abs=1e-12)
     assert lasso_eta_known_moments(100 * math.log(4), 1, 2, 0.5, 0.0) == pytest.approx(math.sqrt(1 / 500), abs=1e-12)
 
-    assert ridge_eta_two_phase(1, 1, 6, 1, 0.1, 0.0, epsilon=0.0) == pytest.approx(1.0, abs=1e-12)
+    assert ridge_eta_two_phase(1, 6, 1, 0.0, 0.0) == pytest.approx(1.0, abs=1e-12)
     m1, m2, k, d, delta = 10, 50, 2, 4, 0.1
-    eps = d * math.log(2 * d / delta) / ((k + 1) * m1)
+    eps = d * math.log(2 * d / delta) / (3 * m1)  # a table of 3 draws per example
+    assert epsilon(d, delta, 3, m1, Regime.L2) == pytest.approx(eps, abs=1e-12)
     for h in (0.0, 0.3, 1e9):  # crosses from branch 2 winning to branch 1 winning
         by_hand = max(math.sqrt(k / (6 * d * m2)),
                       math.sqrt(k / (m2 * (2 * h + 2 * math.sqrt(5 / 3) * d * math.sqrt(h * eps) + k))))
-        assert ridge_eta_two_phase(m1, m2, k, d, delta, h) == pytest.approx(by_hand, abs=1e-12)
+        assert ridge_eta_two_phase(m2, k, d, h, eps) == pytest.approx(by_hand, abs=1e-12)
 
-    assert lasso_eta_two_phase(1, 40, 2, 3, 0.1, np.zeros(3), 1.5, epsilon=1.0) == pytest.approx(
+    assert lasso_eta_two_phase(40, 2, 3, np.zeros(3), 1.5, 1.0) == pytest.approx(
         math.sqrt(2 * math.log(6) / (20 * 1.5**2 * 40 * (20 * 3 + 2))), abs=1e-12)
     print("all step-size pins within 1e-12")
 

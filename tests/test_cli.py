@@ -49,6 +49,14 @@ def test_generate_rejects_positive_alpha(tmp_path):
     assert proc.returncode == 2
 
 
+def test_generate_rejects_nan_alpha(tmp_path):
+    out = tmp_path / "x.csv"
+    proc = run_cli("generate", "--dim", 4, "--alpha", "nan", "--regime", "l2", "--m", 10, "--out", out)
+    assert proc.returncode == 1
+    assert "power-law exponent must be finite and nonpositive" in proc.stderr
+    assert not out.exists() and not (tmp_path / "x.csv.meta.json").exists()
+
+
 def test_ratios_reports_norms(data_csv):
     proc = run_cli("ratios", "--data", data_csv, "--regime", "l2")
     assert proc.returncode == 0, proc.stderr

@@ -27,8 +27,9 @@ def test_power_law_means_l2_rescale():
 
 
 def test_power_law_means_errors_and_shape():
-    with pytest.raises(ValueError, match="nonpositive"):
-        power_law_means(3, 0.5, Regime.L2)
+    for alpha in (0.5, float("nan"), float("-inf")):
+        with pytest.raises(ValueError, match="power-law exponent must be finite and nonpositive"):
+            power_law_means(3, alpha, Regime.L2)
     with pytest.raises(ValueError, match="zero dimension"):
         power_law_means(0, -1.0, Regime.L2)
     u = power_law_means(100, -0.5, Regime.LINF)

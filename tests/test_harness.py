@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -88,6 +90,21 @@ def test_train_run_lasso_family():
         assert np.abs(result.predictor.weights).sum() <= ctx.b + 1e-9
 
 
+def test_two_phase_train_run_with_one_point_draw():
+    """split_budget(2) leaves one point draw per example: the table holds m1
+    draws and eps = d ln(2d/delta) / m1."""
+    d, m = 4, 200
+    n_point, n_inner = split_budget(2)
+    assert (n_point, n_inner) == (1, 1)
+    for algo, regime in (("2p-ddaerr", Regime.L2), ("2p-ddaelr", Regime.LINF)):
+        ctx = make_ctx(regime, n_point=n_point, n_inner=n_inner)
+        result = train_run(algo, make_dataset(d, m, 3, regime), ctx, None, _stream(3, 1))
+        m1 = math.ceil(ctx.m1_fraction * m)
+        assert result.attributes_consumed == m * 2, algo
+        assert result.info["moment_table"].counts.sum() == m1, algo
+        assert result.info["epsilon"] == pytest.approx(d * math.log(2 * d / ctx.delta) / m1, rel=1e-12), algo
+
+
 def test_train_run_errors():
     ds = make_dataset(4, 10, 2, Regime.L2)
     ctx = make_ctx(Regime.L2)
@@ -172,6 +189,25 @@ def test_config_round_trip_and_errors():
         ExperimentConfig.from_dict({k: v for k, v in raw.items() if k != "dim"})
     with pytest.raises(ValueError, match="prefixes must be positive"):
         ExperimentConfig.from_dict({**raw, "prefixes": [0]})
+    for alpha in (math.nan, -math.inf, 0.5):
+        with pytest.raises(ValueError, match="finite alpha <= 0"):
+            ExperimentConfig.from_dict({**raw, "alpha": alpha})
+
+
+@pytest.mark.parametrize("key, value", [
+    ("eta_grid", [math.nan, 0.1]),
+    ("eta_grid", [0.1, math.inf]),
+    ("eta_grid", [0.0, 0.1]),
+    ("eta_grid", [-0.1]),
+    ("b", math.nan),
+    ("b", math.inf),
+    ("b", 0.0),
+    ("b", -1.0),
+])
+def test_config_rejects_step_sizes_and_norm_bounds_that_are_not_finite_and_positive(key, value):
+    raw = {"algorithms": ["aerr"], "regime": "l2", "prefixes": [50], "k": 2, "dim": 5, "alpha": -1.0}
+    with pytest.raises(ValueError, match=f"{key} (entries )?must be finite and positive"):
+        ExperimentConfig.from_dict({**raw, key: value})
 
 
 def small_config(**overrides):

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from budgetreg.core import Regime, norm
 from budgetreg.sampling import (
     AttributeDistribution,
-    apply_floor,
     build_distribution,
     improved_inner_product_p,
     inner_product_p,
@@ -52,18 +51,6 @@ def test_uniform_distribution():
     np.testing.assert_allclose(uniform_distribution(4).probabilities, [0.25] * 4)
     with pytest.raises(ValueError, match="zero dimension"):
         uniform_distribution(0)
-
-
-def test_apply_floor():
-    q = build_distribution([1.0, 0.0, 0.0])
-    assert apply_floor(q, 0.0) is q
-    floored = apply_floor(q, 0.1)
-    np.testing.assert_allclose(floored.probabilities, [0.7 * 1.0 + 0.1, 0.1, 0.1])
-    assert floored.probabilities.sum() == pytest.approx(1.0)
-    with pytest.raises(ValueError, match="invalid weights"):
-        apply_floor(q, 0.5)
-    with pytest.raises(ValueError, match="invalid weights"):
-        apply_floor(q, -0.1)
 
 
 def test_sample_index_examples():

@@ -15,7 +15,6 @@ from budgetreg.solver_lasso import (
     eg_weights,
     gaelr_step,
     lasso_eta_known_moments,
-    lasso_eta_two_phase,
     run_gaelr,
 )
 
@@ -253,19 +252,3 @@ def test_lasso_eta_known_moments_warns_below_threshold():
         lasso_eta_known_moments(1, 1, 10, 1.0, 0.0)
     with pytest.raises(ValueError, match="degenerate moments"):
         lasso_eta_known_moments(10, 1, 2, 1.0, -0.1)
-
-
-def test_lasso_eta_two_phase_forms():
-    k, d, b, m2 = 2, 3, 1.5, 40
-    # epsilon pinned at 1 with an empty table
-    expected = math.sqrt(k * math.log(2 * d) / (20 * b * b * m2 * (20 * d + k)))
-    assert lasso_eta_two_phase(1, m2, k, d, 0.1, np.zeros(d), b, epsilon=1.0) == pytest.approx(
-        expected, abs=1e-15
-    )
-    # m1 = 0 pins epsilon at the cap without an explicit override
-    assert lasso_eta_two_phase(0, m2, k, d, 0.1, np.zeros(d), b) == pytest.approx(expected, abs=1e-15)
-    # large m1 approaches the known-moments form
-    a = np.array([0.2, 0.1, 0.05])
-    limit = math.sqrt(k * math.log(2 * d) / (20 * b * b * m2 * (8 * a.sum() + k)))
-    assert lasso_eta_two_phase(10**12, m2, k, d, 0.1, a, b) == pytest.approx(limit, rel=1e-6)
-    assert lasso_eta_two_phase(1, m2, k, d, 0.1, a, b, epsilon=0.0) == pytest.approx(limit, abs=1e-15)

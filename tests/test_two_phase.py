@@ -6,12 +6,14 @@ import pytest
 
 from budgetreg.core import Dataset, Regime, norm
 from budgetreg.datagen import generate_dataset, power_law_means, random_target_weights
+from budgetreg.sampling import sample_index, uniform_distribution
 from budgetreg.solver_ridge import default_initial_w
 from budgetreg.two_phase import (
+    MomentTable,
     TwoPhaseConfig,
     epsilon,
     estimate_half_norm,
-    estimate_moments,
+    lasso_eta_two_phase,
     ridge_eta_two_phase,
     run_two_phase,
     smoothed_q,
@@ -25,60 +27,63 @@ def make_dataset(d, m, seed, regime, alpha=-1.0):
 
 
 def test_estimate_moments_constant_ones():
-    ds = Dataset(np.ones((30, 4)), np.zeros(30), Regime.LINF)
-    table = estimate_moments(ds, 3, seed=0)
-    observed = table.counts > 0
-    assert observed.all()
+    table = MomentTable(4)
+    for x in np.ones((30, 4)):
+        table.add(np.arange(4), x)
+    assert (table.counts > 0).all()
     np.testing.assert_allclose(table.A, np.ones(4))
     assert table.counts.sum() == 30 * 4
+    assert table.m1 == 30
 
 
 def test_estimate_moments_single_attribute():
+    # repeated draws of one index are tabled one by one
     x = np.array([[0.2], [0.4], [0.6]])
-    ds = Dataset(x, np.zeros(3), Regime.L2)
-    table = estimate_moments(ds, 2, seed=1)
+    table = MomentTable(1)
+    for row in x:
+        table.add(np.zeros(3, dtype=int), row)
     assert table.counts[0] == 3 * 3
     assert table.A[0] == pytest.approx(float(np.mean(x**2)))
 
 
 def test_estimate_moments_constant_example():
     # every observation of a coordinate sees the same square, so A is exact
-    ds = Dataset(np.tile([0.6, 0.3], (200, 1)), np.zeros(200), Regime.LINF)
-    table = estimate_moments(ds, 1, seed=2)
+    rng = np.random.default_rng(2)
+    uniform = uniform_distribution(2)
+    table = MomentTable(2)
+    for x in np.tile([0.6, 0.3], (200, 1)):
+        table.add(sample_index(uniform, rng.random(2)), x)
     assert np.all(table.counts > 0)
     np.testing.assert_allclose(table.A, [0.36, 0.09], atol=1e-12)
 
 
 def test_estimate_moments_empty_and_errors():
-    table = estimate_moments(Dataset(np.zeros((0, 3)), np.zeros(0), Regime.L2), 2, seed=0)
+    table = MomentTable(3)
     np.testing.assert_array_equal(table.A, np.zeros(3))
     assert table.m1 == 0
-    with pytest.raises(ValueError, match="k must be positive"):
-        estimate_moments(Dataset(np.zeros((1, 3)), np.zeros(1), Regime.L2), 0, seed=0)
 
 
 def test_epsilon_values():
-    params = epsilon(10, 0.1, 4, 100, Regime.L2)
-    assert params.epsilon == pytest.approx(10 * math.log(200) / 500, abs=1e-15)
-    assert params.epsilon == pytest.approx(0.105966, abs=1e-6)
-    assert not params.capped
+    eps = epsilon(10, 0.1, 5, 100, Regime.L2)
+    assert eps == pytest.approx(10 * math.log(200) / 500, abs=1e-15)
+    assert eps == pytest.approx(0.105966, abs=1e-6)
 
 
 def test_epsilon_cap_and_errors():
-    capped = epsilon(10, 0.1, 1, 7, Regime.LINF)  # raw width 3.78
-    assert capped.epsilon == 1.0 and capped.capped
-    assert epsilon(10, 0.1, 1, 7, Regime.L2).epsilon == pytest.approx(10 * math.log(200) / 14)
+    assert epsilon(10, 0.1, 2, 7, Regime.LINF) == 1.0  # raw width 3.78
+    assert epsilon(10, 0.1, 2, 7, Regime.L2) == pytest.approx(10 * math.log(200) / 14)
     with pytest.raises(ValueError, match="no phase-1 data"):
-        epsilon(10, 0.1, 4, 0, Regime.L2)
-    lasso_empty = epsilon(10, 0.1, 4, 0, Regime.LINF)
-    assert lasso_empty.epsilon == 1.0 and lasso_empty.capped
+        epsilon(10, 0.1, 5, 0, Regime.L2)
+    assert epsilon(10, 0.1, 5, 0, Regime.LINF) == 1.0
     with pytest.raises(ValueError, match="delta must lie"):
-        epsilon(10, 1.5, 4, 100, Regime.L2)
+        epsilon(10, 1.5, 5, 100, Regime.L2)
+    with pytest.raises(ValueError, match="draws must be positive"):
+        epsilon(10, 0.1, 0, 100, Regime.L2)
 
 
 def test_epsilon_scaling_law():
-    base = epsilon(8, 0.05, 3, 50, Regime.L2).epsilon
-    assert epsilon(8, 0.05, 3, 200, Regime.L2).epsilon == pytest.approx(base / 4, rel=1e-12)
+    base = epsilon(8, 0.05, 4, 50, Regime.L2)
+    assert epsilon(8, 0.05, 4, 200, Regime.L2) == pytest.approx(base / 4, rel=1e-12)
 
 
 def test_smoothed_q_uniform_under_pure_smoothing():
@@ -100,18 +105,22 @@ def test_smoothed_q_lasso_direct_weights():
 
 
 def test_smoothed_q_degenerate():
-    with pytest.raises(ValueError, match="degenerate smoothed distribution"):
-        smoothed_q(np.zeros(3), 0.0, Regime.L2)
-    # a configured floor degrades to uniform instead
-    q = smoothed_q(np.zeros(3), 0.0, Regime.L2, q_floor=1e-6)
+    # an all-zero table without smoothing degrades to uniform
+    q = smoothed_q(np.zeros(3), 0.0, Regime.L2)
     np.testing.assert_allclose(q.probabilities, [1 / 3] * 3)
     with pytest.raises(ValueError, match="negative smoothing width"):
         smoothed_q(np.ones(3), -0.1, Regime.L2)
 
 
 def test_smoothed_q_floor_lifts_zeros():
-    q = smoothed_q(np.array([1.0, 0.0]), 0.0, Regime.LINF, q_floor=0.01)
-    np.testing.assert_allclose(q.probabilities, [0.98 + 0.01, 0.01])
+    # (1 - d f) q + f with the floor f = 1e-9
+    for regime in (Regime.L2, Regime.LINF):
+        q = smoothed_q(np.array([1.0, 0.0]), 0.0, regime)
+        np.testing.assert_array_equal(q.probabilities, [(1.0 - 2e-9) * 1.0 + 1e-9, 1e-9])
+        assert q.probabilities.sum() == pytest.approx(1.0, abs=1e-15)
+    q = smoothed_q(np.array([0.36, 0.09, 0.0]), 0.0, Regime.L2)
+    np.testing.assert_allclose(q.probabilities, [(1 - 3e-9) * 2 / 3 + 1e-9, (1 - 3e-9) / 3 + 1e-9, 1e-9],
+                               rtol=1e-15, atol=0)
 
 
 def test_estimate_half_norm_values():
@@ -120,25 +129,41 @@ def test_estimate_half_norm_values():
 
 
 def test_ridge_eta_two_phase_values():
-    assert ridge_eta_two_phase(1, 1, 6, 1, 0.1, 0.0, epsilon=0.0) == pytest.approx(1.0, abs=1e-15)
+    assert ridge_eta_two_phase(1, 6, 1, 0.0, 0.0) == pytest.approx(1.0, abs=1e-15)
     # a huge half norm hands the choice to the moment-free branch
     k, d, m2 = 2, 5, 50
-    assert ridge_eta_two_phase(10, m2, k, d, 0.1, 1e9) == pytest.approx(
+    assert ridge_eta_two_phase(m2, k, d, 1e9, 5 * math.log(100) / 30) == pytest.approx(
         math.sqrt(k / (6 * d * m2)), abs=1e-15
     )
     # vanishing width recovers the known-half-norm rate when it is better
     h = 0.04
     expected = max(math.sqrt(k / (6 * d * m2)), math.sqrt(k / (m2 * (2 * h + k))))
-    assert ridge_eta_two_phase(1, m2, k, d, 0.1, h, epsilon=0.0) == pytest.approx(expected, abs=1e-15)
+    assert ridge_eta_two_phase(m2, k, d, h, 0.0) == pytest.approx(expected, abs=1e-15)
 
 
 def test_ridge_eta_two_phase_max_of_branches():
     k, d, m2, delta = 3, 4, 25, 0.1
     for m1, h in ((5, 0.2), (500, 1.3), (2, 7.0)):
-        eps = d * math.log(2 * d / delta) / ((k + 1) * m1)
+        eps = d * math.log(2 * d / delta) / (k * m1)
         bracket = 2 * h + 2 * math.sqrt(5 / 3) * d * math.sqrt(h) * math.sqrt(eps) + k
         expected = max(math.sqrt(k / (6 * d * m2)), math.sqrt(k / (m2 * bracket)))
-        assert ridge_eta_two_phase(m1, m2, k, d, delta, h) == pytest.approx(expected, abs=1e-15)
+        assert ridge_eta_two_phase(m2, k, d, h, eps) == pytest.approx(expected, abs=1e-15)
+
+
+def test_lasso_eta_two_phase_forms():
+    k, d, b, m2 = 2, 3, 1.5, 40
+    # epsilon at its cap with an empty table
+    expected = math.sqrt(k * math.log(2 * d) / (20 * b * b * m2 * (20 * d + k)))
+    assert lasso_eta_two_phase(m2, k, d, np.zeros(d), b, 1.0) == pytest.approx(expected, abs=1e-15)
+    # a vanishing width gives the known-moments form with A in place of E[x^2]
+    a = np.array([0.2, 0.1, 0.05])
+    limit = math.sqrt(k * math.log(2 * d) / (20 * b * b * m2 * (8 * a.sum() + k)))
+    assert lasso_eta_two_phase(m2, k, d, a, b, epsilon(d, 0.1, k, 10**12, Regime.LINF)) == pytest.approx(
+        limit, rel=1e-6
+    )
+    assert lasso_eta_two_phase(m2, k, d, a, b, 0.0) == pytest.approx(limit, abs=1e-15)
+    with pytest.raises(ValueError, match="norm bound must be positive"):
+        lasso_eta_two_phase(m2, k, d, a, 0.0, 0.1)
 
 
 def test_two_phase_budget_per_phase():
@@ -188,7 +213,6 @@ def test_two_phase_lasso_empty_phase1_uses_cap():
     config = TwoPhaseConfig(m1=0, m2=80, b=2.0, k=1, regime=Regime.LINF)
     result = run_two_phase(ds, config, 3)
     assert result.info["epsilon"] == 1.0
-    assert result.info["epsilon_capped"]
     # an all-zero table plus full smoothing samples uniformly
     np.testing.assert_allclose(result.info["smoothed_q"], [0.2] * 5, atol=1e-9)
 
@@ -239,6 +263,27 @@ def test_warm_start_tables_only_point_draws():
         assert result.info["phase1_budget"] == m1 * (k + n_inner)
 
 
+def test_epsilon_counts_the_tabled_point_draws():
+    """eps = d ln(2d/delta) / (k m1) counts the k point draws the table
+    holds per example, not the k + n_inner draws phase 1 reads, and the
+    step size and q of phase 2 use that eps."""
+    d, m1, m2, k, n_inner, delta, b = 10, 200, 50, 2, 3, 0.1, 2.0
+    by_hand = d * math.log(2 * d / delta) / (k * m1)
+    assert by_hand == pytest.approx(0.1325, abs=1e-4)
+    for regime in (Regime.L2, Regime.LINF):
+        ds = make_dataset(d, m1 + m2, 19, regime)
+        config = TwoPhaseConfig(m1=m1, m2=m2, b=b, k=k, regime=regime, n_inner=n_inner, epsilon_override=None)
+        info = run_two_phase(ds, config, 10).info
+        eps, a = info["epsilon"], info["moment_table"].A
+        assert eps == pytest.approx(by_hand, rel=1e-12)
+        if regime == Regime.L2:
+            assert info["half_norm_estimate"] == estimate_half_norm(a, eps)
+            assert info["eta"] == ridge_eta_two_phase(m2, k, d, info["half_norm_estimate"], eps)
+        else:
+            assert info["eta"] == lasso_eta_two_phase(m2, k, d, a, b, eps)
+        np.testing.assert_array_equal(info["smoothed_q"], smoothed_q(a, eps, regime).probabilities)
+
+
 def test_two_phase_deterministic():
     ds = make_dataset(5, 100, 18, Regime.L2)
     config = TwoPhaseConfig(m1=20, m2=80, b=2.0, k=2, regime=Regime.L2)
@@ -248,18 +293,20 @@ def test_two_phase_deterministic():
 
 
 def test_half_norm_upper_bounds_with_high_probability():
-    # small-scale check of the one-sided confidence property; the full
-    # sandwich lives in the acceptance suite
-    d, m1, k, delta = 5, 100, 3, 0.1
+    # small-scale check of the one-sided confidence property on the warm
+    # start's tables; the full sandwich lives in the acceptance suite
+    d, m1, n_point, delta = 5, 100, 4, 0.1
     u = power_law_means(d, -1.0, Regime.LINF)
     truth = norm(u, 0.5)  # binary entries keep E[x^2] = u in the Linf regime
+    eps = d * math.log(2 * d / delta) / (n_point * m1)
+    config = TwoPhaseConfig(m1=m1, m2=1, b=1.0, k=n_point, regime=Regime.LINF, n_inner=1)
     hits = 0
     runs = 200
     for r in range(runs):
-        ds = generate_dataset(u, np.zeros(d), m1, Regime.LINF, 1000 + r)
-        table = estimate_moments(ds, k, seed=2000 + r)
-        eps = epsilon(d, delta, k, m1, Regime.LINF).epsilon
-        if estimate_half_norm(table.A, eps) >= truth:
+        ds = generate_dataset(u, np.zeros(d), m1 + 1, Regime.LINF, 1000 + r)
+        result = run_two_phase(ds, config, 2000 + r)
+        assert result.info["epsilon"] == pytest.approx(eps, rel=1e-12)
+        if estimate_half_norm(result.info["moment_table"].A, eps) >= truth:
             hits += 1
     assert hits / runs >= 0.88
 
