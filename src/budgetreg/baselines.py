@@ -3,10 +3,10 @@
 Online ridge (with a fixed or an AdaGrad step) and lasso with exact
 gradients, and a multi-pass projected descent for the offline empirical
 risk minimizer.  Every baseline observes all d attributes of each
-training example, so its budget is m*d.
+training example, so its budget is m*d.  The online baselines are steps
+of ``estimator.run_pass`` with ``q=None`` (no draws, so the seed is a
+fixed 0) that feed the exact gradient to the budgeted solvers' updates.
 """
-
-import math
 
 import numpy as np
 
@@ -17,8 +17,9 @@ from .core import (
     project_l1_ball,
     project_l2_ball,
 )
-from .estimator import adagrad_rate
+from .estimator import SolverConfig, run_pass
 from .solver_lasso import EGState, eg_update, eg_weights
+from .solver_ridge import RidgeState, l2_step
 
 __all__ = [
     "online_ridge_full",
@@ -29,6 +30,22 @@ __all__ = [
 _GRAD_TOL = 1e-8
 
 
+def _ridge_full_step(state, x, y, config, rng):
+    state.sum_w += state.w
+    # gradient as values, phi = 1: eta * g rounds as the ogd-full fingerprint pins
+    l2_step(state, slice(None), 1.0, (float(state.w @ x) - y) * x, config)
+    state.steps += 1
+    state.attributes_consumed += x.size
+
+
+def _lasso_full_step(state, x, y, config, rng):
+    w = eg_weights(state, config.b)
+    state.sum_w += w
+    eg_update(state, slice(None), (float(w @ x) - y) * x, config.eta)
+    state.steps += 1
+    state.attributes_consumed += x.size
+
+
 def online_ridge_full(dataset, b, eta, adagrad=False):
     """Projected OGD on exact gradients; the full-information ridge baseline.
 
@@ -37,49 +54,14 @@ def online_ridge_full(dataset, b, eta, adagrad=False):
     step is per coordinate, eta / sqrt(DELTA_ADA + sum of squared
     gradients), as in the budgeted solvers.
     """
-    if len(dataset) == 0:
-        raise ValueError("empty dataset")
-    if dataset.regime is not None and dataset.regime != Regime.L2:
-        raise ValueError("ridge baseline requires L2-regime data")
-    if b <= 0 or eta <= 0:
-        raise ValueError("b and eta must be positive")
-    d = dataset.dimension
-    w = np.zeros(d)
-    sum_w = np.zeros(d)
-    accum = np.zeros(d)
-    xs, ys = dataset.x, dataset.y
-    for t in range(len(dataset)):
-        sum_w += w
-        g = (float(w @ xs[t]) - float(ys[t])) * xs[t]
-        rate = adagrad_rate(accum, slice(None), g, eta) if adagrad else eta
-        w = w - rate * g
-        nrm = math.sqrt(float(np.dot(w, w)))
-        if nrm > b:
-            w *= b / nrm
-    predictor = Predictor(sum_w / len(dataset), b, Regime.L2)
-    return RunResult(predictor, len(dataset) * d, 0, {"final_w": w})
+    config = SolverConfig(b=b, eta=eta, q=None, initial_w=np.zeros(dataset.dimension), adagrad=adagrad)
+    return run_pass(dataset, config, 0, Regime.L2, RidgeState.initial, _ridge_full_step)
 
 
 def online_lasso_full(dataset, b, eta):
     """Exponentiated gradient on exact gradients; the full-information lasso baseline."""
-    if len(dataset) == 0:
-        raise ValueError("empty dataset")
-    if dataset.regime is not None and dataset.regime != Regime.LINF:
-        raise ValueError("lasso baseline requires Linf-regime data")
-    if b <= 0 or eta <= 0:
-        raise ValueError("b and eta must be positive")
-    d = dataset.dimension
-    state = EGState.initial(d)
-    all_idx = np.arange(d)
-    xs, ys = dataset.x, dataset.y
-    for t in range(len(dataset)):
-        w = eg_weights(state, b)
-        state.sum_w += w
-        g = (float(w @ xs[t]) - float(ys[t])) * xs[t]
-        eg_update(state, all_idx, g, eta)
-        state.steps += 1
-    predictor = Predictor(state.sum_w / state.steps, b, Regime.LINF)
-    return RunResult(predictor, len(dataset) * d, 0, {"final_w": eg_weights(state, b)})
+    config = SolverConfig(b=b, eta=eta, q=None)
+    return run_pass(dataset, config, 0, Regime.LINF, EGState.initial, _lasso_full_step)
 
 
 def offline_erm(dataset, b, regime, passes=1000):

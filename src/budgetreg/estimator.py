@@ -12,6 +12,7 @@ draw of x~ and phi per step, one step rule (fixed eta or AdaGrad), and
 one single-pass loop.  Only the geometry of the update is theirs.
 """
 
+import math
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -66,7 +67,7 @@ class SolverConfig:
 
     b: float
     eta: float
-    q: AttributeDistribution
+    q: AttributeDistribution | None  # None: no sampling, every attribute is read
     n_point: int = 1
     n_inner: int = 1
     moments: np.ndarray | None = None  # weighting for the improved p; None: standard p
@@ -75,15 +76,19 @@ class SolverConfig:
     root_moments: np.ndarray | None = field(default=None, init=False, repr=False)  # set by validate
 
     def validate(self, d):
-        if self.b <= 0:
-            raise ValueError("norm bound must be positive")
-        if self.eta <= 0:
-            raise ValueError("step size must be positive")
+        if not 0 < self.b < math.inf:
+            raise ValueError("norm bound must be positive and finite")
+        if not 0 < self.eta < math.inf:
+            raise ValueError("step size must be positive and finite")
         if self.n_point < 1 or self.n_inner < 1:
             raise ValueError("need at least one draw per estimate")
-        if self.q.dimension != d:
+        if self.q is not None and self.q.dimension != d:
             raise ValueError("sampling distribution dimension mismatch")
         self.root_moments = None if self.moments is None else moment_roots(self.moments, d)
+
+    def require_q(self):
+        if self.q is None:
+            raise ValueError("a budgeted solver needs a sampling distribution q, got q=None")
 
 
 def estimate_from_indices(x, q, indices):

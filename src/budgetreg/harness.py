@@ -308,6 +308,13 @@ class ExperimentConfig:
             raise ValueError("phase-1 fraction must lie in (0, 1)")
         if self.seed < 0:
             raise ValueError("seed must be nonnegative")
+        if not 0.0 < self.delta < 1.0:
+            raise ValueError("delta must lie in (0, 1)")
+        eps = self.epsilon_override
+        if eps is not None and (isinstance(eps, bool) or not isinstance(eps, (int, float)) or not 0 <= eps < math.inf):
+            raise ValueError("epsilon_override must be null or a finite number >= 0")
+        if not isinstance(self.improved_p, bool):
+            raise ValueError("improved_p must be true or false")
 
 
 @dataclass

@@ -123,6 +123,7 @@ def gaelr_step(state, x, y, config, rng, point_estimate=None):
 
 def run_gaelr(dataset, config, seed):
     """Single ordered pass over the dataset; returns the averaged predictor."""
+    config.require_q()
     return run_pass(dataset, config, seed, Regime.LINF, EGState.initial, gaelr_step)
 
 

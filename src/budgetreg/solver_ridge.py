@@ -50,32 +50,38 @@ class RidgeState:
         return cls(w=w0, sum_w=np.zeros(d), accum=np.zeros(d) if config.adagrad else None)
 
 
+def l2_step(state, indices, phi, values, config):
+    """Step along -phi * values at ``indices``, then project onto the L2 ball of radius b."""
+    w = state.w
+    # the two rules round differently on purpose: rate * (phi x~) per
+    # coordinate, (eta phi) * x~ for the fixed step; the fixed-seed
+    # fingerprints pin both
+    if config.adagrad:
+        g = phi * values
+        w[indices] -= adagrad_rate(state.accum, indices, g, config.eta) * g
+    else:
+        w[indices] -= config.eta * phi * values
+    nrm = math.sqrt(float(np.dot(w, w)))
+    if nrm > config.b:
+        w *= config.b / nrm
+
+
 def gaerr_step(state, x, y, config, rng, point_estimate=None):
     """One budgeted OGD step; mutates and returns the state.
 
     draw_step averages the pre-update iterate, charges the budget and
-    draws x~ and phi; this step moves along -phi x~ and projects back
-    onto the L2 ball of radius b.
+    draws x~ and phi; l2_step moves along -phi x~ and projects back onto
+    the L2 ball of radius b.
     """
-    w = state.w
-    est, phi = draw_step(state, w, x, y, config, rng, Regime.L2, point_estimate)
+    est, phi = draw_step(state, state.w, x, y, config, rng, Regime.L2, point_estimate)
     if phi != 0.0:
-        # the two rules round differently on purpose: rate * (phi x~) per
-        # coordinate, (eta phi) * x~ for the fixed step; the fixed-seed
-        # fingerprints pin both
-        if config.adagrad:
-            g = phi * est.values
-            w[est.indices] -= adagrad_rate(state.accum, est.indices, g, config.eta) * g
-        else:
-            w[est.indices] -= config.eta * phi * est.values
-        nrm = math.sqrt(float(np.dot(w, w)))
-        if nrm > config.b:
-            w *= config.b / nrm
+        l2_step(state, est.indices, phi, est.values, config)
     return state
 
 
 def run_gaerr(dataset, config, seed):
     """Single ordered pass over the dataset; returns the averaged predictor."""
+    config.require_q()
     return run_pass(dataset, config, seed, Regime.L2, RidgeState.initial, gaerr_step)
 
 

@@ -91,8 +91,8 @@ def smoothed_q(a, eps, regime):
     at eps = 0 gives the uniform distribution.
     """
     a = np.asarray(a, dtype=float)
-    if eps < 0:
-        raise ValueError("negative smoothing width")
+    if not 0.0 <= eps < math.inf:
+        raise ValueError("negative smoothing width" if eps < 0 else f"smoothing width must be finite, got {eps}")
     shifted = a + 13.0 * eps / 6.0
     if not np.any(shifted > 0):
         return uniform_distribution(a.size)
@@ -196,8 +196,6 @@ def run_two_phase(dataset, config, seed):
     """
     config.validate()
     ridge = config.regime == Regime.L2
-    if dataset.regime is not None and dataset.regime != config.regime:
-        raise ValueError("dataset regime does not match configuration")
     if config.m1 + config.m2 > len(dataset):
         raise ValueError("phase sizes exceed the dataset")
     d = dataset.dimension

@@ -180,6 +180,17 @@ def test_experiment_rejects_unknown_keys(tmp_path):
     assert "error: invalid config keys: typo" in proc.stderr
 
 
+@pytest.mark.parametrize("key, value", [("delta", 1.5), ("epsilon_override", float("nan")), ("improved_p", "false")])
+def test_experiment_rejects_two_phase_settings_before_running(tmp_path, key, value):
+    config = experiment_config(tmp_path, algorithms=["2p-ddaerr"], eta_grid=None, **{key: value})
+    out = tmp_path / "out"
+    proc = run_cli("experiment", "--config", config, "--out-dir", out, "--workers", 1)
+    assert proc.returncode == 1
+    assert f"error: {key} must" in proc.stderr
+    assert "running" not in proc.stderr
+    assert not out.exists()
+
+
 def test_experiment_worker_count_invisible(tmp_path):
     config = experiment_config(tmp_path)
     one, two = tmp_path / "w1", tmp_path / "w2"

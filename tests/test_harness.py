@@ -210,6 +210,33 @@ def test_config_rejects_step_sizes_and_norm_bounds_that_are_not_finite_and_posit
         ExperimentConfig.from_dict({**raw, key: value})
 
 
+@pytest.mark.parametrize("key, value, message", [
+    ("delta", 0.0, "delta must lie in"),
+    ("delta", 1.0, "delta must lie in"),
+    ("delta", 1.5, "delta must lie in"),
+    ("delta", math.nan, "delta must lie in"),
+    ("epsilon_override", -1.0, "epsilon_override must be"),
+    ("epsilon_override", math.nan, "epsilon_override must be"),
+    ("epsilon_override", math.inf, "epsilon_override must be"),
+    ("epsilon_override", "0.1", "epsilon_override must be"),
+    ("epsilon_override", True, "epsilon_override must be"),
+    ("improved_p", "false", "improved_p must be true or false"),
+    ("improved_p", 0, "improved_p must be true or false"),
+    ("improved_p", None, "improved_p must be true or false"),
+])
+def test_config_rejects_two_phase_settings_out_of_range(key, value, message):
+    raw = {"algorithms": ["2p-ddaerr"], "regime": "l2", "prefixes": [50], "k": 2, "dim": 5, "alpha": -1.0}
+    with pytest.raises(ValueError, match=message):
+        ExperimentConfig.from_dict({**raw, key: value})
+
+
+def test_config_accepts_two_phase_settings_in_range():
+    raw = {"algorithms": ["2p-ddaerr"], "regime": "l2", "prefixes": [50], "k": 2, "dim": 5, "alpha": -1.0}
+    for extra in ({"delta": 0.5}, {"epsilon_override": None}, {"epsilon_override": 0}, {"epsilon_override": 0.25},
+                  {"improved_p": False}):
+        ExperimentConfig.from_dict({**raw, **extra})
+
+
 def small_config(**overrides):
     base = dict(
         algorithms=["aerr", "ddaerr", "ogd-full"],

@@ -110,6 +110,9 @@ def test_smoothed_q_degenerate():
     np.testing.assert_allclose(q.probabilities, [1 / 3] * 3)
     with pytest.raises(ValueError, match="negative smoothing width"):
         smoothed_q(np.ones(3), -0.1, Regime.L2)
+    for eps in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="smoothing width must be finite"):
+            smoothed_q(np.ones(3), eps, Regime.L2)
 
 
 def test_smoothed_q_floor_lifts_zeros():
@@ -204,7 +207,7 @@ def test_two_phase_config_errors():
     with pytest.raises(ValueError, match="phase sizes exceed the dataset"):
         run_two_phase(ds, TwoPhaseConfig(m1=40, m2=20, b=1.0, k=1, regime=Regime.L2), 0)
     linf = make_dataset(4, 50, 10, Regime.LINF)
-    with pytest.raises(ValueError, match="regime does not match"):
+    with pytest.raises(ValueError, match="requires L2-regime data"):
         run_two_phase(linf, TwoPhaseConfig(m1=10, m2=10, b=1.0, k=1, regime=Regime.L2), 0)
 
 
