@@ -255,6 +255,8 @@ class ExperimentConfig:
     improved_p: bool = True
 
     _REQUIRED = ("algorithms", "regime", "prefixes", "k")
+    _INTEGERS = ("k", "dim", "repeats", "folds", "seed")
+    _REALS = ("alpha", "budget_split", "m1_fraction", "test_fraction", "delta", "b")
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
@@ -275,6 +277,14 @@ class ExperimentConfig:
                 for f in fields(self)}
 
     def validate(self):
+        for key in self._INTEGERS:
+            value = getattr(self, key)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"{key} must be an integer, got {value!r}")
+        for key in self._REALS:
+            value = getattr(self, key)
+            if not (key == "b" and value is None) and not _is_real(value):
+                raise ValueError(f"{key} must be a number, got {value!r}")
         if not self.algorithms:
             raise ValueError("no algorithms configured")
         for algo in self.algorithms:
@@ -311,10 +321,15 @@ class ExperimentConfig:
         if not 0.0 < self.delta < 1.0:
             raise ValueError("delta must lie in (0, 1)")
         eps = self.epsilon_override
-        if eps is not None and (isinstance(eps, bool) or not isinstance(eps, (int, float)) or not 0 <= eps < math.inf):
+        if eps is not None and (not _is_real(eps) or not 0 <= eps < math.inf):
             raise ValueError("epsilon_override must be null or a finite number >= 0")
         if not isinstance(self.improved_p, bool):
             raise ValueError("improved_p must be true or false")
+
+
+def _is_real(value):
+    """An int or a float, but not a bool: what a JSON number loads as."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 @dataclass

@@ -2,10 +2,15 @@
 
 The file format is deliberately rigid: comma-separated ASCII decimal
 numbers, an optional single header line, one label column addressed by
-index.  No quoting or escapes.  Scaling factors are always fit on a
-training split and reapplied verbatim to test data; test examples that
-land outside the ball after scaling are rescaled onto the boundary and
-counted.
+index.  No quoting, escapes or comments.  A cell is a decimal number with
+an optional sign, decimal point and exponent (``-1.5e-3``, ``.5``, ``7.``),
+optionally surrounded by spaces or tabs; digit-group underscores (``1_0``)
+are refused, and ``nan``/``inf`` parse but are refused as non-finite.
+Empty lines are skipped; numbers are parsed by numpy's C reader.
+
+Scaling factors are always fit on a training split and reapplied
+verbatim to test data; test examples that land outside the ball after
+scaling are rescaled onto the boundary and counted.
 """
 
 from dataclasses import dataclass, field
@@ -31,33 +36,23 @@ def load_csv(path, has_header=False, label_column=-1):
     with open(path, "r", encoding="ascii") as fh:
         lines = fh.read().splitlines()
     start = 1 if has_header else 0
-    rows = []
-    width = None
-    for lineno, line in enumerate(lines, start=1):
-        if lineno == 1 and has_header:
-            continue
-        if line == "":
-            continue
-        cells = line.split(",")
-        if width is None:
-            width = len(cells)
-            if width < 2:
-                raise ValueError(f"row {lineno}: need at least one attribute and a label")
-        elif len(cells) != width:
-            raise ValueError(f"row {lineno}: expected {width} columns, found {len(cells)}")
-        try:
-            rows.append([float(c) for c in cells])
-        except ValueError:
-            bad = next(c for c in cells if not _is_number(c))
-            raise ValueError(f"row {lineno}: non-numeric value {bad!r}") from None
-    if not rows:
+    numbers = [n for n, line in enumerate(lines, start=1) if line != "" and n > start]
+    if not numbers:
         raise ValueError("empty file: no data rows")
-    data = np.asarray(rows, dtype=float)
+    rows = [lines[n - 1] for n in numbers]
+    if any("\x1f" in row for row in rows):  # numpy strips \x1f around a cell as a blank; float() refuses it
+        _check_rows(rows, numbers)
+    try:
+        data = np.loadtxt(rows, delimiter=",", comments=None, ndmin=2)
+    except ValueError:
+        _check_rows(rows, numbers)
+        raise
+    if data.shape[1] < 2:
+        raise ValueError(f"row {numbers[0]}: need at least one attribute and a label")
     finite = np.isfinite(data)
     if not finite.all():
         row, col = np.argwhere(~finite)[0]
-        lineno = [n for n, line in enumerate(lines, start=1) if line != "" and n > start][row]
-        raise ValueError(f"row {lineno}: non-finite value {lines[lineno - 1].split(',')[col]!r}")
+        raise ValueError(f"row {numbers[row]}: non-finite value {rows[row].split(',')[col]!r}")
     label = label_column if label_column >= 0 else data.shape[1] + label_column
     if not 0 <= label < data.shape[1]:
         raise ValueError(f"label column {label_column} out of range for {data.shape[1]} columns")
@@ -66,7 +61,24 @@ def load_csv(path, has_header=False, label_column=-1):
     return Dataset(x, y, None)
 
 
+def _check_rows(rows, numbers):
+    """Raise the first malformed row's error, in file order; return if none is found."""
+    width = len(rows[0].split(","))
+    if width < 2:
+        raise ValueError(f"row {numbers[0]}: need at least one attribute and a label")
+    for lineno, line in zip(numbers, rows):
+        cells = line.split(",")
+        if len(cells) != width:
+            raise ValueError(f"row {lineno}: expected {width} columns, found {len(cells)}")
+        bad = next((c for c in cells if not _is_number(c)), None)
+        if bad is not None:
+            raise ValueError(f"row {lineno}: non-numeric value {bad!r}")
+
+
 def _is_number(cell):
+    """The cell syntax numpy's parser accepts: float()'s, without digit-group underscores."""
+    if "_" in cell:
+        return False
     try:
         float(cell)
         return True

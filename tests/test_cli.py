@@ -180,7 +180,8 @@ def test_experiment_rejects_unknown_keys(tmp_path):
     assert "error: invalid config keys: typo" in proc.stderr
 
 
-@pytest.mark.parametrize("key, value", [("delta", 1.5), ("epsilon_override", float("nan")), ("improved_p", "false")])
+@pytest.mark.parametrize("key, value", [("delta", 1.5), ("epsilon_override", float("nan")), ("improved_p", "false"),
+                                        ("delta", "0.5"), ("repeats", "3"), ("folds", 3.5), ("m1_fraction", None)])
 def test_experiment_rejects_two_phase_settings_before_running(tmp_path, key, value):
     config = experiment_config(tmp_path, algorithms=["2p-ddaerr"], eta_grid=None, **{key: value})
     out = tmp_path / "out"

@@ -223,6 +223,24 @@ def test_config_rejects_step_sizes_and_norm_bounds_that_are_not_finite_and_posit
     ("improved_p", "false", "improved_p must be true or false"),
     ("improved_p", 0, "improved_p must be true or false"),
     ("improved_p", None, "improved_p must be true or false"),
+    ("k", "2", "k must be an integer, got '2'"),
+    ("k", 2.0, "k must be an integer, got 2.0"),
+    ("k", True, "k must be an integer, got True"),
+    ("dim", "5", "dim must be an integer"),
+    ("repeats", "3", "repeats must be an integer"),
+    ("repeats", None, "repeats must be an integer, got None"),
+    ("folds", 3.5, "folds must be an integer, got 3.5"),
+    ("seed", None, "seed must be an integer"),
+    ("seed", "1", "seed must be an integer"),
+    ("alpha", "-1", "alpha must be a number, got '-1'"),
+    ("alpha", False, "alpha must be a number, got False"),
+    ("budget_split", "0.5", "budget_split must be a number"),
+    ("m1_fraction", None, "m1_fraction must be a number, got None"),
+    ("test_fraction", "0.2", "test_fraction must be a number"),
+    ("delta", "0.5", "delta must be a number"),
+    ("delta", None, "delta must be a number"),
+    ("b", "1", "b must be a number"),
+    ("b", True, "b must be a number"),
 ])
 def test_config_rejects_two_phase_settings_out_of_range(key, value, message):
     raw = {"algorithms": ["2p-ddaerr"], "regime": "l2", "prefixes": [50], "k": 2, "dim": 5, "alpha": -1.0}
@@ -233,7 +251,7 @@ def test_config_rejects_two_phase_settings_out_of_range(key, value, message):
 def test_config_accepts_two_phase_settings_in_range():
     raw = {"algorithms": ["2p-ddaerr"], "regime": "l2", "prefixes": [50], "k": 2, "dim": 5, "alpha": -1.0}
     for extra in ({"delta": 0.5}, {"epsilon_override": None}, {"epsilon_override": 0}, {"epsilon_override": 0.25},
-                  {"improved_p": False}):
+                  {"improved_p": False}, {"prefixes": ["50", 60], "eta_grid": ["0.1", 0.2], "alpha": -1, "b": 2}):
         ExperimentConfig.from_dict({**raw, **extra})
 
 
