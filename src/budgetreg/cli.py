@@ -85,8 +85,8 @@ def _cmd_ratios(args):
         "half_norm": float(norm(moments, 0.5)),
         "l1_norm": float(norm(moments, 1)),
         "linf_norm": float(norm(moments, float("inf"))),
-        "rho_ridge": improvement_ratio(moments, "ridge"),
-        "rho_lasso": improvement_ratio(moments, "lasso"),
+        "rho_ridge": improvement_ratio(moments, Regime.L2),
+        "rho_lasso": improvement_ratio(moments, Regime.LINF),
     }))
 
 

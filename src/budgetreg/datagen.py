@@ -132,19 +132,16 @@ def binary_l2_moments(u):
     return out
 
 
-def improvement_ratio(moments, kind):
+def improvement_ratio(moments, regime):
     """Variance-improvement ratio of moment-optimal over uniform sampling.
 
-    kind "ridge" (or Regime.L2): ||m||_{1/2} / (d * ||m||_1).
-    kind "lasso" (or Regime.LINF): ||m||_1 / (d * ||m||_inf).
+    Regime.L2 (ridge): ||m||_{1/2} / (d * ||m||_1).
+    Regime.LINF (lasso): ||m||_1 / (d * ||m||_inf).
     Values lie in (0, 1]; small values mean uneven moments and large gains.
     """
     m = checked_moments(moments)
-    if isinstance(kind, Regime):
-        kind = "ridge" if kind == Regime.L2 else "lasso"
+    regime = Regime(regime)
     d = m.size
-    if kind == "ridge":
+    if regime == Regime.L2:
         return norm(m, 0.5) / (d * norm(m, 1))
-    if kind == "lasso":
-        return norm(m, 1) / (d * norm(m, float("inf")))
-    raise ValueError(f"unknown ratio kind {kind!r}")
+    return norm(m, 1) / (d * norm(m, float("inf")))

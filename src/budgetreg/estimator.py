@@ -111,12 +111,11 @@ def estimate_from_indices(x, q, indices):
 
 
 def estimate_point(x, q, draws):
-    """Sparse unbiased estimate of x from len(draws) sampled attributes.
+    """Sparse unbiased estimate of x from an array of draws, one attribute each.
 
     Each draw observes one attribute value; observing a zero still
     consumes budget.  Unbiasedness needs q_i > 0 wherever x_i != 0.
     """
-    draws = np.atleast_1d(np.asarray(draws, dtype=float))
     idx = sample_index(q, draws)
     return estimate_from_indices(x, q, idx)
 

@@ -293,8 +293,9 @@ class ExperimentConfig:
                 raise ValueError(f"unknown algorithm: {algo}")
             if spec.regime is not None and spec.regime != self.regime:
                 raise ValueError(f"{algo} requires {spec.regime.value} data")
-        if not self.prefixes or any(int(m) < 1 for m in self.prefixes):
-            raise ValueError("prefixes must be positive")
+        prefixes = _entries("prefixes", self.prefixes, int, "a non-empty list of integers")
+        if min(prefixes) < 1 or len(set(prefixes)) < len(prefixes):
+            raise ValueError(f"prefixes must be positive and distinct, got {self.prefixes!r}")
         budgeted = any(ALGORITHMS[a].budgeted for a in self.algorithms)
         if budgeted and self.k < 1:
             raise ValueError("k must be at least 1")
@@ -306,10 +307,10 @@ class ExperimentConfig:
             raise ValueError("repeats must be positive")
         if self.folds < 2:
             raise ValueError("need at least two folds")
-        if self.eta_grid is not None and len(self.eta_grid) == 0:
-            raise ValueError("empty step-size grid")
-        if self.eta_grid is not None and not all(0 < float(eta) < math.inf for eta in self.eta_grid):
-            raise ValueError("eta_grid entries must be finite and positive")
+        if self.eta_grid is not None:
+            grid = _entries("eta_grid", self.eta_grid, float, "null or a non-empty list of numbers")
+            if not all(0 < eta < math.inf for eta in grid):
+                raise ValueError("eta_grid entries must be finite and positive")
         if self.b is not None and not 0 < self.b < math.inf:
             raise ValueError("b must be finite and positive")
         if not 0.0 < self.test_fraction < 1.0:
@@ -330,6 +331,16 @@ class ExperimentConfig:
 def _is_real(value):
     """An int or a float, but not a bool: what a JSON number loads as."""
     return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _entries(key, value, parse, what):
+    """A non-empty list's entries read by ``parse`` (int or float): its numbers or strings, never booleans."""
+    kinds = (str, int, float) if parse is float else (str, int)
+    listed = isinstance(value, (list, tuple)) and all(isinstance(v, kinds) and not isinstance(v, bool) for v in value)
+    with contextlib.suppress(ValueError, OverflowError):
+        if listed and value:
+            return [parse(v) for v in value]
+    raise ValueError(f"{key} must be {what}, got {value!r}")
 
 
 @dataclass
@@ -376,7 +387,7 @@ def _materialize(config):
         test = scaler.transform(raw.subset(perm[:test_size]))
         b = config.b if config.b is not None else float(np.abs(pool.y).max())
     else:
-        need = int(max(config.prefixes))
+        need = max(map(int, config.prefixes))
         total = int(math.ceil(need / (1.0 - config.test_fraction)))
         while total - max(1, int(round(config.test_fraction * total))) < need:
             total += 1
@@ -442,7 +453,7 @@ def run_experiment(config, workers: int = 1) -> ExperimentResult:
     if workers < 1:
         raise ValueError("workers must be positive")
     pool, test, b, moments = _materialize(config)
-    if int(max(config.prefixes)) > len(pool):
+    if max(map(int, config.prefixes)) > len(pool):
         raise ValueError("prefix exceeds the available training examples")
     n_point, n_inner = (1, 1)
     if any(ALGORITHMS[a].budgeted for a in config.algorithms):

@@ -1,12 +1,12 @@
 """CSV loading and ball normalization.
 
-The file format is deliberately rigid: comma-separated ASCII decimal
-numbers, an optional single header line, one label column addressed by
-index.  No quoting, escapes or comments.  A cell is a decimal number with
-an optional sign, decimal point and exponent (``-1.5e-3``, ``.5``, ``7.``),
-optionally surrounded by spaces or tabs; digit-group underscores (``1_0``)
-are refused, and ``nan``/``inf`` parse but are refused as non-finite.
-Empty lines are skipped; numbers are parsed by numpy's C reader.
+The file format is deliberately rigid, the one ``write_csv`` writes:
+comma-separated ASCII decimal numbers, label last, no header line, no
+quoting, escapes or comments.  A cell is a decimal number with an
+optional sign, decimal point and exponent (``-1.5e-3``, ``.5``, ``7.``),
+optionally surrounded by spaces or tabs; digit-group underscores
+(``1_0``) are refused, and ``nan``/``inf`` parse but are refused as
+non-finite.  Empty lines are skipped; numbers are parsed by numpy's C reader.
 
 Scaling factors are always fit on a training split and reapplied
 verbatim to test data; test examples that land outside the ball after
@@ -27,16 +27,14 @@ __all__ = [
 ]
 
 
-def load_csv(path, has_header=False, label_column=-1):
-    """Rectangular numeric CSV -> raw Dataset (no regime attached).
-
-    Row numbers in error messages are 1-based file line numbers, header
-    included.  Cells that parse as nan or +-inf are rejected.
+def load_csv(path):
+    """Rectangular numeric CSV, label last -> raw Dataset whose x and y are
+    views of the one parsed table (no regime attached).  Row numbers in
+    errors are 1-based file line numbers; nan and +-inf cells are rejected.
     """
     with open(path, "r", encoding="ascii") as fh:
         lines = fh.read().splitlines()
-    start = 1 if has_header else 0
-    numbers = [n for n, line in enumerate(lines, start=1) if line != "" and n > start]
+    numbers = [n for n, line in enumerate(lines, start=1) if line != ""]
     if not numbers:
         raise ValueError("empty file: no data rows")
     rows = [lines[n - 1] for n in numbers]
@@ -53,12 +51,7 @@ def load_csv(path, has_header=False, label_column=-1):
     if not finite.all():
         row, col = np.argwhere(~finite)[0]
         raise ValueError(f"row {numbers[row]}: non-finite value {rows[row].split(',')[col]!r}")
-    label = label_column if label_column >= 0 else data.shape[1] + label_column
-    if not 0 <= label < data.shape[1]:
-        raise ValueError(f"label column {label_column} out of range for {data.shape[1]} columns")
-    y = data[:, label]
-    x = np.delete(data, label, axis=1)
-    return Dataset(x, y, None)
+    return Dataset(data[:, :-1], data[:, -1], None)
 
 
 def _check_rows(rows, numbers):

@@ -83,16 +83,14 @@ def uniform_distribution(d):
 
 
 def sample_index(dist, u):
-    """Map uniform draws in [0, 1) to indices by inverse CDF.
+    """Map an array of uniform draws in [0, 1) to indices by inverse CDF.
 
-    Returns the smallest index whose cumulative mass strictly exceeds u.
-    Accepts a scalar or an array of draws; zero-probability indices are
-    never returned: searching with side="right" lands on one only past the
-    end of the table, which resolves to the last index with mass.
+    Returns, per draw, the smallest index whose cumulative mass strictly
+    exceeds u, in an array of the draws' shape.  Zero-probability indices
+    are never returned: searching with side="right" lands on one only past
+    the end of the table, which resolves to the last index with mass.
     """
     idx = dist.cumulative.searchsorted(u, side="right")
-    if idx.ndim == 0:
-        return min(int(idx), dist._last)
     return np.minimum(idx, dist._last, out=idx)
 
 

@@ -65,19 +65,15 @@ def epsilon(d, delta, draws, m1, regime):
     """Confidence width d ln(2d/delta) / (draws m1); capped at 1 for lasso.
 
     ``draws`` is the number of attribute values tabled per phase-1 example
-    (the warm start's k point draws).  An empty phase 1 pins the lasso
-    width at its cap; ridge needs phase-1 data.
+    (the warm start's k point draws) and ``m1`` the number of phase-1
+    examples; both must be positive.
     """
     if d < 1:
         raise ValueError("zero dimension")
     if not 0 < delta < 1:
         raise ValueError("delta must lie in (0, 1)")
-    if draws < 1:
-        raise ValueError("draws must be positive")
-    if m1 == 0:
-        if regime == Regime.L2:
-            raise ValueError("no phase-1 data")
-        return 1.0
+    if draws < 1 or m1 < 1:
+        raise ValueError("draws and m1 must be positive")
     raw = d * math.log(2 * d / delta) / (draws * m1)
     return min(raw, 1.0) if regime == Regime.LINF else raw
 
@@ -153,8 +149,8 @@ class TwoPhaseConfig:
     def validate(self):
         if self.m2 < 1:
             raise ValueError("empty second phase")
-        if self.m1 < 0:
-            raise ValueError("negative phase-1 size")
+        if self.m1 < 1:
+            raise ValueError("empty first phase")
         if self.k < 1:
             raise ValueError("k must be positive")
         if self.b <= 0:
@@ -187,8 +183,8 @@ def _phase1_warm_start(dataset, config, table, rng):
 
 
 def run_two_phase(dataset, config, seed):
-    """Both phases on one dataset prefix: the first m1 examples feed the
-    moment table and a uniform-sampling run whose averaged output seeds
+    """Both phases on one dataset prefix: the first m1 >= 1 examples feed
+    the moment table and a uniform-sampling run whose averaged output seeds
     phase 2, the next m2 examples get the smoothed solver.
 
     epsilon_override only reshapes the sampling distribution; step sizes
@@ -202,14 +198,8 @@ def run_two_phase(dataset, config, seed):
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(np.random.SeedSequence(seed))
 
     table = MomentTable(d)
-    phase1_consumed = zero_steps_1 = fallbacks_1 = 0
-    w_start = None
-    if config.m1 > 0:  # an empty phase 1 (lasso only) runs no solver
-        phase1 = _phase1_warm_start(dataset.subset(np.arange(config.m1)), config, table, rng)
-        phase1_consumed = phase1.attributes_consumed
-        zero_steps_1, fallbacks_1 = phase1.zero_weight_steps, phase1.p_fallbacks
-        if np.any(phase1.predictor.weights != 0):
-            w_start = phase1.predictor.weights
+    phase1 = _phase1_warm_start(dataset.subset(np.arange(config.m1)), config, table, rng)
+    w_start = phase1.predictor.weights if np.any(phase1.predictor.weights != 0) else None
     a = table.A
 
     # the table holds the k point draws of each phase-1 example
@@ -239,7 +229,7 @@ def run_two_phase(dataset, config, seed):
         "epsilon": eps,
         "epsilon_for_q": eps_for_q,
         "eta": eta2,
-        "phase1_budget": phase1_consumed,
+        "phase1_budget": phase1.attributes_consumed,
         "phase2_budget": result.attributes_consumed,
         "moment_table": table,
         "smoothed_q": q2.probabilities,
@@ -248,8 +238,8 @@ def run_two_phase(dataset, config, seed):
         diagnostics["half_norm_estimate"] = half_norm
     return RunResult(
         result.predictor,
-        phase1_consumed + result.attributes_consumed,
-        zero_steps_1 + result.zero_weight_steps,
+        phase1.attributes_consumed + result.attributes_consumed,
+        phase1.zero_weight_steps + result.zero_weight_steps,
         diagnostics,
-        fallbacks_1 + result.p_fallbacks,
+        phase1.p_fallbacks + result.p_fallbacks,
     )

@@ -89,9 +89,10 @@ def test_criterion_01_improvement_ratio_reproduction():
     rows, failures = [], []
     for (kind, alpha), expected in reference.items():
         u = power_law_means(500, alpha, Regime.LINF)  # unit-max profile; rho is scale-invariant
-        value = improvement_ratio(u, kind)
+        regime = Regime.L2 if kind == "ridge" else Regime.LINF
+        value = improvement_ratio(u, regime)
         # invariance to the ball normalization, so the profile choice is immaterial
-        assert value == pytest.approx(improvement_ratio(power_law_means(500, alpha, Regime.L2), kind), rel=1e-12)
+        assert value == pytest.approx(improvement_ratio(power_law_means(500, alpha, Regime.L2), regime), rel=1e-12)
         exact = oracle[(kind, alpha)]
         if alpha == 0.0:
             ok = value == expected
@@ -320,8 +321,8 @@ def test_criterion_07_learning_curve_ordering():
                     reason="set BUDGETREG_MNIST_CSV to a 3-vs-5 digits CSV to enable")
 def test_criterion_07_mnist_ratios_optional():
     raw = load_csv(os.environ["BUDGETREG_MNIST_CSV"])
-    rho_ridge = improvement_ratio(dataset_moments(normalize(raw, Regime.L2)), "ridge")
-    rho_lasso = improvement_ratio(dataset_moments(normalize(raw, Regime.LINF)), "lasso")
+    rho_ridge = improvement_ratio(dataset_moments(normalize(raw, Regime.L2)), Regime.L2)
+    rho_lasso = improvement_ratio(dataset_moments(normalize(raw, Regime.LINF)), Regime.LINF)
     print(f"rho_ridge={rho_ridge:.3f} (expect 0.45 +- 0.05), rho_lasso={rho_lasso:.3f} (expect 0.2 +- 0.05)")
     assert abs(rho_ridge - 0.45) <= 0.05
     assert abs(rho_lasso - 0.2) <= 0.05

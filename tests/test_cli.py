@@ -181,9 +181,11 @@ def test_experiment_rejects_unknown_keys(tmp_path):
 
 
 @pytest.mark.parametrize("key, value", [("delta", 1.5), ("epsilon_override", float("nan")), ("improved_p", "false"),
-                                        ("delta", "0.5"), ("repeats", "3"), ("folds", 3.5), ("m1_fraction", None)])
+                                        ("delta", "0.5"), ("repeats", "3"), ("folds", 3.5), ("m1_fraction", None),
+                                        ("prefixes", [20.7]), ("prefixes", [True]), ("prefixes", ["20.5"]),
+                                        ("prefixes", "30"), ("prefixes", [40, 40]), ("eta_grid", [True])])
 def test_experiment_rejects_two_phase_settings_before_running(tmp_path, key, value):
-    config = experiment_config(tmp_path, algorithms=["2p-ddaerr"], eta_grid=None, **{key: value})
+    config = experiment_config(tmp_path, **{"algorithms": ["2p-ddaerr"], "eta_grid": None, key: value})
     out = tmp_path / "out"
     proc = run_cli("experiment", "--config", config, "--out-dir", out, "--workers", 1)
     assert proc.returncode == 1

@@ -126,9 +126,9 @@ def test_binary_l2_moments_edge_cases():
 
 
 def test_improvement_ratio_values():
-    assert improvement_ratio([0.3, 0.3, 0.3], "ridge") == pytest.approx(1.0, abs=1e-12)
-    assert improvement_ratio([1.0, 0.0, 0.0], "ridge") == pytest.approx(1 / 3, abs=1e-15)
-    assert improvement_ratio([0.5, 0.25, 0.25], "lasso") == pytest.approx(2 / 3, abs=1e-15)
+    assert improvement_ratio([0.3, 0.3, 0.3], Regime.L2) == pytest.approx(1.0, abs=1e-12)
+    assert improvement_ratio([1.0, 0.0, 0.0], Regime.L2) == pytest.approx(1 / 3, abs=1e-15)
+    assert improvement_ratio([0.5, 0.25, 0.25], Regime.LINF) == pytest.approx(2 / 3, abs=1e-15)
     assert improvement_ratio([0.2, 0.2], Regime.L2) == pytest.approx(1.0, abs=1e-12)
     assert improvement_ratio([0.7, 0.7, 0.7, 0.7], Regime.LINF) == pytest.approx(1.0, abs=1e-12)
 
@@ -136,14 +136,14 @@ def test_improvement_ratio_values():
 def test_improvement_ratio_scale_invariant():
     rng = np.random.default_rng(7)
     m = rng.random(6) + 0.01
-    for kind in ("ridge", "lasso"):
-        assert improvement_ratio(m * 13.7, kind) == pytest.approx(improvement_ratio(m, kind), rel=1e-12)
+    for regime in (Regime.L2, Regime.LINF):
+        assert improvement_ratio(m * 13.7, regime) == pytest.approx(improvement_ratio(m, regime), rel=1e-12)
 
 
 def test_improvement_ratio_errors():
     with pytest.raises(ValueError, match="degenerate moments"):
-        improvement_ratio([0.0, 0.0], "ridge")
-    with pytest.raises(ValueError, match="unknown ratio kind"):
-        improvement_ratio([0.5], "elastic")
+        improvement_ratio([0.0, 0.0], Regime.L2)
+    with pytest.raises(ValueError, match="'ridge' is not a valid Regime"):
+        improvement_ratio([0.5], "ridge")
     with pytest.raises(ValueError, match="zero dimension"):
-        improvement_ratio([], "ridge")
+        improvement_ratio([], Regime.L2)

@@ -241,6 +241,17 @@ def test_config_rejects_step_sizes_and_norm_bounds_that_are_not_finite_and_posit
     ("delta", None, "delta must be a number"),
     ("b", "1", "b must be a number"),
     ("b", True, "b must be a number"),
+    ("prefixes", [20.7], r"prefixes must be a non-empty list of integers, got \[20.7\]"),
+    ("prefixes", [True], r"prefixes must be a non-empty list of integers, got \[True\]"),
+    ("prefixes", ["20.5"], r"prefixes must be a non-empty list of integers, got \['20.5'\]"),
+    ("prefixes", "30", "prefixes must be a non-empty list of integers, got '30'"),
+    ("prefixes", [], r"prefixes must be a non-empty list of integers, got \[\]"),
+    ("prefixes", [40, 40], r"prefixes must be positive and distinct, got \[40, 40\]"),
+    ("prefixes", ["40", 40], "prefixes must be positive and distinct"),
+    ("eta_grid", [True], r"eta_grid must be null or a non-empty list of numbers, got \[True\]"),
+    ("eta_grid", "0.1", "eta_grid must be null or a non-empty list of numbers, got '0.1'"),
+    ("eta_grid", [0.1, "fast"], r"eta_grid must be null or a non-empty list of numbers, got \[0.1, 'fast'\]"),
+    ("eta_grid", [], r"eta_grid must be null or a non-empty list of numbers, got \[\]"),
 ])
 def test_config_rejects_two_phase_settings_out_of_range(key, value, message):
     raw = {"algorithms": ["2p-ddaerr"], "regime": "l2", "prefixes": [50], "k": 2, "dim": 5, "alpha": -1.0}
@@ -292,6 +303,12 @@ def test_run_experiment_shapes_and_budget_parity():
         xs = [p[0] for p in curve.points]
         assert xs == sorted(xs)
         assert len(curve.points) == 2
+
+
+def test_run_experiment_reads_integer_string_prefixes_as_numbers():
+    """As text "100" < "9"; the pool is sized, and each run trained, by the numbers."""
+    result = run_experiment(small_config(algorithms=["ogd-full"], prefixes=["9", "100"], repeats=1))
+    assert [(rec.m, rec.attributes_observed) for rec in result.records] == [(9, 9 * 5), (100, 100 * 5)]
 
 
 def test_run_experiment_deterministic_across_workers():

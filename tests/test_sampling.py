@@ -54,18 +54,15 @@ def test_uniform_distribution():
 
 
 def test_sample_index_examples():
-    assert sample_index(uniform_distribution(4), 0.10) == 0
-    assert sample_index(build_distribution([1.0, 0.0, 0.0]), 0.99) == 0
-    assert sample_index(build_distribution([1.0, 3.0]), 0.5) == 1
+    np.testing.assert_array_equal(sample_index(uniform_distribution(4), np.array([0.10])), [0])
+    np.testing.assert_array_equal(sample_index(build_distribution([1.0, 0.0, 0.0]), np.array([0.99])), [0])
+    np.testing.assert_array_equal(sample_index(build_distribution([1.0, 3.0]), np.array([0.5])), [1])
 
 
 def test_sample_index_segment_edges():
     q = build_distribution([1.0, 3.0])
     # cumulative = [0.25, 1.0]; the right boundary belongs to the next index
-    assert sample_index(q, 0.0) == 0
-    assert sample_index(q, 0.25 - 1e-12) == 0
-    assert sample_index(q, 0.25) == 1
-    assert sample_index(q, 1.0 - 1e-16) == 1
+    np.testing.assert_array_equal(sample_index(q, np.array([0.0, 0.25 - 1e-12, 0.25, 1.0 - 1e-16])), [0, 0, 1, 1])
 
 
 def test_sample_index_never_returns_zero_mass():
@@ -227,5 +224,5 @@ def test_step_p_equals_validated_distribution(case):
     for ui, gi in zip(draws, got):
         above = np.flatnonzero(ref.cumulative > ui)
         assert gi == (above[0] if above.size else last)
-        assert sample_index(p, float(ui)) == gi
+        assert sample_index(p, np.array([ui]))[0] == gi
         assert ref.probabilities[gi] > 0

@@ -72,12 +72,12 @@ def test_epsilon_values():
 def test_epsilon_cap_and_errors():
     assert epsilon(10, 0.1, 2, 7, Regime.LINF) == 1.0  # raw width 3.78
     assert epsilon(10, 0.1, 2, 7, Regime.L2) == pytest.approx(10 * math.log(200) / 14)
-    with pytest.raises(ValueError, match="no phase-1 data"):
-        epsilon(10, 0.1, 5, 0, Regime.L2)
-    assert epsilon(10, 0.1, 5, 0, Regime.LINF) == 1.0
+    for regime in (Regime.L2, Regime.LINF):
+        with pytest.raises(ValueError, match="draws and m1 must be positive"):
+            epsilon(10, 0.1, 5, 0, regime)
     with pytest.raises(ValueError, match="delta must lie"):
         epsilon(10, 1.5, 5, 100, Regime.L2)
-    with pytest.raises(ValueError, match="draws must be positive"):
+    with pytest.raises(ValueError, match="draws and m1 must be positive"):
         epsilon(10, 0.1, 0, 100, Regime.L2)
 
 
@@ -202,8 +202,10 @@ def test_two_phase_config_errors():
     ds = make_dataset(4, 50, 10, Regime.L2)
     with pytest.raises(ValueError, match="empty second phase"):
         run_two_phase(ds, TwoPhaseConfig(m1=10, m2=0, b=1.0, k=1, regime=Regime.L2), 0)
-    with pytest.raises(ValueError, match="no phase-1 data"):
+    with pytest.raises(ValueError, match="empty first phase"):
         run_two_phase(ds, TwoPhaseConfig(m1=0, m2=10, b=1.0, k=1, regime=Regime.L2), 0)
+    with pytest.raises(ValueError, match="empty first phase"):
+        run_two_phase(ds, TwoPhaseConfig(m1=-1, m2=10, b=1.0, k=1, regime=Regime.L2), 0)
     with pytest.raises(ValueError, match="phase sizes exceed the dataset"):
         run_two_phase(ds, TwoPhaseConfig(m1=40, m2=20, b=1.0, k=1, regime=Regime.L2), 0)
     linf = make_dataset(4, 50, 10, Regime.LINF)
@@ -211,13 +213,16 @@ def test_two_phase_config_errors():
         run_two_phase(linf, TwoPhaseConfig(m1=10, m2=10, b=1.0, k=1, regime=Regime.L2), 0)
 
 
-def test_two_phase_lasso_empty_phase1_uses_cap():
-    ds = make_dataset(5, 80, 14, Regime.LINF)
-    config = TwoPhaseConfig(m1=0, m2=80, b=2.0, k=1, regime=Regime.LINF)
-    result = run_two_phase(ds, config, 3)
-    assert result.info["epsilon"] == 1.0
-    # an all-zero table plus full smoothing samples uniformly
-    np.testing.assert_allclose(result.info["smoothed_q"], [0.2] * 5, atol=1e-9)
+def test_two_phase_refuses_empty_phase1():
+    """The harness always gives phase 1 at least one example; an empty
+    phase 1 is refused in both regimes before any draw."""
+    for regime in (Regime.L2, Regime.LINF):
+        ds = make_dataset(5, 80, 14, regime)
+        config = TwoPhaseConfig(m1=0, m2=80, b=2.0, k=1, regime=regime)
+        with pytest.raises(ValueError, match="empty first phase"):
+            config.validate()
+        with pytest.raises(ValueError, match="empty first phase"):
+            run_two_phase(ds, config, 3)
 
 
 def test_two_phase_epsilon_override_only_reshapes_q():
