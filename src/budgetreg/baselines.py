@@ -8,6 +8,8 @@ of ``estimator.run_pass`` with ``q=None`` (no draws, so the seed is a
 fixed 0) that feed the exact gradient to the budgeted solvers' updates.
 """
 
+import math
+
 import numpy as np
 
 from .core import (
@@ -75,8 +77,8 @@ def offline_erm(dataset, b, regime, passes=1000):
         raise ValueError("empty dataset")
     if passes < 1:
         raise ValueError("need at least one pass")
-    if b < 0:
-        raise ValueError("norm bound must be nonnegative")
+    if not 0 <= b < math.inf:
+        raise ValueError(f"norm bound b must be finite and nonnegative, got {b!r}")
     d = dataset.dimension
     m = len(dataset)
     project = project_l2_ball if regime == Regime.L2 else project_l1_ball

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -47,6 +48,13 @@ def _nonnegative_int(text):
     value = int(text)
     if value < 0:
         raise argparse.ArgumentTypeError("must be nonnegative")
+    return value
+
+
+def _positive_finite_float(text):
+    value = float(text)
+    if not 0 < value < math.inf:
+        raise argparse.ArgumentTypeError("must be positive and finite")
     return value
 
 
@@ -192,7 +200,7 @@ def build_parser() -> argparse.ArgumentParser:
     tr.add_argument("--data", required=True)
     tr.add_argument("--k", type=_positive_int, default=None,
                     help="per-example budget minus one (>= 1)")
-    tr.add_argument("--b", type=float, default=None,
+    tr.add_argument("--b", type=_positive_finite_float, default=None,
                     help="weight-ball radius; default max |y|")
     tr.add_argument("--regime", choices=[r.value for r in Regime], default=None)
     group = tr.add_mutually_exclusive_group()

@@ -128,7 +128,14 @@ def estimate_phi(x, y, w, p, draws):
     w_j != 0, so a zero iterate (no such p) is the caller's to handle.
     """
     j = sample_index(p, draws)
-    return float((w[j] / p.probabilities[j] * x[j]).mean() - y)
+    prob = p.probabilities
+    if j.size < 8:  # numpy sums fewer than 8 terms left to right, as this loop does
+        total = 0.0
+        for i in j.tolist():
+            total += w.item(i) / prob.item(i) * x.item(i)
+    else:
+        total = np.add.reduce(w[j] / prob[j] * x[j])
+    return float(total / j.size - y)
 
 
 def draw_step(state, w, x, y, config, rng, regime, point_estimate=None):
@@ -144,7 +151,7 @@ def draw_step(state, w, x, y, config, rng, regime, point_estimate=None):
     state.sum_w += w
     if point_estimate is None:
         point_estimate = estimate_point(x, config.q, rng.random(config.n_point))
-    if w.any():
+    if np.count_nonzero(w):
         if config.root_moments is not None:
             p = improved_inner_product_p(w, config.root_moments, regime)
             state.p_fallbacks += p.fallback
@@ -181,8 +188,7 @@ def run_pass(dataset, config, seed, regime, initial_state, step):
     config.validate(d)
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(np.random.SeedSequence(seed))
     state = initial_state(d, config)
-    xs, ys = dataset.x, dataset.y
-    for t in range(len(dataset)):
-        step(state, xs[t], float(ys[t]), config, rng)
+    for x, y in zip(dataset.x, dataset.y.tolist()):
+        step(state, x, y, config, rng)
     predictor = Predictor(state.sum_w / state.steps, config.b, regime)
     return RunResult(predictor, state.attributes_consumed, state.zero_weight_steps, p_fallbacks=state.p_fallbacks)

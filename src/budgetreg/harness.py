@@ -285,9 +285,11 @@ class ExperimentConfig:
             value = getattr(self, key)
             if not (key == "b" and value is None) and not _is_real(value):
                 raise ValueError(f"{key} must be a number, got {value!r}")
-        if not self.algorithms:
-            raise ValueError("no algorithms configured")
-        for algo in self.algorithms:
+        algos = self.algorithms
+        if (not isinstance(algos, (list, tuple)) or not algos or not all(isinstance(a, str) for a in algos)
+                or len(set(algos)) < len(algos)):
+            raise ValueError(f"algorithms must be a non-empty list of distinct names, got {algos!r}")
+        for algo in algos:
             spec = ALGORITHMS.get(algo)
             if spec is None:
                 raise ValueError(f"unknown algorithm: {algo}")
@@ -296,7 +298,9 @@ class ExperimentConfig:
         prefixes = _entries("prefixes", self.prefixes, int, "a non-empty list of integers")
         if min(prefixes) < 1 or len(set(prefixes)) < len(prefixes):
             raise ValueError(f"prefixes must be positive and distinct, got {self.prefixes!r}")
-        budgeted = any(ALGORITHMS[a].budgeted for a in self.algorithms)
+        if not 0.0 <= self.budget_split <= 1.0:
+            raise ValueError(f"budget_split must lie in [0, 1], got {self.budget_split!r}")
+        budgeted = any(ALGORITHMS[a].budgeted for a in algos)
         if budgeted and self.k < 1:
             raise ValueError("k must be at least 1")
         if budgeted:

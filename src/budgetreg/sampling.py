@@ -50,8 +50,10 @@ class AttributeDistribution:
 
     def _fill(self, p):
         self.probabilities = p
-        self.cumulative = c = np.cumsum(p)
-        self._last = int(c.searchsorted(c[-1]))  # the last index with a nonempty segment
+        self.cumulative = c = np.add.accumulate(p)
+        # a draw lands past the last index with a nonempty segment only if
+        # it is >= c[-1], which no draw in [0, 1) is when c[-1] >= 1
+        self._last = int(c.searchsorted(c[-1])) if c[-1] < 1.0 else None
         self.fallback = False
         return self
 
@@ -91,6 +93,8 @@ def sample_index(dist, u):
     the end of the table, which resolves to the last index with mass.
     """
     idx = dist.cumulative.searchsorted(u, side="right")
+    if dist._last is None:
+        return idx
     return np.minimum(idx, dist._last, out=idx)
 
 
@@ -123,7 +127,7 @@ def lasso_optimal_q(moments):
 def _trusted(weights):
     """AttributeDistribution of weights / sum without re-validation: the
     p builders' weights are nonnegative; a zero or non-finite sum is refused."""
-    total = weights.sum()
+    total = np.add.reduce(weights)
     if not 0.0 < total < np.inf:
         raise ValueError("zero weight vector" if total == 0.0 else "invalid weights")
     weights /= total
@@ -139,7 +143,9 @@ def inner_product_p(w, regime):
     w = np.asarray(w, dtype=float)
     if w.size == 0:
         raise ValueError("zero dimension")
-    return _trusted(w * w if Regime(regime) == Regime.L2 else np.abs(w))
+    if regime is not Regime.L2 and regime is not Regime.LINF:
+        regime = Regime(regime)
+    return _trusted(w * w if regime is Regime.L2 else np.abs(w))
 
 
 def improved_inner_product_p(w, root_moments, regime):

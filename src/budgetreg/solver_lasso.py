@@ -44,6 +44,7 @@ class EGState:
     zero_weight_steps: int = 0
     p_fallbacks: int = 0  # improved-p steps that fell back to the standard p
     accum: np.ndarray | None = None  # AdaGrad squared-gradient sums
+    peak_checked: bool = False  # eg_update has checked every z entry against the renormalization threshold
 
     @classmethod
     def initial(cls, d, config=None):
@@ -58,8 +59,9 @@ class EGState:
 
 def eg_weights(state, b):
     """w = (z+ - z-) * b / (||z+||_1 + ||z-||_1); z entries are positive."""
-    scale = b / (state.z_plus.sum() + state.z_minus.sum())
-    return (state.z_plus - state.z_minus) * scale
+    z_plus, z_minus = state.z_plus, state.z_minus
+    scale = b / (np.add.reduce(z_plus) + np.add.reduce(z_minus))
+    return (z_plus - z_minus) * scale
 
 
 def eg_state_from_weights(w, b):
@@ -93,15 +95,24 @@ def eg_update(state, indices, values, eta):
     clipped at 1/eta of its own coordinate.  Off-support coordinates are
     untouched; both z vectors are rescaled by the same factor if an entry
     overflows the renormalization threshold (the derived weights are
-    invariant to common rescaling).
+    invariant to common rescaling).  Once a state has been checked, only
+    an updated entry can cross the threshold, so the search over all 2d
+    entries runs only when one does.
     """
-    g = np.clip(values, -1.0 / eta, 1.0 / eta)
-    state.z_plus[indices] *= np.exp(-eta * g)
-    state.z_minus[indices] *= np.exp(eta * g)
-    peak = max(float(state.z_plus.max()), float(state.z_minus.max()))
-    if peak > _RENORM_THRESHOLD:
-        state.z_plus /= peak
-        state.z_minus /= peak
+    bound = 1.0 / eta
+    g = np.minimum(np.maximum(values, -bound), bound)
+    z_plus, z_minus = state.z_plus, state.z_minus
+    up = z_plus[indices] * np.exp(-eta * g)
+    down = z_minus[indices] * np.exp(eta * g)
+    z_plus[indices] = up
+    z_minus[indices] = down
+    if (not state.peak_checked or np.maximum.reduce(up, initial=0.0) > _RENORM_THRESHOLD
+            or np.maximum.reduce(down, initial=0.0) > _RENORM_THRESHOLD):
+        peak = max(float(z_plus.max()), float(z_minus.max()))
+        if peak > _RENORM_THRESHOLD:
+            z_plus /= peak
+            z_minus /= peak
+        state.peak_checked = True
     return state
 
 

@@ -168,6 +168,13 @@ def test_erm_zero_radius():
     assert result.attributes_consumed == 10 * 3
 
 
+@pytest.mark.parametrize("b", [math.nan, math.inf, -1.0])
+def test_erm_rejects_b_that_is_not_finite_and_nonnegative(b):
+    ds = make_dataset(3, 10, 5, Regime.L2)
+    with pytest.raises(ValueError, match=f"norm bound b must be finite and nonnegative, got {b}"):
+        offline_erm(ds, b=b, regime=Regime.L2)
+
+
 def test_adagrad_full_budget_and_ball():
     ds = make_dataset(5, 80, 7, Regime.L2)
     result = online_ridge_full(ds, b=2.0, eta=2.0, adagrad=True)

@@ -130,6 +130,15 @@ def test_train_flag_validation(data_csv, tmp_path):
     assert proc.returncode == 1 and "aelr requires linf data" in proc.stderr
 
 
+@pytest.mark.parametrize("b", ["nan", "inf", "1e999", "0", "-1"])
+def test_train_rejects_b_that_is_not_finite_and_positive(data_csv, tmp_path, b):
+    model = tmp_path / "erm.json"
+    proc = run_cli("train", "--algo", "erm", "--regime", "l2", "--data", data_csv, "--b", b, "--out-model", model)
+    assert proc.returncode == 2
+    assert "error: argument --b: must be positive and finite" in proc.stderr
+    assert not model.exists()
+
+
 def experiment_config(tmp_path, **overrides):
     raw = {
         "algorithms": ["aerr", "ddaerr"], "regime": "l2", "prefixes": [20, 40],
@@ -183,7 +192,10 @@ def test_experiment_rejects_unknown_keys(tmp_path):
 @pytest.mark.parametrize("key, value", [("delta", 1.5), ("epsilon_override", float("nan")), ("improved_p", "false"),
                                         ("delta", "0.5"), ("repeats", "3"), ("folds", 3.5), ("m1_fraction", None),
                                         ("prefixes", [20.7]), ("prefixes", [True]), ("prefixes", ["20.5"]),
-                                        ("prefixes", "30"), ("prefixes", [40, 40]), ("eta_grid", [True])])
+                                        ("prefixes", "30"), ("prefixes", [40, 40]), ("eta_grid", [True]),
+                                        ("budget_split", float("inf")), ("budget_split", float("nan")),
+                                        ("budget_split", 5.0), ("budget_split", -3.0),
+                                        ("algorithms", ["2p-ddaerr", "2p-ddaerr"]), ("algorithms", "2p-ddaerr")])
 def test_experiment_rejects_two_phase_settings_before_running(tmp_path, key, value):
     config = experiment_config(tmp_path, **{"algorithms": ["2p-ddaerr"], "eta_grid": None, key: value})
     out = tmp_path / "out"

@@ -252,6 +252,15 @@ def test_config_rejects_step_sizes_and_norm_bounds_that_are_not_finite_and_posit
     ("eta_grid", "0.1", "eta_grid must be null or a non-empty list of numbers, got '0.1'"),
     ("eta_grid", [0.1, "fast"], r"eta_grid must be null or a non-empty list of numbers, got \[0.1, 'fast'\]"),
     ("eta_grid", [], r"eta_grid must be null or a non-empty list of numbers, got \[\]"),
+    ("budget_split", math.inf, r"budget_split must lie in \[0, 1\], got inf"),
+    ("budget_split", math.nan, r"budget_split must lie in \[0, 1\], got nan"),
+    ("budget_split", 5.0, r"budget_split must lie in \[0, 1\], got 5.0"),
+    ("budget_split", -3.0, r"budget_split must lie in \[0, 1\], got -3.0"),
+    ("algorithms", ["2p-ddaerr", "2p-ddaerr"],
+     r"algorithms must be a non-empty list of distinct names, got \['2p-ddaerr', '2p-ddaerr'\]"),
+    ("algorithms", "aerr", "algorithms must be a non-empty list of distinct names, got 'aerr'"),
+    ("algorithms", [], r"algorithms must be a non-empty list of distinct names, got \[\]"),
+    ("algorithms", [["aerr"]], "algorithms must be a non-empty list of distinct names"),
 ])
 def test_config_rejects_two_phase_settings_out_of_range(key, value, message):
     raw = {"algorithms": ["2p-ddaerr"], "regime": "l2", "prefixes": [50], "k": 2, "dim": 5, "alpha": -1.0}
@@ -262,7 +271,8 @@ def test_config_rejects_two_phase_settings_out_of_range(key, value, message):
 def test_config_accepts_two_phase_settings_in_range():
     raw = {"algorithms": ["2p-ddaerr"], "regime": "l2", "prefixes": [50], "k": 2, "dim": 5, "alpha": -1.0}
     for extra in ({"delta": 0.5}, {"epsilon_override": None}, {"epsilon_override": 0}, {"epsilon_override": 0.25},
-                  {"improved_p": False}, {"prefixes": ["50", 60], "eta_grid": ["0.1", 0.2], "alpha": -1, "b": 2}):
+                  {"improved_p": False}, {"prefixes": ["50", 60], "eta_grid": ["0.1", 0.2], "alpha": -1, "b": 2},
+                  {"budget_split": 0.0}, {"budget_split": 1.0}, {"budget_split": 1}):
         ExperimentConfig.from_dict({**raw, **extra})
 
 
