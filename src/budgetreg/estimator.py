@@ -128,14 +128,7 @@ def estimate_phi(x, y, w, p, draws):
     w_j != 0, so a zero iterate (no such p) is the caller's to handle.
     """
     j = sample_index(p, draws)
-    prob = p.probabilities
-    if j.size < 8:  # numpy sums fewer than 8 terms left to right, as this loop does
-        total = 0.0
-        for i in j.tolist():
-            total += w.item(i) / prob.item(i) * x.item(i)
-    else:
-        total = np.add.reduce(w[j] / prob[j] * x[j])
-    return float(total / j.size - y)
+    return float(np.add.reduce(w[j] / p.probabilities[j] * x[j]) / j.size - y)
 
 
 def draw_step(state, w, x, y, config, rng, regime, point_estimate=None):

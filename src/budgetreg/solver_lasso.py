@@ -13,7 +13,7 @@ ridge solver (``estimator``); only the EG geometry lives here.
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -44,7 +44,8 @@ class EGState:
     zero_weight_steps: int = 0
     p_fallbacks: int = 0  # improved-p steps that fell back to the standard p
     accum: np.ndarray | None = None  # AdaGrad squared-gradient sums
-    peak_checked: bool = False  # eg_update has checked every z entry against the renormalization threshold
+    # eg_update has checked every z entry against the renormalization threshold
+    peak_checked: bool = field(default=False, init=False, repr=False)
 
     @classmethod
     def initial(cls, d, config=None):
