@@ -32,7 +32,7 @@ __all__ = [
 _GRAD_TOL = 1e-8
 
 
-def _ridge_full_step(state, x, y, config, rng):
+def _ridge_full_step(state, x, y, config):
     state.sum_w += state.w
     # gradient as values, phi = 1: eta * g rounds as the ogd-full fingerprint pins
     l2_step(state, slice(None), 1.0, (float(state.w @ x) - y) * x, config)
@@ -40,7 +40,7 @@ def _ridge_full_step(state, x, y, config, rng):
     state.attributes_consumed += x.size
 
 
-def _lasso_full_step(state, x, y, config, rng):
+def _lasso_full_step(state, x, y, config):
     w = eg_weights(state, config.b)
     state.sum_w += w
     eg_update(state, slice(None), (float(w @ x) - y) * x, config.eta)

@@ -115,6 +115,7 @@ def _cmd_train(args):
     raw = load_csv(args.data)
     scaler = Scaler(regime).fit(raw)
     train = scaler.transform(raw)
+    test = scaler.transform(load_csv(args.test)) if args.test is not None else None
     b = args.b if args.b is not None else float(np.abs(train.y).max())
     if b <= 0:
         raise ValueError("norm bound must be positive")
@@ -132,8 +133,7 @@ def _cmd_train(args):
         "attributes_observed": int(result.attributes_consumed),
     })
     report = {"attributes_observed": int(result.attributes_consumed)}
-    if args.test is not None:
-        test = scaler.transform(load_csv(args.test))
+    if test is not None:
         report["relative_loss"] = relative_loss(result.predictor, test)
     print(json.dumps(report))
 

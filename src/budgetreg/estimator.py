@@ -7,13 +7,13 @@ unbiased for (<w, x> - y) x whenever q covers the support of x and p
 covers the support of w.  All randomness is injected as uniform draws in
 [0, 1), so callers control determinism.
 
-The ridge and lasso solvers share everything here: one config, one
-draw of x~ and phi per step, one step rule (fixed eta or AdaGrad), and
-one single-pass loop.  Only the geometry of the update is theirs.
+The ridge and lasso solvers share everything here: one config, the
+point estimates of a block of examples built before its steps, one
+draw of phi per step, one step rule (fixed eta or AdaGrad), and one
+single-pass loop.  Only the geometry of the update is theirs.
 """
 
 import math
-from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,10 +29,8 @@ from .sampling import (
 
 __all__ = [
     "DELTA_ADA",
-    "SparseEstimate",
     "SolverConfig",
     "estimate_point",
-    "estimate_from_indices",
     "estimate_phi",
     "draw_step",
     "adagrad_rate",
@@ -40,20 +38,7 @@ __all__ = [
 ]
 
 DELTA_ADA = 1e-8  # stabilizer under the adaptive square root
-
-
-@dataclass
-class SparseEstimate:
-    """Sparse vector as parallel (indices, values) arrays; duplicates merged."""
-
-    indices: np.ndarray
-    values: np.ndarray
-    dimension: int
-
-    def to_dense(self):
-        out = np.zeros(self.dimension)
-        out[self.indices] = self.values
-        return out
+_BLOCK_ROWS = 1024  # most examples whose point estimates are built at once
 
 
 @dataclass
@@ -91,33 +76,33 @@ class SolverConfig:
             raise ValueError("a budgeted solver needs a sampling distribution q, got q=None")
 
 
-def estimate_from_indices(x, q, indices):
-    """Build the point estimate from already-drawn indices.
-
-    The estimate is (1/k) sum_r x[i_r] e_{i_r} / q_{i_r}; repeated draws
-    merge by summation: counts * x / (k q) at the sorted distinct indices.
-    """
-    drawn = np.asarray(indices, dtype=np.intp).ravel().tolist()
-    k = len(drawn)
-    if k == 0:
-        raise ValueError("need at least one draw")
-    distinct = sorted(set(drawn))
-    uniq = np.array(distinct, dtype=np.intp)
-    values = x[uniq]  # a count of 1 leaves x exact, so only duplicates multiply
-    if uniq.size < k:
-        counts = Counter(drawn)
-        values = np.array([counts[i] for i in distinct]) * values
-    return SparseEstimate(uniq, values / (k * q.probabilities[uniq]), len(x))
-
-
 def estimate_point(x, q, draws):
-    """Sparse unbiased estimate of x from an array of draws, one attribute each.
+    """Sparse unbiased estimates of a block of examples, one row of draws each.
 
-    Each draw observes one attribute value; observing a zero still
-    consumes budget.  Unbiasedness needs q_i > 0 wherever x_i != 0.
+    Row r of ``x`` (r, d) gets (1/k) sum_s x[r, i_s] e_{i_s} / q_{i_s}
+    over the k indices i_s ~ q that row r of ``draws`` (r, k) resolves
+    to.  Repeated draws merge by summation: count * x / (k q) at the
+    sorted distinct indices (a count of 1 leaves x exact).  Each draw
+    observes one attribute value; observing a zero still consumes budget.
+    Unbiasedness needs q_i > 0 wherever x_i != 0.
+
+    Returns (drawn, indices, values, bounds): ``drawn`` holds each row's
+    k drawn indices, sorted, and row r's estimate is
+    indices[bounds[r]:bounds[r + 1]] with its values at the same slice.
     """
-    idx = sample_index(q, draws)
-    return estimate_from_indices(x, q, idx)
+    drawn = sample_index(q, draws)
+    drawn.sort(axis=1)
+    k = drawn.shape[1]
+    flat = drawn.ravel()
+    first = np.empty(flat.size, dtype=bool)  # first of a run of equal indices in its row
+    np.not_equal(flat[1:], flat[:-1], out=first[1:])
+    first[::k] = True
+    keep = first.nonzero()[0]
+    counts = np.concatenate((keep[1:], [flat.size])) - keep
+    indices = flat[keep]
+    values = counts * x[keep // k, indices] / (k * q.probabilities[indices])
+    bounds = keep.searchsorted(np.arange(0, flat.size + 1, k))
+    return drawn, indices, values, bounds
 
 
 def estimate_phi(x, y, w, p, draws):
@@ -131,32 +116,29 @@ def estimate_phi(x, y, w, p, draws):
     return float(np.add.reduce(w[j] / p.probabilities[j] * x[j]) / j.size - y)
 
 
-def draw_step(state, w, x, y, config, rng, regime, point_estimate=None):
-    """The shared part of one budgeted step; returns (point estimate, phi).
+def draw_step(state, w, x, y, config, inner, regime):
+    """The shared part of one budgeted step; returns phi.
 
-    The pre-update iterate w enters the running average and defines p.
-    An externally built point estimate (draws shared with a moment table)
-    replaces the internal one when supplied.  The full per-example budget
-    is charged even on the zero-iterate path, where phi = -y costs no
-    observation; zero_weight_steps records how often the inner-product
-    draw was skipped.
+    The pre-update iterate w enters the running average and defines p,
+    from which the n_inner uniforms ``inner`` draw phi's attributes.  The
+    full per-example budget is charged even on the zero-iterate path,
+    where phi = -y costs no observation and ``inner`` is left unused;
+    zero_weight_steps records how often that happened.
     """
     state.sum_w += w
-    if point_estimate is None:
-        point_estimate = estimate_point(x, config.q, rng.random(config.n_point))
     if np.count_nonzero(w):
         if config.root_moments is not None:
             p = improved_inner_product_p(w, config.root_moments, regime)
             state.p_fallbacks += p.fallback
         else:
             p = inner_product_p(w, regime)
-        phi = estimate_phi(x, y, w, p, rng.random(config.n_inner))
+        phi = estimate_phi(x, y, w, p, inner)
     else:
         phi = -float(y)
         state.zero_weight_steps += 1
     state.steps += 1
     state.attributes_consumed += config.n_point + config.n_inner
-    return point_estimate, phi
+    return phi
 
 
 def adagrad_rate(accum, indices, g, eta):
@@ -167,11 +149,16 @@ def adagrad_rate(accum, indices, g, eta):
     return eta / np.sqrt(DELTA_ADA + accum[indices])
 
 
-def run_pass(dataset, config, seed, regime, initial_state, step):
+def run_pass(dataset, config, seed, regime, initial_state, step, table=None):
     """Single ordered pass over the dataset; returns the averaged predictor.
 
-    ``initial_state(d, config)`` builds the solver's state and
-    ``step(state, x, y, config, rng)`` takes one budgeted step on it.
+    ``initial_state(d, config)`` builds the solver's state.  With
+    ``config.q`` None every attribute is read and ``step(state, x, y,
+    config)`` takes one step; otherwise ``step(state, x, y, config,
+    indices, values, inner)`` takes one budgeted step from a prebuilt
+    point estimate and its n_inner inner-product uniforms.  ``table``,
+    when given, gets ``table.add(drawn, x)`` for the point draws of every
+    example the pass consumed.
     """
     if len(dataset) == 0:
         raise ValueError("empty dataset")
@@ -179,9 +166,52 @@ def run_pass(dataset, config, seed, regime, initial_state, step):
         raise ValueError(f"solver requires {regime.value.capitalize()}-regime data")
     d = dataset.dimension
     config.validate(d)
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(np.random.SeedSequence(seed))
     state = initial_state(d, config)
-    for x, y in zip(dataset.x, dataset.y.tolist()):
-        step(state, x, y, config, rng)
+    if config.q is None:
+        for x, y in zip(dataset.x, dataset.y.tolist()):
+            step(state, x, y, config)
+    else:
+        rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(np.random.SeedSequence(seed))
+        if not isinstance(rng.bit_generator, np.random.PCG64):
+            raise ValueError(f"a budgeted pass needs a PCG64 generator, got {type(rng.bit_generator).__name__}")
+        _budgeted_pass(state, dataset.x, dataset.y, config, rng, step, table)
     predictor = Predictor(state.sum_w / state.steps, config.b, regime)
     return RunResult(predictor, state.attributes_consumed, state.zero_weight_steps, p_fallbacks=state.p_fallbacks)
+
+
+def _budgeted_pass(state, xs, ys, config, rng, step, table):
+    """Steps over xs, drawing each block's uniforms at once.
+
+    Example t reads its n_point point uniforms and then, unless its
+    iterate is zero, its n_inner inner-product uniforms from the stream.
+    A block lays n_point + n_inner uniforms per example, row-major, which
+    is that order exactly as long as no step has a zero iterate.  A
+    zero-iterate step ends its block: the uniforms the pass did not use
+    are handed back with ``advance``, so the generator ends where a
+    per-step draw would leave it, and the next examples are laid one per
+    block until a step has a nonzero iterate again.
+    """
+    k, n_inner = config.n_point, config.n_inner
+    width = k + n_inner
+    m = len(ys)
+    start, rows = 0, _BLOCK_ROWS
+    while start < m:
+        stop = min(start + rows, m)
+        u = rng.random((stop - start) * width).reshape(stop - start, width)
+        x_block = xs[start:stop]
+        drawn, indices, values, bounds = estimate_point(x_block, config.q, u[:, :k])
+        bounds = bounds.tolist()
+        zero_steps = state.zero_weight_steps
+        examples = zip(x_block, ys[start:stop].tolist(), bounds, bounds[1:], u[:, k:])
+        for used, (x, y, lo, hi, inner) in enumerate(examples, start=1):
+            step(state, x, y, config, indices[lo:hi], values[lo:hi], inner)
+            if state.zero_weight_steps != zero_steps:
+                break
+        zero = state.zero_weight_steps != zero_steps
+        unused = (len(u) - used) * width + (n_inner if zero else 0)
+        if unused:
+            rng.bit_generator.advance(-unused)
+        if table is not None:
+            table.add(drawn[:used], x_block[:used])
+        start += used
+        rows = 1 if zero else _BLOCK_ROWS

@@ -97,17 +97,20 @@ class Scaler:
 
     L2 divides every example by the largest training-example norm; Linf
     divides each column by its largest training absolute value.  Columns
-    that are identically zero keep factor 1.
+    that are identically zero keep factor 1.  Only data with the training
+    attribute count can be transformed.
     """
 
     regime: Regime
     factors: np.ndarray | None = None  # scalar array (L2) or per-column (Linf)
     clipped: int = field(default=0)  # out-of-ball transform rows, cumulative
+    dimension: int | None = field(default=None, init=False)  # attribute count of the training data
 
     def fit(self, dataset):
         x = dataset.x
         if not np.any(x != 0):
             raise ValueError("all-zero dataset")
+        self.dimension = dataset.dimension
         if self.regime == Regime.L2:
             self.factors = np.array([np.sqrt((x * x).sum(axis=1)).max()])
         else:
@@ -118,6 +121,8 @@ class Scaler:
     def transform(self, dataset):
         if self.factors is None:
             raise ValueError("scaler not fitted")
+        if dataset.dimension != self.dimension:
+            raise ValueError(f"scaler was fit on {self.dimension} attributes, got data with {dataset.dimension}")
         x = dataset.x / self.factors
         if self.regime == Regime.L2:
             scale = np.sqrt((x * x).sum(axis=1))

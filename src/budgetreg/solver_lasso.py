@@ -117,19 +117,21 @@ def eg_update(state, indices, values, eta):
     return state
 
 
-def gaelr_step(state, x, y, config, rng, point_estimate=None):
+def gaelr_step(state, x, y, config, indices, values, inner):
     """One budgeted EG step; mutates and returns the state.
 
     draw_step averages the pre-update weight vector (which also defines
-    the inner-product distribution), charges the budget and draws x~ and
-    phi; this step applies the clipped multiplicative update to phi x~.
+    the inner-product distribution), charges the budget and draws phi
+    from the uniforms ``inner``; this step applies the clipped
+    multiplicative update to phi x~, with x~ the point estimate
+    (``values`` at ``indices``).
     """
     w = eg_weights(state, config.b)
-    est, phi = draw_step(state, w, x, y, config, rng, Regime.LINF, point_estimate)
+    phi = draw_step(state, w, x, y, config, inner, Regime.LINF)
     if phi != 0.0:
-        g = phi * est.values
-        eta = adagrad_rate(state.accum, est.indices, g, config.eta) if config.adagrad else config.eta
-        eg_update(state, est.indices, g, eta)
+        g = phi * values
+        eta = adagrad_rate(state.accum, indices, g, config.eta) if config.adagrad else config.eta
+        eg_update(state, indices, g, eta)
     return state
 
 

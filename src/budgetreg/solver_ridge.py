@@ -66,16 +66,17 @@ def l2_step(state, indices, phi, values, config):
         w *= config.b / nrm
 
 
-def gaerr_step(state, x, y, config, rng, point_estimate=None):
+def gaerr_step(state, x, y, config, indices, values, inner):
     """One budgeted OGD step; mutates and returns the state.
 
     draw_step averages the pre-update iterate, charges the budget and
-    draws x~ and phi; l2_step moves along -phi x~ and projects back onto
-    the L2 ball of radius b.
+    draws phi from the uniforms ``inner``; l2_step moves along -phi x~,
+    with x~ the point estimate (``values`` at ``indices``), and projects
+    back onto the L2 ball of radius b.
     """
-    est, phi = draw_step(state, state.w, x, y, config, rng, Regime.L2, point_estimate)
+    phi = draw_step(state, state.w, x, y, config, inner, Regime.L2)
     if phi != 0.0:
-        l2_step(state, est.indices, phi, est.values, config)
+        l2_step(state, indices, phi, values, config)
     return state
 
 

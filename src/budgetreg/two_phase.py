@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Regime, RunResult, norm
-from .estimator import SolverConfig, estimate_from_indices, run_pass
-from .sampling import AttributeDistribution, build_distribution, sample_index, uniform_distribution
+from .estimator import SolverConfig, run_pass
+from .sampling import AttributeDistribution, build_distribution, uniform_distribution
 from .solver_lasso import EGState, aelr_eta, gaelr_step, run_gaelr
 from .solver_ridge import RidgeState, aerr_eta, gaerr_step, run_gaerr
 
@@ -46,11 +46,12 @@ class MomentTable:
         self.m1 = 0
 
     def add(self, indices, x):
-        """Table one example's draws at ``indices``, each raw draw on its
-        own (count * x^2 for a duplicate would round differently)."""
+        """Table a block of examples: row r of ``indices`` holds the draws
+        made on row r of ``x``, each tabled on its own (count * x^2 for a
+        duplicate would round differently), in row order."""
         np.add.at(self.counts, indices, 1)
-        np.add.at(self.square_sums, indices, x[indices] ** 2)
-        self.m1 += 1
+        np.add.at(self.square_sums, indices, np.take_along_axis(x, indices, axis=1) ** 2)
+        self.m1 += len(indices)
 
     @property
     def A(self):
@@ -166,20 +167,13 @@ def _phase1_warm_start(dataset, config, table, rng):
     """
     d = dataset.dimension
     m1 = len(dataset)
-    uniform = uniform_distribution(d)
     ridge = config.regime == Regime.L2
     eta1 = config.eta
     if eta1 is None:
         eta1 = aerr_eta(m1, config.k, d, config.b) if ridge else aelr_eta(m1, config.k, d, config.b)
-    cfg = SolverConfig(b=config.b, eta=eta1, q=uniform, n_point=config.k, n_inner=config.n_inner)
-    solver_step = gaerr_step if ridge else gaelr_step
-
-    def step(state, x, y, cfg, rng):
-        idx = sample_index(uniform, rng.random(cfg.n_point))
-        table.add(idx, x)
-        solver_step(state, x, y, cfg, rng, point_estimate=estimate_from_indices(x, uniform, idx))
-
-    return run_pass(dataset, cfg, rng, config.regime, (RidgeState if ridge else EGState).initial, step)
+    cfg = SolverConfig(b=config.b, eta=eta1, q=uniform_distribution(d), n_point=config.k, n_inner=config.n_inner)
+    initial, step = (RidgeState.initial, gaerr_step) if ridge else (EGState.initial, gaelr_step)
+    return run_pass(dataset, cfg, rng, config.regime, initial, step, table)
 
 
 def run_two_phase(dataset, config, seed):

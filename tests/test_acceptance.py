@@ -26,7 +26,7 @@ from budgetreg.datagen import (
     power_law_means,
     random_target_weights,
 )
-from budgetreg.estimator import SolverConfig, estimate_from_indices, estimate_phi, estimate_point
+from budgetreg.estimator import SolverConfig, estimate_phi, estimate_point
 from budgetreg.harness import ExperimentConfig, RunContext, dataset_moments, run_experiment, split_budget, train_run
 from budgetreg.ingest import load_csv, normalize
 from budgetreg.sampling import (
@@ -47,6 +47,7 @@ from budgetreg.two_phase import (
     ridge_eta_two_phase,
     run_two_phase,
 )
+from stepping import dense, stream_step
 
 
 def _power_sum(d, e):
@@ -142,7 +143,7 @@ def test_criterion_02_gradient_unbiasedness_enumeration():
             acc = np.zeros(d)
             for combo in itertools.product(range(d), repeat=k):
                 wq = float(np.prod(q.probabilities[list(combo)]))
-                point = estimate_point(x, q, [_mid_draw(q, i) for i in combo]).to_dense()
+                point = dense(estimate_point(x[None], q, np.array([[_mid_draw(q, i) for i in combo]])), d)[0]
                 for j in range(d):
                     phi = estimate_phi(x, y, w, p, np.array([_mid_draw(p, j)]))
                     acc += wq * float(p.probabilities[j]) * phi * point
@@ -163,8 +164,8 @@ def test_criterion_03_conditional_variance_identity():
             acc = 0.0
             for combo in itertools.product(range(d), repeat=k):
                 wq = float(np.prod(q.probabilities[list(combo)]))
-                dense = estimate_from_indices(x, q, np.array(combo, dtype=np.intp)).to_dense()
-                acc += wq * float(dense @ dense)
+                point = dense(estimate_point(x[None], q, np.array([[_mid_draw(q, i) for i in combo]])), d)[0]
+                acc += wq * float(point @ point)
             single = float(np.sum(x**2 / q.probabilities))
             rhs = single / k + (k - 1) / k * float(x @ x)
             worst = max(worst, abs(acc - rhs))
@@ -246,7 +247,7 @@ def test_criterion_06_feasibility_and_sparse_dense_equivalence():
     state = RidgeState.initial(8, config)
     step_rng = np.random.default_rng(np.random.SeedSequence((60, 0)))
     for t in range(250):
-        gaerr_step(state, x[t], float(y[t]), config, step_rng)
+        stream_step(gaerr_step, state, x[t], float(y[t]), config, step_rng)
         assert float(norm(state.w, 2)) <= b + 1e-9
 
     d, b, eta, n_point = 12, 1.2, 0.7, 3
@@ -259,12 +260,12 @@ def test_criterion_06_feasibility_and_sparse_dense_equivalence():
     rng_dense = np.random.default_rng(np.random.SeedSequence((61, 0)))
     z_plus, z_minus = np.ones(d), np.ones(d)
     for t in range(150):
-        gaelr_step(sparse, xl[t], float(yl[t]), cfg, rng_sparse)
+        stream_step(gaelr_step, sparse, xl[t], float(yl[t]), cfg, rng_sparse)
         assert float(norm(eg_weights(sparse, b), 1)) <= b + 1e-9
 
         # dense replica: same draws, updates applied to every coordinate
         w = (z_plus - z_minus) * b / (z_plus.sum() + z_minus.sum())
-        est = estimate_point(xl[t], q, rng_dense.random(n_point))
+        point = dense(estimate_point(xl[t][None], q, rng_dense.random(n_point)[None]), d)[0]
         if np.any(w != 0):
             p = inner_product_p(w, Regime.LINF)
             j = sample_index(p, rng_dense.random(1))
@@ -272,7 +273,7 @@ def test_criterion_06_feasibility_and_sparse_dense_equivalence():
         else:
             phi = -float(yl[t])
         if phi != 0.0:
-            grad = np.clip(phi * est.to_dense(), -1.0 / eta, 1.0 / eta)
+            grad = np.clip(phi * point, -1.0 / eta, 1.0 / eta)
             z_plus *= np.exp(-eta * grad)
             z_minus *= np.exp(eta * grad)
             peak = max(float(z_plus.max()), float(z_minus.max()))

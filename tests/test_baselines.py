@@ -182,8 +182,8 @@ def test_adagrad_full_budget_and_ball():
     result.predictor.validate()
     norms = []
 
-    def step(state, x, y, config, rng):
-        baselines._ridge_full_step(state, x, y, config, rng)
+    def step(state, x, y, config):
+        baselines._ridge_full_step(state, x, y, config)
         norms.append(np.linalg.norm(state.w))
 
     config = SolverConfig(b=2.0, eta=2.0, q=None, initial_w=np.zeros(5), adagrad=True)

@@ -97,6 +97,20 @@ def test_train_full_information_budget(data_csv, tmp_path):
     assert json.loads(proc.stdout)["attributes_observed"] == 40 * 6
 
 
+@pytest.mark.parametrize("algo, flags", [("ogd-full", ("--eta-auto",)), ("aerr", ("--k", 2, "--eta", 0.05)),
+                                         ("eg-full", ("--eta-auto", "--regime", "linf"))])
+def test_train_refuses_test_data_of_another_width_before_training(tmp_path, algo, flags):
+    regime = "linf" if algo == "eg-full" else "l2"
+    train, test = tmp_path / "train.csv", tmp_path / "test.csv"
+    assert run_cli(*gen_args(train, regime=regime, dim=3)).returncode == 0
+    assert run_cli(*gen_args(test, regime=regime, dim=2)).returncode == 0
+    model = tmp_path / "model.json"
+    proc = run_cli("train", "--algo", algo, "--data", train, *flags, "--test", test, "--out-model", model)
+    assert proc.returncode == 1
+    assert "error: scaler was fit on 3 attributes, got data with 2" in proc.stderr
+    assert not model.exists()
+
+
 def test_train_rejects_non_finite_label(data_csv, tmp_path):
     lines = data_csv.read_text().splitlines()
     lines[2] = ",".join(lines[2].split(",")[:-1] + ["nan"])

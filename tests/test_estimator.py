@@ -4,8 +4,9 @@ Every uniform draw in [0, 1) maps to an index through the inverse CDF, so
 expectations over the estimator's randomness are finite sums: enumerate
 index combinations, weight each by its probability, and feed the solver
 the midpoint of the matching CDF segment.  The gradient enumerations run
-draw_step, the draw every solver step makes, with a scripted stream of
-those midpoints in place of the solver's generator.
+estimate_point, which builds a pass's point estimates a block at a
+time, and draw_step, the draw every solver step makes, with a scripted
+stream of those midpoints in place of the solver's generator.
 """
 
 import itertools
@@ -17,12 +18,14 @@ from budgetreg.core import Regime, norm
 from budgetreg.estimator import (
     SolverConfig,
     draw_step,
-    estimate_from_indices,
     estimate_phi,
     estimate_point,
 )
 from budgetreg.sampling import build_distribution, inner_product_p, uniform_distribution
 from budgetreg.solver_ridge import RidgeState
+from stepping import dense
+
+BELOW_ONE = float(np.nextafter(1.0, 0.0))  # the largest draw in [0, 1)
 
 
 def draw_for(dist, i):
@@ -66,50 +69,82 @@ def enumerate_gradient(x, y, w, q, k, n_inner=1):
         for js in inner:
             weight = wq * float(np.prod([p.probabilities[j] for j in js]))
             rng = ScriptedDraws(us + [draw_for(p, j) for j in js])
-            est, phi = draw_step(fresh_state(len(x)), w, x, y, config, rng, Regime.L2)
+            point = dense(estimate_point(x[None], q, rng.random(k)[None]), len(x))[0]
+            phi = draw_step(fresh_state(len(x)), w, x, y, config, rng.random(len(js)), Regime.L2)
             assert rng.draws == []
-            mean_g += weight * phi * est.to_dense()
+            mean_g += weight * phi * point
             mean_phi += weight * phi
     return mean_g, mean_phi
 
 
 def test_estimate_point_single_attribute():
     q = build_distribution([1.0])
-    est = estimate_point(np.array([0.5]), q, np.array([0.1, 0.5, 0.9]))
-    np.testing.assert_array_equal(est.indices, [0])
-    np.testing.assert_allclose(est.values, [0.5])
-    np.testing.assert_allclose(est.to_dense(), [0.5])
+    drawn, indices, values, bounds = block = estimate_point(np.array([[0.5]]), q, np.array([[0.1, 0.5, 0.9]]))
+    np.testing.assert_array_equal(drawn, [[0, 0, 0]])
+    np.testing.assert_array_equal(indices, [0])
+    np.testing.assert_array_equal(bounds, [0, 1])
+    np.testing.assert_allclose(values, [0.5])
+    np.testing.assert_allclose(dense(block, 1), [[0.5]])
 
 
 def test_estimate_point_degenerate_q():
     q = build_distribution([1.0, 0.0])
-    est = estimate_point(np.array([0.3, 0.0]), q, np.array([0.7]))
-    np.testing.assert_array_equal(est.indices, [0])
-    np.testing.assert_allclose(est.values, [0.3])
+    _, indices, values, _ = estimate_point(np.array([[0.3, 0.0]]), q, np.array([[0.7]]))
+    np.testing.assert_array_equal(indices, [0])
+    np.testing.assert_allclose(values, [0.3])
 
 
-def test_estimate_from_indices_merges_duplicates():
+def test_estimate_point_merges_duplicates():
+    """Rows with and without repeated draws in one block: each row's
+    estimate sits at its own slice, duplicates merged, the raw draws kept
+    sorted in ``drawn``."""
     q = uniform_distribution(2)
-    est = estimate_from_indices(np.array([1.0, 2.0]), q, [0, 0, 1])
-    np.testing.assert_array_equal(est.indices, [0, 1])
-    np.testing.assert_allclose(est.values, [4 / 3, 4 / 3])
-    with pytest.raises(ValueError, match="at least one draw"):
-        estimate_from_indices(np.array([1.0]), build_distribution([1.0]), [])
+    x = np.array([[1.0, 2.0], [3.0, 5.0], [7.0, 11.0]])
+    draws = np.array([[0.1, 0.2, 0.9], [0.9, 0.1, 0.6], [0.7, 0.8, 0.6]])
+    drawn, indices, values, bounds = estimate_point(x, q, draws)
+    np.testing.assert_array_equal(drawn, [[0, 0, 1], [0, 1, 1], [1, 1, 1]])
+    np.testing.assert_array_equal(bounds, [0, 2, 4, 5])
+    np.testing.assert_array_equal(indices, [0, 1, 0, 1, 1])
+    np.testing.assert_allclose(values, [4 / 3, 4 / 3, 2.0, 20 / 3, 22.0])
 
 
-def test_estimate_from_indices_matches_unique_formula_enumeration():
-    """Every index tuple of k <= 4 draws over d = 4: the merge gives the
-    sorted distinct indices and counts * x / (k q) of np.unique, bit for bit."""
+def test_estimate_point_matches_unique_formula_enumeration():
+    """Every index tuple of k <= 4 draws over d = 4, all in one block per k
+    and each alone in a block of one row: the merge gives the sorted
+    distinct indices and counts * x / (k q) of np.unique, bit for bit."""
     x = np.array([0.3, -1.7, 1.0 / 3.0, 2.9e-3])
     q = build_distribution([1.0, 3.0, 7.0, 11.0])
     for k in range(1, 5):
-        for combo in itertools.product(range(4), repeat=k):
+        combos = list(itertools.product(range(4), repeat=k))
+        draws = np.array([[draw_for(q, i) for i in combo] for combo in combos])
+        rows = np.tile(x, (len(combos), 1)) * np.arange(1, len(combos) + 1)[:, None]
+        drawn, indices, values, bounds = estimate_point(rows, q, draws)
+        for r, combo in enumerate(combos):
             idx = np.array(combo, dtype=np.intp)
             uniq, counts = np.unique(idx, return_counts=True)
-            expected = counts * x[uniq] / (k * q.probabilities[uniq])
-            est = estimate_from_indices(x, q, idx)
-            assert est.indices.dtype == uniq.dtype and est.indices.tobytes() == uniq.tobytes(), combo
-            assert est.values.tobytes() == expected.tobytes(), combo
+            expected = counts * rows[r][uniq] / (k * q.probabilities[uniq])
+            lo, hi = bounds[r], bounds[r + 1]
+            assert drawn[r].tobytes() == np.sort(idx).tobytes(), combo
+            assert indices.dtype == uniq.dtype and indices[lo:hi].tobytes() == uniq.tobytes(), combo
+            assert values[lo:hi].tobytes() == expected.tobytes(), combo
+            _, alone_idx, alone_values, _ = estimate_point(rows[r:r + 1], q, draws[r:r + 1])
+            assert alone_idx.tobytes() == uniq.tobytes() and alone_values.tobytes() == expected.tobytes(), combo
+
+
+def test_estimate_point_draws_past_the_top_of_the_table():
+    """Uniform q over 6 attributes sums to just below 1; a draw at or above
+    that sum resolves to the last attribute, alone and next to other rows."""
+    q = uniform_distribution(6)
+    assert q.cumulative[-1] <= BELOW_ONE < 1.0
+    x = np.arange(1.0, 19.0).reshape(3, 6)
+    draws = np.array([[BELOW_ONE, 0.0], [BELOW_ONE, BELOW_ONE], [0.5, 0.99]])
+    drawn, indices, values, bounds = estimate_point(x, q, draws)
+    np.testing.assert_array_equal(drawn, [[0, 5], [5, 5], [3, 5]])
+    np.testing.assert_array_equal(bounds, [0, 2, 3, 5])
+    np.testing.assert_array_equal(indices, [0, 5, 5, 3, 5])
+    np.testing.assert_array_equal(values, [1.0 / (2 * q.probabilities[0]), 6.0 / (2 * q.probabilities[5]),
+                                           2 * 12.0 / (2 * q.probabilities[5]), 16.0 / (2 * q.probabilities[3]),
+                                           18.0 / (2 * q.probabilities[5])])
 
 
 def test_estimate_point_unbiased_enumeration():
@@ -123,20 +158,18 @@ def test_estimate_point_unbiased_enumeration():
                 for combo in itertools.product(range(d), repeat=k):
                     w = float(np.prod([q.probabilities[i] for i in combo]))
                     us = np.array([draw_for(q, i) for i in combo])
-                    mean += w * estimate_point(x, q, us).to_dense()
+                    mean += w * dense(estimate_point(x[None], q, us[None]), d)[0]
                 np.testing.assert_allclose(mean, x, atol=1e-12)
 
 
 def test_estimate_inner_product_zero_weight():
-    # a zero iterate gives phi = -y exactly and skips the inner draw, but
-    # the step is still charged n_point + n_inner
+    # a zero iterate gives phi = -y exactly and leaves the inner draw
+    # unused, but the step is still charged n_point + n_inner
     q = build_distribution([1.0])
     state = fresh_state(1)
-    rng = ScriptedDraws([0.5, 0.5])
     config = SolverConfig(b=1.0, eta=1.0, q=q, n_point=1, n_inner=1)
-    _, phi = draw_step(state, np.array([0.0]), np.array([1.0]), 2.0, config, rng, Regime.L2)
+    phi = draw_step(state, np.array([0.0]), np.array([1.0]), 2.0, config, np.array([np.nan]), Regime.L2)
     assert phi == -2.0
-    assert rng.draws == [0.5]
     assert state.zero_weight_steps == 1 and state.attributes_consumed == 2
 
 
@@ -170,7 +203,7 @@ def test_gradient_estimate_budget():
     config = SolverConfig(b=1.0, eta=1.0, q=q, n_point=3, n_inner=1)
     for w, zero_steps in ((np.array([1.0, 0.0]), 0), (np.array([0.0, 0.0]), 1)):
         state = fresh_state(2)
-        _, phi = draw_step(state, w, x, y, config, ScriptedDraws([0.1, 0.4, 0.9, 0.2]), Regime.L2)
+        phi = draw_step(state, w, x, y, config, np.array([0.2]), Regime.L2)
         assert state.attributes_consumed == 4
         assert state.steps == 1 and state.zero_weight_steps == zero_steps
         np.testing.assert_array_equal(state.sum_w, w)
@@ -208,7 +241,7 @@ def test_point_estimate_second_moment_formula():
         x = rng.standard_normal(3)
         q = build_distribution(rng.random(3) + 0.05)
         second = sum(
-            q.probabilities[i] * float(np.sum(estimate_point(x, q, np.array([draw_for(q, i)])).to_dense() ** 2))
+            q.probabilities[i] * float(np.sum(dense(estimate_point(x[None], q, np.array([[draw_for(q, i)]])), 3) ** 2))
             for i in range(3)
         )
         assert second == pytest.approx(float(np.sum(x**2 / q.probabilities)), rel=1e-12)
@@ -226,7 +259,7 @@ def test_point_estimate_variance_decomposition():
                 for combo in itertools.product(range(d), repeat=k):
                     wgt = float(np.prod([q.probabilities[i] for i in combo]))
                     us = np.array([draw_for(q, i) for i in combo])
-                    second += wgt * float(np.sum(estimate_point(x, q, us).to_dense() ** 2))
+                    second += wgt * float(np.sum(dense(estimate_point(x[None], q, us[None]), d) ** 2))
                 single = float(np.sum(x**2 / q.probabilities))
                 expected = single / k + (k - 1) / k * float(np.sum(x**2))
                 assert second == pytest.approx(expected, abs=1e-12, rel=1e-12)

@@ -273,6 +273,15 @@ def test_scaler_errors():
         Scaler(Regime.L2).transform(Dataset(np.ones((1, 1)), np.zeros(1)))
 
 
+@pytest.mark.parametrize("regime", [Regime.L2, Regime.LINF])
+def test_scaler_refuses_data_of_another_width(regime):
+    scaler = Scaler(regime).fit(Dataset(np.array([[0.5, 0.0, 1.0], [0.0, 0.5, 2.0]]), np.zeros(2)))
+    for width in (2, 4):
+        with pytest.raises(ValueError, match=f"scaler was fit on 3 attributes, got data with {width}"):
+            scaler.transform(Dataset(np.ones((2, width)), np.zeros(2)))
+    assert scaler.clipped == 0
+
+
 def test_normalize_idempotent():
     rng = np.random.default_rng(1)
     ds = Dataset(rng.standard_normal((10, 3)) * 5, rng.standard_normal(10))

@@ -1,31 +1,47 @@
-"""The budgeted step, pinned bit for bit to the implementation it replaced.
+"""The budgeted step and pass, pinned bit for bit to the implementation
+they replaced.
 
 The step path was made cheaper (fewer numpy calls, ufuncs called
-directly, the EG threshold checked on the updated entries only) without
-changing a result.  The helpers below are that earlier implementation,
-kept as the reference: a hypothesis property drives both through the
-same draws and requires identical iterates, averages, AdaGrad sums and
-counters after every step, and identical results from a whole pass.
+directly, the EG threshold checked on the updated entries only), and
+the pass now builds the point estimates of a block of examples before
+its steps, drawing the block's uniforms at once and handing back the
+ones a zero-iterate step leaves unused.  No result changed.  The helpers
+below are the earlier per-step implementation, kept as the reference: a
+hypothesis property drives both through the same draws and requires
+identical iterates, averages, AdaGrad sums and counters after every
+step, and identical results from a whole pass; whole passes given a
+Generator across the block size must also leave it where the reference
+per-step loop leaves it, and so must the two-phase solver.
 """
 
 import math
 from collections import Counter
+from dataclasses import dataclass
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from budgetreg.core import Dataset, Predictor, Regime, RunResult
-from budgetreg.estimator import DELTA_ADA, SolverConfig, SparseEstimate, estimate_from_indices
-from budgetreg.sampling import build_distribution, sample_index, uniform_distribution
+from budgetreg.estimator import _BLOCK_ROWS, DELTA_ADA, SolverConfig, estimate_point
+from budgetreg.sampling import build_distribution, uniform_distribution
 from budgetreg.solver_lasso import EGState, gaelr_step, run_gaelr
 from budgetreg.solver_ridge import RidgeState, gaerr_step, run_gaerr
+from budgetreg.two_phase import TwoPhaseConfig, run_two_phase, smoothed_q
 
 BELOW_ONE = float(np.nextafter(1.0, 0.0))  # the largest draw in [0, 1)
 
 
 # ---- the reference step ----------------------------------------------------
+
+@dataclass
+class SparseEstimate:
+    indices: np.ndarray
+    values: np.ndarray
+    dimension: int
+
 
 class RefDistribution:
     __slots__ = ("probabilities", "cumulative", "_last", "fallback")
@@ -156,7 +172,7 @@ def ref_gaelr_step(state, x, y, config, rng, ref_q, point_estimate=None):
 def ref_run_pass(dataset, config, seed, regime, initial_state, step):
     d = dataset.dimension
     config.validate(d)
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(np.random.SeedSequence(seed))
     state = initial_state(d, config)
     xs, ys = dataset.x, dataset.y
     for t in range(len(dataset)):
@@ -168,7 +184,8 @@ def ref_run_pass(dataset, config, seed, regime, initial_state, step):
 # ---- the property ----------------------------------------------------------
 
 class CycledDraws:
-    """Stands in for a Generator: hands out the given uniforms in a cycle."""
+    """Stands in for a Generator: hands out the given uniforms in a cycle.
+    ``advance`` moves the position, as PCG64's advance moves a stream."""
 
     def __init__(self, draws):
         self.draws = draws
@@ -178,6 +195,9 @@ class CycledDraws:
         out = [self.draws[(self.pos + i) % len(self.draws)] for i in range(n)]
         self.pos += n
         return np.array(out)
+
+    def advance(self, delta):
+        self.pos += delta
 
 
 def same_bits(a, b):
@@ -277,7 +297,8 @@ def example_case(regime, d, m, *, b=1.0, eta=0.5, n_point=2, n_inner=1, moments=
                       draws=(0.75,), x_value=0.5))
 def test_lean_step_matches_reference_step(case):
     """Every step of the live ridge and lasso solvers leaves the same bits
-    as the reference step, given the same draws; so does a whole pass."""
+    as the reference step, given the same draws; so does a whole pass,
+    which also leaves its Generator where the reference leaves it."""
     regime, x, y, config, draws, external, seed = case
     d = x.shape[1]
     config.validate(d)
@@ -289,14 +310,19 @@ def test_lean_step_matches_reference_step(case):
     live, ref = initial(d, config), initial(d, config)
     live_rng, ref_rng = CycledDraws(draws), CycledDraws(draws)
     for t in range(len(y)):
-        live_est = ref_est = None
+        drawn, indices, values, _ = estimate_point(x[t][None], config.q, live_rng.random(config.n_point)[None])
+        live_est = SparseEstimate(indices, values, d)
+        ref_est = None
         if external:  # the point draws shared with a moment table, as the two-phase warm start makes them
-            idx = sample_index(config.q, live_rng.random(config.n_point))
-            live_est = estimate_from_indices(x[t], config.q, idx)
             ref_idx = ref_sample_index(ref_q, ref_rng.random(config.n_point))
             ref_est = ref_estimate_from_indices(x[t], ref_q, ref_idx)
             assert same_bits(live_est.indices, ref_est.indices) and same_bits(live_est.values, ref_est.values)
-        _, live_error = outcome(lambda: step(live, x[t], float(y[t]), config, live_rng, point_estimate=live_est))
+            assert same_bits(drawn[0], np.sort(ref_idx))
+        inner = live_rng.random(config.n_inner)
+        zero_steps = live.zero_weight_steps
+        _, live_error = outcome(lambda: step(live, x[t], float(y[t]), config, indices, values, inner))
+        if live.zero_weight_steps != zero_steps:
+            live_rng.advance(-config.n_inner)
         _, ref_error = outcome(lambda: ref_step(ref, x[t], float(y[t]), config, ref_rng, ref_q, ref_est))
         assert live_error == ref_error, t
         if live_error:
@@ -312,3 +338,159 @@ def test_lean_step_matches_reference_step(case):
         assert same_bits(got.predictor.weights, want.predictor.weights)
         assert (got.attributes_consumed, got.zero_weight_steps, got.p_fallbacks) == \
             (want.attributes_consumed, want.zero_weight_steps, want.p_fallbacks)
+    assert_same_pass(dataset, config, regime, seed)
+
+
+# ---- whole passes given a Generator ----------------------------------------
+
+PASSES = {
+    Regime.L2: (RidgeState.initial, ref_gaerr_step, run_gaerr),
+    Regime.LINF: (EGState.initial, ref_gaelr_step, run_gaelr),
+}
+
+
+def assert_same_pass(dataset, config, regime, seed):
+    """A whole pass given a Generator ends with the reference per-step
+    loop's weights and counters, or its error, and leaves the Generator at
+    the same next draw; returns the live result."""
+    initial, ref_step, run = PASSES[regime]
+    ref_q = RefDistribution(config.q.probabilities)
+    live_rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    got, got_error = outcome(lambda: run(dataset, config, live_rng))
+    want, want_error = outcome(lambda: ref_run_pass(
+        dataset, config, ref_rng, regime, initial, lambda s, xt, yt, c, r: ref_step(s, xt, yt, c, r, ref_q)))
+    assert got_error == want_error
+    if got_error is None:
+        assert same_bits(got.predictor.weights, want.predictor.weights)
+        assert (got.attributes_consumed, got.zero_weight_steps, got.p_fallbacks) == \
+            (want.attributes_consumed, want.zero_weight_steps, want.p_fallbacks)
+        assert same_bits(live_rng.random(3), ref_rng.random(3))
+    return got
+
+
+def level_targets(rng, m, up, down, away=False):
+    """Targets that move a one-attribute iterate between zero and one
+    level: from zero, y = up moves it there (y = 0 stays); from there,
+    y = down brings it back."""
+    y = np.empty(m)
+    for t in range(m):
+        y[t] = down if away else rng.choice([0.0, up])
+        away = y[t] == up
+    return y
+
+
+def returning_case(regime, m, n_point, n_inner, seed):
+    """Every example is e_0, so an update moves only w_0, by exact steps:
+    the iterate returns to exactly zero again and again, in the middle of
+    a block.  Ridge starts at zero, samples q = (1/2, 1/4, 1/4) and sees y
+    in {0, 1}.  Lasso samples only attribute 0, so x~ = e_0; its update is
+    clipped at |eta g| = 1, and exp(1) exp(-1) is exactly 1, so y = 10
+    from zero (or y = 0, which stays there) followed by y = -10 brings
+    z+ and z- back level."""
+    rng = np.random.default_rng(seed)
+    x = np.zeros((m, 3))
+    x[:, 0] = 1.0
+    if regime is Regime.L2:
+        y = rng.integers(0, 2, m).astype(float)
+        config = SolverConfig(b=10.0, eta=0.5, q=build_distribution([2.0, 1.0, 1.0]), n_point=n_point,
+                              n_inner=n_inner, initial_w=np.zeros(3))
+    else:
+        y = level_targets(rng, m, 10.0, -10.0)
+        config = SolverConfig(b=1.0, eta=0.5, q=build_distribution([1.0, 0.0, 0.0]), n_point=n_point,
+                              n_inner=n_inner)
+    return Dataset(x, y), config
+
+
+def random_case(regime, m, n_point, n_inner, seed):
+    """Random rows over d <= 4 attributes (repeated point draws are
+    common), y = 0 on the first rows and on a tenth of the rest, and a
+    random q; the improved p and AdaGrad on some seeds."""
+    rng = np.random.default_rng(seed)
+    d = 1 + seed % 4
+    x = rng.uniform(-1.0, 1.0, (m, d))
+    y = rng.uniform(-1.0, 1.0, m)
+    y[:5] = 0.0
+    y[rng.random(m) < 0.1] = 0.0
+    config = SolverConfig(b=1.0, eta=0.3, q=build_distribution(rng.uniform(0.1, 1.0, d)), n_point=n_point,
+                          n_inner=n_inner, moments=rng.uniform(0.1, 1.0, d) if seed % 2 else None,
+                          adagrad=seed % 3 == 0)
+    return Dataset(x, y), config
+
+
+# (rows, n_point, n_inner): both sides of the block size, 1 to 4 point and 1 to 10 inner draws
+SHAPES = ((1, 2, 3), (_BLOCK_ROWS - 1, 1, 1), (_BLOCK_ROWS, 2, 10), (_BLOCK_ROWS + 1, 4, 2),
+          (2 * _BLOCK_ROWS + 1, 3, 7))
+
+
+@pytest.mark.parametrize("m, n_point, n_inner", SHAPES)
+@pytest.mark.parametrize("regime", [Regime.L2, Regime.LINF])
+@pytest.mark.parametrize("make_case", [returning_case, random_case])
+def test_pass_across_blocks_matches_reference_loop(make_case, regime, m, n_point, n_inner):
+    seed = m + n_point + n_inner
+    dataset, config = make_case(regime, m, n_point, n_inner, seed)
+    got = assert_same_pass(dataset, config, regime, seed)
+    if make_case is returning_case and m > 1:
+        assert got.zero_weight_steps > 10  # zero iterates throughout the pass, not only at its start
+
+
+@pytest.mark.parametrize("returning", [False, True])
+@pytest.mark.parametrize("regime", [Regime.L2, Regime.LINF])
+def test_two_phase_matches_reference_phases(regime, returning):
+    """run_two_phase against the reference per-step loop: phase 1 tables
+    each step's raw point draws before the step, phase 2 samples from
+    the smoothed table and starts at phase 1's average, and both draw
+    from one Generator, which ends at the same next draw.  With
+    ``returning`` there is one attribute, and the phase-1 iterate returns
+    to exactly zero in the middle of its blocks (ridge starts at b/2 and
+    steps by eta phi = 1/2; lasso as in returning_case)."""
+    rng = np.random.default_rng(11)
+    m1, m2, k, n_inner, eta, eps = _BLOCK_ROWS + 76, 300, 3, 2, 0.5 if returning else 0.2, 0.01
+    if returning:
+        d = 1
+        x = np.ones((m1 + m2, d))
+        y = level_targets(rng, m1 + m2, 1.0, -0.5, away=True) if regime is Regime.L2 else \
+            level_targets(rng, m1 + m2, 10.0, -10.0)
+    else:
+        d = 5
+        x = rng.uniform(-1.0, 1.0, (m1 + m2, d))
+        y = rng.uniform(-1.0, 1.0, m1 + m2)
+        y[:3] = 0.0
+    config = TwoPhaseConfig(m1=m1, m2=m2, b=1.0, k=k, regime=regime, eta=eta, n_inner=n_inner,
+                            improved_p=True, epsilon_override=eps)
+    live_rng = np.random.default_rng(5)
+    got = run_two_phase(Dataset(x, y), config, live_rng)
+
+    initial, ref_step, _ = PASSES[regime]
+    ref_rng = np.random.default_rng(5)
+    uniform = uniform_distribution(d)
+    ref_q1 = RefDistribution(uniform.probabilities)
+    counts, sums = np.zeros(d, dtype=int), np.zeros(d)
+
+    def phase1_step(state, xt, yt, c, r):
+        idx = ref_sample_index(ref_q1, r.random(c.n_point))
+        np.add.at(counts, idx, 1)
+        np.add.at(sums, idx, xt[idx] ** 2)
+        ref_step(state, xt, yt, c, r, ref_q1, ref_estimate_from_indices(xt, ref_q1, idx))
+
+    cfg1 = SolverConfig(b=1.0, eta=eta, q=uniform, n_point=k, n_inner=n_inner)
+    phase1 = ref_run_pass(Dataset(x[:m1], y[:m1]), cfg1, ref_rng, regime, initial, phase1_step)
+    a = np.zeros(d)
+    a[counts > 0] = sums[counts > 0] / counts[counts > 0]
+    q2 = smoothed_q(a, eps, regime)
+    w1 = phase1.predictor.weights
+    cfg2 = SolverConfig(b=1.0, eta=eta, q=q2, n_point=k, n_inner=n_inner, moments=a,
+                        initial_w=w1 if np.any(w1 != 0) else None)
+    ref_q2 = RefDistribution(q2.probabilities)
+    phase2 = ref_run_pass(Dataset(x[m1:], y[m1:]), cfg2, ref_rng, regime, initial,
+                          lambda s, xt, yt, c, r: ref_step(s, xt, yt, c, r, ref_q2))
+
+    table = got.info["moment_table"]
+    assert table.m1 == m1
+    assert same_bits(table.counts, counts) and same_bits(table.square_sums, sums)
+    assert same_bits(got.info["smoothed_q"], q2.probabilities)
+    assert same_bits(got.predictor.weights, phase2.predictor.weights)
+    assert got.info["phase1_budget"] == phase1.attributes_consumed
+    assert got.zero_weight_steps == phase1.zero_weight_steps + phase2.zero_weight_steps
+    if returning:
+        assert phase1.zero_weight_steps > 10
+    assert same_bits(live_rng.random(3), ref_rng.random(3))

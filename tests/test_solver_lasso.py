@@ -17,6 +17,7 @@ from budgetreg.solver_lasso import (
     lasso_eta_known_moments,
     run_gaelr,
 )
+from stepping import dense, stream_step
 
 
 def linf_dataset(d, m, seed, alpha=-1.0):
@@ -97,7 +98,7 @@ def test_zero_gradient_leaves_state():
     config = SolverConfig(b=1.0, eta=0.5, q=uniform_distribution(2))
     state = EGState.initial(2)
     # zero iterate and y=0 give phi=0: no multiplicative change
-    gaelr_step(state, np.array([1.0, 0.0]), 0.0, config, np.random.default_rng(0))
+    stream_step(gaelr_step, state, np.array([1.0, 0.0]), 0.0, config, np.random.default_rng(0))
     np.testing.assert_array_equal(state.z_plus, [1.0, 1.0])
     np.testing.assert_array_equal(state.z_minus, [1.0, 1.0])
     assert state.steps == 1
@@ -107,7 +108,7 @@ def test_zero_gradient_leaves_state():
 def test_zero_iterate_charges_full_budget():
     config = SolverConfig(b=1.0, eta=0.5, q=uniform_distribution(2), n_point=3, n_inner=2)
     state = EGState.initial(2)
-    gaelr_step(state, np.array([1.0, 1.0]), 1.0, config, np.random.default_rng(0))
+    stream_step(gaelr_step, state, np.array([1.0, 1.0]), 1.0, config, np.random.default_rng(0))
     assert state.attributes_consumed == 5
     assert state.zero_weight_steps == 1
 
@@ -156,7 +157,7 @@ def test_sparse_update_matches_dense_loop():
     rng_d = np.random.default_rng(21)
     config = SolverConfig(b=b, eta=eta, q=q, n_point=k, n_inner=1)
     for t in range(len(ds)):
-        gaelr_step(sparse, ds.x[t], float(ds.y[t]), config, rng_s)
+        stream_step(gaelr_step, sparse, ds.x[t], float(ds.y[t]), config, rng_s)
 
         # dense oracle: same draws, multiplicative update on every coordinate
         w = eg_weights(dense, b)
@@ -197,12 +198,12 @@ def test_adagrad_sparse_update_matches_dense_replica():
     z_plus, z_minus, accum = np.ones(d), np.ones(d), np.zeros(d)
     clipped = 0
     for t in range(len(ds)):
-        gaelr_step(sparse, ds.x[t], float(ds.y[t]), config, rng_s)
+        stream_step(gaelr_step, sparse, ds.x[t], float(ds.y[t]), config, rng_s)
         assert np.abs(eg_weights(sparse, b)).sum() <= b + 1e-9
 
         # dense replica: same draws, per-coordinate rates on every coordinate
         w = (z_plus - z_minus) * b / (z_plus.sum() + z_minus.sum())
-        est = estimate_point(ds.x[t], q, rng_d.random(k))
+        point = dense(estimate_point(ds.x[t][None], q, rng_d.random(k)[None]), d)[0]
         if np.any(w != 0):
             p = inner_product_p(w, Regime.LINF)
             j = sample_index(p, rng_d.random(1))
@@ -210,7 +211,7 @@ def test_adagrad_sparse_update_matches_dense_replica():
         else:
             phi = -float(ds.y[t])
         if phi != 0.0:
-            g = phi * est.to_dense()
+            g = phi * point
             accum += g * g
             eta_i = eta0 / np.sqrt(DELTA_ADA + accum)
             clipped += int(np.count_nonzero(np.abs(g) > 1.0 / eta_i))

@@ -28,8 +28,7 @@ def make_dataset(d, m, seed, regime, alpha=-1.0):
 
 def test_estimate_moments_constant_ones():
     table = MomentTable(4)
-    for x in np.ones((30, 4)):
-        table.add(np.arange(4), x)
+    table.add(np.tile(np.arange(4), (30, 1)), np.ones((30, 4)))
     assert (table.counts > 0).all()
     np.testing.assert_allclose(table.A, np.ones(4))
     assert table.counts.sum() == 30 * 4
@@ -40,8 +39,7 @@ def test_estimate_moments_single_attribute():
     # repeated draws of one index are tabled one by one
     x = np.array([[0.2], [0.4], [0.6]])
     table = MomentTable(1)
-    for row in x:
-        table.add(np.zeros(3, dtype=int), row)
+    table.add(np.zeros((3, 3), dtype=int), x)
     assert table.counts[0] == 3 * 3
     assert table.A[0] == pytest.approx(float(np.mean(x**2)))
 
@@ -51,8 +49,7 @@ def test_estimate_moments_constant_example():
     rng = np.random.default_rng(2)
     uniform = uniform_distribution(2)
     table = MomentTable(2)
-    for x in np.tile([0.6, 0.3], (200, 1)):
-        table.add(sample_index(uniform, rng.random(2)), x)
+    table.add(sample_index(uniform, rng.random((200, 2))), np.tile([0.6, 0.3], (200, 1)))
     assert np.all(table.counts > 0)
     np.testing.assert_allclose(table.A, [0.36, 0.09], atol=1e-12)
 
