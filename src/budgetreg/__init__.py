@@ -16,7 +16,6 @@ from .core import (
 from .estimator import SolverConfig, estimate_phi, estimate_point
 from .harness import (
     ExperimentConfig,
-    cross_validate,
     dataset_moments,
     relative_loss,
     run_experiment,
@@ -45,7 +44,6 @@ __all__ = [
     "TwoPhaseConfig",
     "aelr_eta",
     "aerr_eta",
-    "cross_validate",
     "dataset_moments",
     "estimate_phi",
     "estimate_point",

@@ -59,11 +59,11 @@ def norm(v, p):
 def project_l2_ball(v, b):
     """Euclidean projection of v onto the L2 ball of radius b."""
     v = np.asarray(v, dtype=float)
+    if b < 0:
+        raise ValueError("radius must be nonnegative")
     nrm = math.sqrt(float(np.dot(v, v)))
     if nrm <= b:
         return v.copy()
-    if nrm == 0.0:
-        return np.zeros_like(v)
     return v * (b / nrm)
 
 
@@ -128,24 +128,6 @@ class Dataset:
 
     def subset(self, indices):
         return Dataset(self.x[indices], self.y[indices], self.regime)
-
-    def validate(self, b=None, tol=BALL_TOL):
-        if len(self) == 0:
-            raise ValueError("empty dataset")
-        if not np.all(np.isfinite(self.x)) or not np.all(np.isfinite(self.y)):
-            raise ValueError("non-finite entry in dataset")
-        if self.regime is None:
-            return
-        if self.regime == Regime.L2:
-            worst = float(np.sqrt((self.x * self.x).sum(axis=1)).max())
-        else:
-            worst = float(np.abs(self.x).max()) if self.x.size else 0.0
-        if worst > 1.0 + tol:
-            raise ValueError(
-                f"attribute vector outside the unit {self.regime.value} ball"
-            )
-        if b is not None and float(np.abs(self.y).max()) > b + tol:
-            raise ValueError("target exceeds the norm bound")
 
 
 @dataclass

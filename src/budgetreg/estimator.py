@@ -29,6 +29,7 @@ from .sampling import (
 
 __all__ = [
     "DELTA_ADA",
+    "PassState",
     "SolverConfig",
     "estimate_point",
     "estimate_phi",
@@ -74,6 +75,18 @@ class SolverConfig:
     def require_q(self):
         if self.q is None:
             raise ValueError("a budgeted solver needs a sampling distribution q, got q=None")
+
+
+@dataclass(kw_only=True)
+class PassState:
+    """The counters every pass keeps; a solver's state adds its iterate."""
+
+    sum_w: np.ndarray
+    steps: int = 0
+    attributes_consumed: int = 0
+    zero_weight_steps: int = 0
+    p_fallbacks: int = 0  # improved-p steps that fell back to the standard p
+    accum: np.ndarray | None = None  # AdaGrad squared-gradient sums
 
 
 def estimate_point(x, q, draws):
@@ -168,8 +181,12 @@ def run_pass(dataset, config, seed, regime, initial_state, step, table=None):
     config.validate(d)
     state = initial_state(d, config)
     if config.q is None:
-        for x, y in zip(dataset.x, dataset.y.tolist()):
-            step(state, x, y, config)
+        xs, ys = dataset.x, dataset.y
+        # targets are listed a block at a time, not one Python float per example of the pass
+        for start in range(0, len(ys), _BLOCK_ROWS):
+            stop = start + _BLOCK_ROWS
+            for x, y in zip(xs[start:stop], ys[start:stop].tolist()):
+                step(state, x, y, config)
     else:
         rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(np.random.SeedSequence(seed))
         if not isinstance(rng.bit_generator, np.random.PCG64):

@@ -33,7 +33,6 @@ __all__ = [
     "LearningCurve",
     "RunContext",
     "RunRecord",
-    "cross_validate",
     "dataset_moments",
     "relative_loss",
     "run_experiment",
@@ -110,6 +109,11 @@ ALGORITHMS = {
 }
 
 
+def _phase1_size(m, m1_fraction):
+    """Examples a two-phase run of m examples gives its first phase."""
+    return int(math.ceil(m1_fraction * m))
+
+
 @dataclass
 class RunContext:
     """Shared per-experiment inputs for a single training run."""
@@ -160,7 +164,7 @@ def train_run(algo_id, train, ctx, eta, seed):
         return solve(train, cfg, seed)
 
     if spec.kind == "two_phase":
-        m1 = int(math.ceil(ctx.m1_fraction * m))
+        m1 = _phase1_size(m, ctx.m1_fraction)
         cfg = TwoPhaseConfig(
             m1=m1, m2=m - m1, b=ctx.b, k=k, regime=regime, delta=ctx.delta,
             eta=eta, n_inner=n_inner, improved_p=ctx.improved_p,
@@ -187,29 +191,14 @@ def train_run(algo_id, train, ctx, eta, seed):
     return solve(train, cfg, seed)
 
 
-def cross_validate(dataset, algorithm, eta_grid, folds, seed, ctx):
-    """Pick the step size by k-fold validation; ties go to the smaller eta.
-
-    Fold data and fold run streams depend only on (seed, fold), never on
-    the candidate, so duplicated grid entries score identically and the
-    first one wins.  Folds whose validation targets are all zero carry no
-    defined relative loss and are skipped.
-    """
-    if eta_grid is None or len(eta_grid) == 0:
-        raise ValueError("empty step-size grid")
-    if folds < 2:
-        raise ValueError("need at least two folds")
-    scores = [[_fold_score(dataset, len(dataset), folds, f, algorithm, ctx, float(eta), seed)
-               for f in range(folds)] for eta in eta_grid]
-    return _pick_eta(eta_grid, scores)
-
-
 def _fold_score(dataset, n, folds, f, algorithm, ctx, eta, seed):
     """Validation relative loss of the fold-f run at eta, the folds split
-    from the first n examples by the (seed) stream alone; None when the
-    fold's validation targets are all zero (the fold is skipped)."""
-    if n < folds:
-        raise ValueError("fewer examples than folds")
+    from the first n >= folds examples by the (seed) stream alone; None
+    when the fold's validation targets are all zero (the fold is skipped).
+
+    Fold data and fold run streams depend only on (seed, fold), never on
+    eta, so duplicated grid entries score identically.
+    """
     blocks = np.array_split(_stream(seed, _TAG_CV_SPLIT).permutation(n), folds)
     val = dataset.subset(blocks[f])
     if not np.any(val.y != 0):
@@ -330,6 +319,18 @@ class ExperimentConfig:
             raise ValueError("epsilon_override must be null or a finite number >= 0")
         if not isinstance(self.improved_p, bool):
             raise ValueError("improved_p must be true or false")
+        cv = self.eta_grid is not None and any(ALGORITHMS[a].kind != "erm" for a in algos)
+        smallest = min(prefixes)
+        if cv and smallest < self.folds:
+            raise ValueError(f"prefixes must be at least folds ({self.folds}) when step sizes are "
+                             f"cross-validated, got {smallest}")
+        # a CV training fold leaves out the largest of the folds' validation blocks
+        run = smallest - math.ceil(smallest / self.folds) if cv else smallest
+        m1 = _phase1_size(run, self.m1_fraction)
+        for algo in algos:
+            if ALGORITHMS[algo].kind == "two_phase" and run - m1 < 1:
+                raise ValueError(f"prefixes must leave {algo} a second phase: its smallest run has {run} "
+                                 f"example(s) and m1_fraction {self.m1_fraction} gives phase 1 {m1}")
 
 
 def _is_real(value):
@@ -477,17 +478,20 @@ def run_experiment(config, workers: int = 1) -> ExperimentResult:
     payload = {"pool": pool, "test": test, "ctx": ctx, "seed": config.seed, "folds": config.folds}
     pool_exec = (ProcessPoolExecutor(max_workers=workers, initializer=_init_worker, initargs=(payload,))
                  if workers > 1 else contextlib.nullcontext())
-    with pool_exec:
-        if workers == 1:
-            _init_worker(payload)
-        scores = iter(_map_tasks(pool_exec, workers, cv_tasks))
-        etas = {(algo, m): None for _, algo, _, m in cells}
-        for _, algo, _, m in cv_cells:
-            etas[(algo, m)] = _pick_eta(config.eta_grid, [[next(scores) for _ in range(config.folds)]
-                                                          for _ in config.eta_grid])
-        tasks = [(ai, algo, pi, m, etas[(algo, m)], None, r) for ai, algo, pi, m in cells
-                 for r in range(config.repeats)]
-        raw = _map_tasks(pool_exec, workers, tasks)
+    try:
+        with pool_exec:
+            if workers == 1:
+                _init_worker(payload)
+            scores = iter(_map_tasks(pool_exec, workers, cv_tasks))
+            etas = {(algo, m): None for _, algo, _, m in cells}
+            for _, algo, _, m in cv_cells:
+                etas[(algo, m)] = _pick_eta(config.eta_grid, [[next(scores) for _ in range(config.folds)]
+                                                              for _ in config.eta_grid])
+            tasks = [(ai, algo, pi, m, etas[(algo, m)], None, r) for ai, algo, pi, m in cells
+                     for r in range(config.repeats)]
+            raw = _map_tasks(pool_exec, workers, tasks)
+    finally:
+        _WORKER.clear()  # a serial run installed its payload in this process
 
     records = [
         RunRecord(algorithm=task[1], seed=task[6], m=task[3],

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import Regime
-from .estimator import adagrad_rate, draw_step, run_pass
+from .estimator import PassState, adagrad_rate, draw_step, run_pass
 
 __all__ = [
     "EGState",
@@ -35,25 +35,19 @@ _RENORM_THRESHOLD = 1e100
 
 
 @dataclass
-class EGState:
+class EGState(PassState):
     z_plus: np.ndarray
     z_minus: np.ndarray
-    sum_w: np.ndarray
-    steps: int = 0
-    attributes_consumed: int = 0
-    zero_weight_steps: int = 0
-    p_fallbacks: int = 0  # improved-p steps that fell back to the standard p
-    accum: np.ndarray | None = None  # AdaGrad squared-gradient sums
     # eg_update has checked every z entry against the renormalization threshold
     peak_checked: bool = field(default=False, init=False, repr=False)
 
     @classmethod
-    def initial(cls, d, config=None):
-        if config is not None and config.initial_w is not None:
+    def initial(cls, d, config):
+        if config.initial_w is not None:
             state = eg_state_from_weights(config.initial_w, config.b)
         else:
             state = cls(z_plus=np.ones(d), z_minus=np.ones(d), sum_w=np.zeros(d))
-        if config is not None and config.adagrad:
+        if config.adagrad:
             state.accum = np.zeros(d)
         return state
 

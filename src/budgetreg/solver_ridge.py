@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Regime
-from .estimator import adagrad_rate, draw_step, run_pass
+from .estimator import PassState, adagrad_rate, draw_step, run_pass
 
 __all__ = [
     "RidgeState",
@@ -34,14 +34,8 @@ def default_initial_w(d, b):
 
 
 @dataclass
-class RidgeState:
+class RidgeState(PassState):
     w: np.ndarray
-    sum_w: np.ndarray
-    steps: int = 0
-    attributes_consumed: int = 0
-    zero_weight_steps: int = 0
-    p_fallbacks: int = 0  # improved-p steps that fell back to the standard p
-    accum: np.ndarray | None = None  # AdaGrad squared-gradient sums
 
     @classmethod
     def initial(cls, d, config):

@@ -48,7 +48,7 @@ def reference_lasso_full(dataset, b, eta):
     """The per-example EG loop the lasso baseline ran before it became a
     step of run_pass; returns the average iterate."""
     d = dataset.dimension
-    state = EGState.initial(d)
+    state = EGState.initial(d, SolverConfig(b=b, eta=eta, q=None))
     all_idx = np.arange(d)
     xs, ys = dataset.x, dataset.y
     for t in range(len(dataset)):

@@ -209,13 +209,28 @@ def test_experiment_rejects_unknown_keys(tmp_path):
                                         ("prefixes", "30"), ("prefixes", [40, 40]), ("eta_grid", [True]),
                                         ("budget_split", float("inf")), ("budget_split", float("nan")),
                                         ("budget_split", 5.0), ("budget_split", -3.0),
-                                        ("algorithms", ["2p-ddaerr", "2p-ddaerr"]), ("algorithms", "2p-ddaerr")])
+                                        ("algorithms", ["2p-ddaerr", "2p-ddaerr"]), ("algorithms", "2p-ddaerr"),
+                                        ("prefixes", [1])])
 def test_experiment_rejects_two_phase_settings_before_running(tmp_path, key, value):
     config = experiment_config(tmp_path, **{"algorithms": ["2p-ddaerr"], "eta_grid": None, key: value})
     out = tmp_path / "out"
     proc = run_cli("experiment", "--config", config, "--out-dir", out, "--workers", 1)
     assert proc.returncode == 1
     assert f"error: {key} must" in proc.stderr
+    assert "running" not in proc.stderr
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("overrides", [
+    {"algorithms": ["aerr"], "prefixes": [5], "dim": 10, "repeats": 2, "folds": 10, "eta_grid": [0.1]},
+    {"algorithms": ["2p-ddaerr"], "prefixes": [2], "folds": 2, "eta_grid": [0.1]},
+])
+def test_experiment_refuses_prefixes_no_run_can_take_before_running(tmp_path, overrides):
+    config = experiment_config(tmp_path, **overrides)
+    out = tmp_path / "out"
+    proc = run_cli("experiment", "--config", config, "--out-dir", out, "--workers", 1)
+    assert proc.returncode == 1
+    assert "error: prefixes must" in proc.stderr
     assert "running" not in proc.stderr
     assert not out.exists()
 

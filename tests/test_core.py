@@ -47,6 +47,9 @@ def test_project_l2_ball():
     np.testing.assert_array_equal(project_l2_ball(inside, 1.0), inside)
     boundary = np.array([0.6, 0.8])
     np.testing.assert_array_equal(project_l2_ball(boundary, 1.0), boundary)
+    np.testing.assert_array_equal(project_l2_ball([0.0, 0.0], 0.0), [0.0, 0.0])
+    with pytest.raises(ValueError, match="radius must be nonnegative"):
+        project_l2_ball(np.array([3.0, 4.0]), -1.0)
 
 
 def test_project_l2_ball_idempotent_and_contractive():
@@ -93,17 +96,6 @@ def test_weight_norm_pairs_regimes():
     assert weight_norm(w, Regime.LINF) == 7.0
 
 
-def test_example_validate():
-    # one-example datasets: each row is checked against the ball and the bound
-    Dataset(np.array([[0.6, 0.8]]), np.array([1.0]), Regime.L2).validate(b=2.0)
-    with pytest.raises(ValueError, match="outside the unit l2 ball"):
-        Dataset(np.array([[1.0, 1.0]]), np.array([0.0]), Regime.L2).validate()
-    with pytest.raises(ValueError, match="target exceeds the norm bound"):
-        Dataset(np.array([[0.5, 0.0]]), np.array([3.0]), Regime.L2).validate(b=2.0)
-    with pytest.raises(ValueError, match="non-finite entry"):
-        Dataset(np.array([[np.nan, 0.0]]), np.array([0.0]), Regime.L2).validate()
-
-
 def test_dataset_shape_errors():
     with pytest.raises(ValueError, match="attribute matrix must be 2-dimensional"):
         Dataset(np.zeros(3), np.zeros(3))
@@ -121,18 +113,6 @@ def test_dataset_accessors_and_subset():
     np.testing.assert_array_equal(sub.y, [3.0, 1.0])
     np.testing.assert_array_equal(sub.x, [[0.5, 0.5], [1.0, 0.0]])
     assert sub.regime == Regime.LINF
-
-
-def test_dataset_from_examples_and_validate():
-    ds = Dataset(np.array([[0.5], [1.0]]), np.array([0.2, -0.7]), Regime.L2)
-    ds.validate(b=1.0)
-    with pytest.raises(ValueError, match="target exceeds the norm bound"):
-        ds.validate(b=0.5)
-    bad = Dataset(np.array([[1.5]]), np.array([0.0]), Regime.L2)
-    with pytest.raises(ValueError, match="outside the unit l2 ball"):
-        bad.validate()
-    with pytest.raises(ValueError, match="empty dataset"):
-        Dataset(np.zeros((0, 1)), np.zeros(0), Regime.L2).validate()
 
 
 def test_predictor_predict_and_validate():

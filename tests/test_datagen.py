@@ -71,7 +71,7 @@ def test_generate_dataset_l2_feasible_and_consistent():
     u = power_law_means(6, -1.0, Regime.L2)
     w_star = random_target_weights(6, Regime.L2, 2)
     ds = generate_dataset(u, w_star, 500, Regime.L2, 3)
-    ds.validate()
+    assert np.all(np.isfinite(ds.x)) and np.all(np.isfinite(ds.y))
     assert np.all(np.sqrt((ds.x**2).sum(axis=1)) <= 1.0 + 1e-12)
     np.testing.assert_allclose(ds.y, ds.x @ w_star, atol=1e-12)
 

@@ -12,9 +12,11 @@ from budgetreg.harness import (
     _TAG_CV,
     _TAG_CV_RUN,
     _TAG_CV_SPLIT,
+    _WORKER,
+    _fold_score,
     _materialize,
+    _pick_eta,
     _stream,
-    cross_validate,
     dataset_moments,
     relative_loss,
     run_experiment,
@@ -126,11 +128,25 @@ def test_train_run_deterministic_and_eta_sensitive():
     assert np.any(r3.predictor.weights != r1.predictor.weights)
 
 
+def cv_pick(ds, algo, grid, folds, seed, ctx):
+    """The step size k-fold validation on all of ds picks, as run_experiment composes it."""
+    scores = [[_fold_score(ds, len(ds), folds, f, algo, ctx, float(eta), seed) for f in range(folds)]
+              for eta in grid]
+    return _pick_eta(grid, scores)
+
+
 def test_cross_validate_single_and_duplicate_entries():
     ds = make_dataset(4, 50, 4, Regime.L2)
     ctx = make_ctx(Regime.L2, moments=dataset_moments(ds))
-    assert cross_validate(ds, "aerr", [0.03], 5, 0, ctx) == 0.03
-    assert cross_validate(ds, "aerr", [0.03, 0.03, 0.03], 5, 0, ctx) == 0.03
+    assert cv_pick(ds, "aerr", [0.03], 5, 0, ctx) == 0.03
+    assert cv_pick(ds, "aerr", [0.03, 0.03, 0.03], 5, 0, ctx) == 0.03
+    # duplicated entries score identically, fold by fold
+    scores = [[_fold_score(ds, len(ds), 5, f, "aerr", ctx, 0.03, 0) for f in range(5)] for _ in range(3)]
+    assert scores[0] == scores[1] == scores[2]
+    assert _pick_eta([0.05, 0.03, 0.03], [[0.2], [0.1], [0.1]]) == 0.03
+    for grid in ([0.03], [0.03, 0.03, 0.03]):
+        result = run_experiment(small_config(algorithms=["aerr"], prefixes=[50], folds=5, eta_grid=grid, repeats=1))
+        assert result.etas == {("aerr", 50): 0.03}
 
 
 def test_cross_validate_matches_manual_enumeration():
@@ -152,23 +168,26 @@ def test_cross_validate_matches_manual_enumeration():
             rng = _stream(seed, _TAG_CV_RUN, f)
             result = train_run("aerr", ds.subset(train_idx), ctx, eta, rng)
             per_fold.append(relative_loss(result.predictor, val))
+            assert _fold_score(ds, len(ds), folds, f, "aerr", ctx, eta, seed) == per_fold[-1]
         scores.append(float(np.mean(per_fold)))
     expected = min(zip(scores, grid))[1]
-    assert cross_validate(ds, "aerr", grid, folds, seed, ctx) == expected
+    assert cv_pick(ds, "aerr", grid, folds, seed, ctx) == expected
 
 
 def test_cross_validate_errors():
-    ds = make_dataset(4, 30, 6, Regime.L2)
-    ctx = make_ctx(Regime.L2)
-    with pytest.raises(ValueError, match="empty step-size grid"):
-        cross_validate(ds, "aerr", [], 3, 0, ctx)
+    raw = {"algorithms": ["aerr"], "regime": "l2", "prefixes": [30], "k": 2, "dim": 4, "alpha": -1.0,
+           "eta_grid": [0.1], "folds": 3}
+    with pytest.raises(ValueError, match="eta_grid must be null or a non-empty list"):
+        ExperimentConfig.from_dict({**raw, "eta_grid": []})
     with pytest.raises(ValueError, match="at least two folds"):
-        cross_validate(ds, "aerr", [0.1], 1, 0, ctx)
-    with pytest.raises(ValueError, match="fewer examples than folds"):
-        cross_validate(ds.subset(np.arange(2)), "aerr", [0.1], 3, 0, ctx)
+        ExperimentConfig.from_dict({**raw, "folds": 1})
+    with pytest.raises(ValueError, match=r"prefixes must be at least folds \(3\) when step sizes are cross-validated"):
+        ExperimentConfig.from_dict({**raw, "prefixes": [2, 30]})
     zeros = Dataset(np.ones((12, 2)) * 0.5, np.zeros(12), Regime.L2)
+    scores = [[_fold_score(zeros, 12, 3, f, "aerr", make_ctx(Regime.L2, b=1.0), 0.1, 0) for f in range(3)]]
+    assert scores == [[None, None, None]]
     with pytest.raises(ValueError, match="zero-predictor loss undefined"):
-        cross_validate(zeros, "aerr", [0.1], 3, 0, make_ctx(Regime.L2, b=1.0))
+        _pick_eta([0.1], scores)
 
 
 def test_config_round_trip_and_errors():
@@ -261,11 +280,46 @@ def test_config_rejects_step_sizes_and_norm_bounds_that_are_not_finite_and_posit
     ("algorithms", "aerr", "algorithms must be a non-empty list of distinct names, got 'aerr'"),
     ("algorithms", [], r"algorithms must be a non-empty list of distinct names, got \[\]"),
     ("algorithms", [["aerr"]], "algorithms must be a non-empty list of distinct names"),
+    ("prefixes", [1], "prefixes must leave 2p-ddaerr a second phase: its smallest run has 1 example"),
+    ("m1_fraction", 0.99, "prefixes must leave 2p-ddaerr a second phase: .* m1_fraction 0.99 gives phase 1 50"),
 ])
 def test_config_rejects_two_phase_settings_out_of_range(key, value, message):
     raw = {"algorithms": ["2p-ddaerr"], "regime": "l2", "prefixes": [50], "k": 2, "dim": 5, "alpha": -1.0}
     with pytest.raises(ValueError, match=message):
         ExperimentConfig.from_dict({**raw, key: value})
+
+
+# shapes on which some run of the experiment would fail after it started
+@pytest.mark.parametrize("overrides, message", [
+    ({"algorithms": ["aerr"], "prefixes": [5], "folds": 10}, r"prefixes must be at least folds \(10\)"),
+    ({"algorithms": ["erm", "ogd-full"], "prefixes": [40, 9], "folds": 10}, r"prefixes must be at least folds \(10\)"),
+    ({"algorithms": ["aerr", "2p-ddaerr"], "prefixes": [2], "folds": 2},
+     "prefixes must leave 2p-ddaerr a second phase: its smallest run has 1 example"),
+    # the final run of 5 examples has a phase 2; a training fold of 4 has none
+    ({"algorithms": ["2p-ddaerr"], "prefixes": [20, 5], "folds": 5, "m1_fraction": 0.8},
+     "its smallest run has 4 example.* gives phase 1 4"),
+])
+def test_config_refuses_prefixes_no_run_can_take(overrides, message):
+    raw = {"regime": "l2", "k": 2, "dim": 10, "alpha": -1.0, "eta_grid": [0.1], **overrides}
+    with pytest.raises(ValueError, match=message):
+        ExperimentConfig.from_dict(raw)
+
+
+def test_config_accepts_the_smallest_prefixes_a_run_can_take(tmp_path):
+    from budgetreg.ingest import write_csv
+
+    x = np.random.default_rng(0).uniform(-1.0, 1.0, (40, 10))
+    path = tmp_path / "pool.csv"
+    write_csv(path, Dataset(x, 1.5 + x[:, 0]))  # no zero target: every split's relative loss is defined
+    raw = {"regime": "l2", "data": str(path), "k": 2, "eta_grid": [0.1], "repeats": 1}
+    for overrides in ({"algorithms": ["aerr"], "prefixes": [10], "folds": 10},
+                      {"algorithms": ["erm"], "prefixes": [2], "folds": 10},  # erm is never cross-validated
+                      {"algorithms": ["2p-ddaerr"], "prefixes": [2], "eta_grid": None},
+                      {"algorithms": ["2p-ddaerr"], "prefixes": [4], "folds": 2},
+                      {"algorithms": ["2p-ddaerr"], "prefixes": [20], "folds": 10, "m1_fraction": 0.5},
+                      {"algorithms": ["2p-ddaerr"], "prefixes": [7], "folds": 5, "m1_fraction": 0.8}):
+        result = run_experiment(ExperimentConfig.from_dict({**raw, **overrides}))
+        assert len(result.records) == 1
 
 
 def test_config_accepts_two_phase_settings_in_range():
@@ -330,10 +384,11 @@ def test_run_experiment_deterministic_across_workers():
     assert r1.etas == r2.etas
 
 
-def test_run_experiment_pooled_cv_matches_cross_validate_across_workers():
+def test_run_experiment_pooled_cv_matches_fold_scores_across_workers():
     """CV fold fits are pool tasks like the final runs: records and chosen
     step sizes must not depend on the worker count, and each chosen step
-    size must be what cross_validate picks on the same prefix and key."""
+    size must be what k-fold validation of the same prefix picks with the
+    same key."""
     for regime, algos, seed in ((Regime.L2, ["aerr", "ddaerr", "2p-ddaerr"], 5),
                                 (Regime.LINF, ["aelr", "2p-ddaelr"], 7)):
         config = small_config(algorithms=algos, regime=regime, prefixes=[30, 45], repeats=2, folds=3,
@@ -347,9 +402,22 @@ def test_run_experiment_pooled_cv_matches_cross_validate_across_workers():
         ctx = make_ctx(regime, b=b, n_point=2, n_inner=1, moments=moments)
         for ai, algo in enumerate(algos):
             for pi, m in enumerate(config.prefixes):
-                direct = cross_validate(pool.subset(np.arange(m)), algo, config.eta_grid, config.folds,
-                                        (config.seed, _TAG_CV, ai, pi), ctx)
+                direct = cv_pick(pool.subset(np.arange(m)), algo, config.eta_grid, config.folds,
+                                 (config.seed, _TAG_CV, ai, pi), ctx)
                 assert runs[0].etas[(algo, m)] == direct, (algo, m)
+
+
+def test_serial_run_experiment_leaves_no_worker_payload(monkeypatch):
+    run_experiment(small_config(repeats=1))
+    assert _WORKER == {}
+
+    def fail(*args):
+        raise RuntimeError("run failed")
+
+    monkeypatch.setattr("budgetreg.harness.train_run", fail)
+    with pytest.raises(RuntimeError, match="run failed"):
+        run_experiment(small_config(repeats=1))
+    assert _WORKER == {}
 
 
 def test_run_experiment_cv_and_erm_skip():

@@ -20,6 +20,9 @@ from budgetreg.solver_lasso import (
 from stepping import dense, stream_step
 
 
+PLAIN = SolverConfig(b=1.0, eta=1.0, q=None)  # no start weights and no AdaGrad: z+ = z- = 1
+
+
 def linf_dataset(d, m, seed, alpha=-1.0):
     u = power_law_means(d, alpha, Regime.LINF)
     w_star = random_target_weights(d, Regime.LINF, seed)
@@ -27,7 +30,7 @@ def linf_dataset(d, m, seed, alpha=-1.0):
 
 
 def test_eg_weights_examples():
-    state = EGState.initial(3)
+    state = EGState.initial(3, PLAIN)
     np.testing.assert_allclose(eg_weights(state, 1.0), [0.0, 0.0, 0.0])
     state = EGState(z_plus=np.array([3.0]), z_minus=np.array([1.0]), sum_w=np.zeros(1))
     np.testing.assert_allclose(eg_weights(state, 1.0), [0.5])
@@ -56,28 +59,28 @@ def test_eg_state_from_weights_roundtrip():
 
 
 def test_eg_update_hand_trace():
-    state = EGState.initial(1)
+    state = EGState.initial(1, PLAIN)
     eg_update(state, np.array([0]), np.array([math.log(2.0)]), eta=1.0)
     np.testing.assert_allclose(state.z_plus, [0.5], atol=1e-15)
     np.testing.assert_allclose(state.z_minus, [2.0], atol=1e-15)
 
 
 def test_eg_update_clips_at_inverse_eta():
-    s1 = EGState.initial(1)
+    s1 = EGState.initial(1, PLAIN)
     eg_update(s1, np.array([0]), np.array([10.0]), eta=0.1)
-    s2 = EGState.initial(1)
+    s2 = EGState.initial(1, PLAIN)
     eg_update(s2, np.array([0]), np.array([20.0]), eta=0.1)
     np.testing.assert_allclose(s1.z_plus, s2.z_plus)
     np.testing.assert_allclose(s1.z_plus, [math.exp(-1.0)])
     # one rate per index (AdaGrad): each value is clipped at its own 1/eta_i
-    s3 = EGState.initial(2)
+    s3 = EGState.initial(2, PLAIN)
     eg_update(s3, np.array([0, 1]), np.array([10.0, 0.5]), eta=np.array([0.1, 0.5]))
     np.testing.assert_allclose(s3.z_plus, [math.exp(-1.0), math.exp(-0.25)], rtol=1e-15)
     np.testing.assert_allclose(s3.z_minus, [math.exp(1.0), math.exp(0.25)], rtol=1e-15)
 
 
 def test_eg_update_off_support_untouched():
-    state = EGState.initial(3)
+    state = EGState.initial(3, PLAIN)
     eg_update(state, np.array([1]), np.array([0.5]), eta=1.0)
     assert state.z_plus[0] == 1.0 and state.z_plus[2] == 1.0
     assert state.z_minus[0] == 1.0 and state.z_minus[2] == 1.0
@@ -96,7 +99,7 @@ def test_renormalization_preserves_weights():
 
 def test_zero_gradient_leaves_state():
     config = SolverConfig(b=1.0, eta=0.5, q=uniform_distribution(2))
-    state = EGState.initial(2)
+    state = EGState.initial(2, config)
     # zero iterate and y=0 give phi=0: no multiplicative change
     stream_step(gaelr_step, state, np.array([1.0, 0.0]), 0.0, config, np.random.default_rng(0))
     np.testing.assert_array_equal(state.z_plus, [1.0, 1.0])
@@ -107,7 +110,7 @@ def test_zero_gradient_leaves_state():
 
 def test_zero_iterate_charges_full_budget():
     config = SolverConfig(b=1.0, eta=0.5, q=uniform_distribution(2), n_point=3, n_inner=2)
-    state = EGState.initial(2)
+    state = EGState.initial(2, config)
     stream_step(gaelr_step, state, np.array([1.0, 1.0]), 1.0, config, np.random.default_rng(0))
     assert state.attributes_consumed == 5
     assert state.zero_weight_steps == 1
@@ -151,11 +154,11 @@ def test_sparse_update_matches_dense_loop():
     ds, _ = linf_dataset(6, 100, seed=4)
     b, eta, k = 1.5, 0.3, 2
     q = build_distribution(np.arange(1.0, 7.0))
-    sparse = EGState.initial(6)
-    dense = EGState.initial(6)
+    config = SolverConfig(b=b, eta=eta, q=q, n_point=k, n_inner=1)
+    sparse = EGState.initial(6, config)
+    dense = EGState.initial(6, config)
     rng_s = np.random.default_rng(21)
     rng_d = np.random.default_rng(21)
-    config = SolverConfig(b=b, eta=eta, q=q, n_point=k, n_inner=1)
     for t in range(len(ds)):
         stream_step(gaelr_step, sparse, ds.x[t], float(ds.y[t]), config, rng_s)
 

@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from budgetreg.baselines import online_lasso_full, online_ridge_full
 from budgetreg.core import Dataset, Regime
 from budgetreg.datagen import generate_dataset, power_law_means, random_target_weights
 from budgetreg.estimator import DELTA_ADA, SolverConfig, estimate_point
@@ -97,22 +98,26 @@ def test_budgeted_pass_refuses_a_generator_other_than_pcg64():
 
 
 def test_pass_memory_does_not_grow_with_m():
-    """A pass holds the draws and point estimates of one block at a time:
-    the traced peak of a pass over 20000 rows stays below 2x that over
-    2000 rows (measured: 1.04x; a pass that lists all its targets at once
-    gives 9.8x)."""
-    peaks = []
-    for m in (2000, 20000):
-        rng = np.random.default_rng(0)
-        ds = Dataset(rng.uniform(-1.0, 1.0, (m, 10)) / np.sqrt(10), rng.uniform(-1.0, 1.0, m))
-        config = SolverConfig(b=1.0, eta=0.05, q=uniform_distribution(10), n_point=2, n_inner=2)
-        tracemalloc.start()
-        try:
-            run_gaerr(ds, config, 0)
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
-    assert peaks[1] < 2 * peaks[0], peaks
+    """A pass holds the draws, point estimates and targets of one block at
+    a time: the traced peak of a pass over 20000 rows stays below 2x that
+    over 2000 rows, budgeted or full-information (measured: 1.04x for the
+    budgeted pass; a pass that lists all its targets at once gives 9.8x)."""
+    config = SolverConfig(b=1.0, eta=0.05, q=uniform_distribution(10), n_point=2, n_inner=2)
+    runs = {"run_gaerr": lambda ds: run_gaerr(ds, config, 0),
+            "online_ridge_full": lambda ds: online_ridge_full(ds, 1.0, 0.05),
+            "online_lasso_full": lambda ds: online_lasso_full(ds, 1.0, 0.05)}
+    for name, run in runs.items():
+        peaks = []
+        for m in (2000, 20000):
+            rng = np.random.default_rng(0)
+            ds = Dataset(rng.uniform(-1.0, 1.0, (m, 10)) / np.sqrt(10), rng.uniform(-1.0, 1.0, m))
+            tracemalloc.start()
+            try:
+                run(ds)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < 2 * peaks[0], (name, peaks)
 
 
 def test_feasible_after_every_step():
