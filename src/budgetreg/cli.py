@@ -23,6 +23,7 @@ from .harness import (
     ALGORITHMS,
     ExperimentConfig,
     RunContext,
+    algorithm_regime,
     dataset_moments,
     relative_loss,
     run_experiment,
@@ -100,13 +101,9 @@ def _cmd_ratios(args):
 
 def _cmd_train(args):
     spec = ALGORITHMS[args.algo]
-    regime = spec.regime
-    if regime is None:
-        if args.regime is None:
-            raise ValueError(f"{args.algo} needs an explicit --regime")
-        regime = Regime(args.regime)
-    elif args.regime is not None and Regime(args.regime) != regime:
-        raise ValueError(f"{args.algo} requires {regime.value} data")
+    if spec.regime is None and args.regime is None:
+        raise ValueError(f"{args.algo} needs an explicit --regime")
+    regime = algorithm_regime(args.algo, args.regime or spec.regime)
     if spec.budgeted and args.k is None:
         raise ValueError(f"{args.algo} needs --k")
     if spec.kind != "erm" and args.eta is None and not args.eta_auto:

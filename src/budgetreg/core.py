@@ -24,6 +24,7 @@ __all__ = [
     "Predictor",
     "RunResult",
     "weight_norm",
+    "stream",
 ]
 
 BALL_TOL = 1e-9
@@ -36,15 +37,40 @@ class Regime(str, Enum):
     LINF = "linf"
 
 
+def stream(seed, *tags):
+    """The random stream of ``seed`` (an int or a tuple of ints) keyed by
+    ``tags``: default_rng(SeedSequence((*seed, *tags))).  A Generator is
+    returned unchanged, so a caller can hand a run the stream it holds."""
+    if isinstance(seed, np.random.Generator):
+        return seed
+    base = seed if isinstance(seed, tuple) else (seed,)
+    return np.random.default_rng(np.random.SeedSequence(base + tags))
+
+
+def float_vector(v):
+    """``v`` as a float array, refusing an empty one."""
+    v = np.asarray(v, dtype=float)
+    if v.size == 0:
+        raise ValueError("zero dimension")
+    return v
+
+
+def check_step_inputs(names, *sizes, b=None):
+    """Refuse a step-size rule's sizes below 1 (``names`` lists them for
+    the message) and, when one is given, a norm bound b <= 0."""
+    if any(size < 1 for size in sizes):
+        raise ValueError(f"{names} must be positive")
+    if b is not None and b <= 0:
+        raise ValueError("norm bound must be positive")
+
+
 def norm(v, p):
     """Norm of ``v`` of order ``p`` in {1/2, 1, 2, inf}.
 
     The 1/2 "norm" is (sum_i sqrt(|v_i|))**2; it is not subadditive but
     is the quantity the ridge sampling bounds are expressed in.
     """
-    v = np.asarray(v, dtype=float)
-    if v.size == 0:
-        raise ValueError("zero dimension")
+    v = float_vector(v)
     if p == 0.5:
         return float(np.sqrt(np.abs(v)).sum() ** 2)
     if p == 1:

@@ -8,7 +8,7 @@ second moments differ from u; ``binary_l2_moments`` computes them exactly.
 
 import numpy as np
 
-from .core import Dataset, Regime, norm
+from .core import Dataset, Regime, float_vector, norm, stream
 from .sampling import checked_moments
 
 __all__ = [
@@ -21,10 +21,6 @@ __all__ = [
 
 _STREAM_WEIGHTS = 1
 _STREAM_EXAMPLES = 2
-
-
-def _stream(seed, tag):
-    return np.random.default_rng(np.random.SeedSequence((int(seed), tag)))
 
 
 def power_law_means(d, alpha, regime):
@@ -52,7 +48,7 @@ def random_target_weights(d, regime, seed):
     if d <= 0:
         raise ValueError("zero dimension")
     regime = Regime(regime)
-    rng = _stream(seed, _STREAM_WEIGHTS)
+    rng = stream(seed, _STREAM_WEIGHTS)
     if regime == Regime.L2:
         return np.where(rng.random(d) < 0.5, 1.0, -1.0)
     r = rng.random(d)
@@ -68,10 +64,8 @@ def generate_dataset(u, w_star, m, regime, seed):
     L2 regime: each realized vector is rescaled by 1/max(1, ||x||_2) so it
     lies in the unit ball; targets are computed from the stored vector.
     """
-    u = np.asarray(u, dtype=float)
+    u = float_vector(u)
     w_star = np.asarray(w_star, dtype=float)
-    if u.size == 0:
-        raise ValueError("zero dimension")
     if np.any(u < 0) or np.any(u > 1):
         raise ValueError("means must lie in [0, 1]")
     if w_star.shape != u.shape:
@@ -79,7 +73,7 @@ def generate_dataset(u, w_star, m, regime, seed):
     if m <= 0:
         raise ValueError("need at least one example")
     regime = Regime(regime)
-    rng = _stream(seed, _STREAM_EXAMPLES)
+    rng = stream(seed, _STREAM_EXAMPLES)
     x = (rng.random((m, u.size)) < u).astype(float)
     if regime == Regime.L2:
         norms = np.sqrt((x * x).sum(axis=1))
@@ -97,10 +91,8 @@ def binary_l2_moments(u):
     other coordinates.  The Poisson-binomial count distributions are built
     by prefix/suffix convolution, which keeps the computation exact.
     """
-    u = np.asarray(u, dtype=float)
+    u = float_vector(u)
     d = u.size
-    if d == 0:
-        raise ValueError("zero dimension")
     if np.any(u < 0) or np.any(u > 1):
         raise ValueError("means must lie in [0, 1]")
 

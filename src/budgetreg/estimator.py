@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import Predictor, RunResult
+from .core import Predictor, RunResult, stream
 from .sampling import (
     AttributeDistribution,
     improved_inner_product_p,
@@ -188,7 +188,7 @@ def run_pass(dataset, config, seed, regime, initial_state, step, table=None):
             for x, y in zip(xs[start:stop], ys[start:stop].tolist()):
                 step(state, x, y, config)
     else:
-        rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(np.random.SeedSequence(seed))
+        rng = stream(seed)
         if not isinstance(rng.bit_generator, np.random.PCG64):
             raise ValueError(f"a budgeted pass needs a PCG64 generator, got {type(rng.bit_generator).__name__}")
         _budgeted_pass(state, dataset.x, dataset.y, config, rng, step, table)

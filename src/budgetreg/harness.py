@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .baselines import offline_erm, online_lasso_full, online_ridge_full
-from .core import Regime, norm, squared_loss, weight_norm
+from .core import Regime, norm, squared_loss, stream, weight_norm
 from .datagen import generate_dataset, power_law_means, random_target_weights
 from .estimator import SolverConfig
 from .ingest import Scaler, load_csv
@@ -28,6 +28,7 @@ from .two_phase import TwoPhaseConfig, run_two_phase
 __all__ = [
     "ALGORITHMS",
     "AlgoSpec",
+    "algorithm_regime",
     "ExperimentConfig",
     "ExperimentResult",
     "LearningCurve",
@@ -47,11 +48,6 @@ _TAG_CV_SPLIT = 103
 _TAG_CV_RUN = 104
 _TAG_RUN = 105
 _TAG_CV = 106
-
-
-def _stream(seed, *tags):
-    base = tuple(int(s) for s in seed) if isinstance(seed, tuple) else (int(seed),)
-    return np.random.default_rng(np.random.SeedSequence(base + tags))
 
 
 def relative_loss(predictor, test_set) -> float:
@@ -86,11 +82,12 @@ def split_budget(budget: int, fraction: float = 0.5):
 @dataclass(frozen=True)
 class AlgoSpec:
     """Registry entry: norm regime (None = follows the data), budget use,
-    and the dispatch kind."""
+    the dispatch kind, and whether the step is AdaGrad's."""
 
     regime: Regime | None
     budgeted: bool
     kind: str
+    adagrad: bool = False
 
 
 ALGORITHMS = {
@@ -103,10 +100,21 @@ ALGORITHMS = {
     "ogd-full": AlgoSpec(Regime.L2, False, "full"),
     "eg-full": AlgoSpec(Regime.LINF, False, "full"),
     "erm": AlgoSpec(None, False, "erm"),
-    "adagrad-ogd-full": AlgoSpec(Regime.L2, False, "adagrad"),
-    "adagrad-gaerr": AlgoSpec(Regime.L2, True, "adagrad"),
-    "adagrad-gaelr": AlgoSpec(Regime.LINF, True, "adagrad"),
+    "adagrad-ogd-full": AlgoSpec(Regime.L2, False, "full", adagrad=True),
+    "adagrad-gaerr": AlgoSpec(Regime.L2, True, "plain", adagrad=True),
+    "adagrad-gaelr": AlgoSpec(Regime.LINF, True, "plain", adagrad=True),
 }
+
+
+def algorithm_regime(algo_id, regime):
+    """The regime ``algo_id`` runs in on data of ``regime``; refuses an
+    unknown algorithm or a regime it does not take."""
+    spec = ALGORITHMS.get(algo_id)
+    if spec is None:
+        raise ValueError(f"unknown algorithm: {algo_id}")
+    if spec.regime is not None and spec.regime != regime:
+        raise ValueError(f"{algo_id} requires {spec.regime.value} data")
+    return Regime(regime)
 
 
 def _phase1_size(m, m1_fraction):
@@ -131,22 +139,21 @@ class RunContext:
 
 def train_run(algo_id, train, ctx, eta, seed):
     """Dispatch one training run; eta=None selects the algorithm's own rate."""
-    spec = ALGORITHMS.get(algo_id)
-    if spec is None:
-        raise ValueError(f"unknown algorithm: {algo_id}")
-    regime = spec.regime if spec.regime is not None else ctx.regime
-    if regime != ctx.regime:
-        raise ValueError(f"{algo_id} requires {regime.value} data")
+    regime = algorithm_regime(algo_id, ctx.regime)
+    spec = ALGORITHMS[algo_id]
     ridge = regime == Regime.L2
     d = train.dimension
     m = len(train)
     k, n_inner = ctx.n_point, ctx.n_inner
     solve = run_gaerr if ridge else run_gaelr
+    if spec.adagrad and eta is None:
+        eta = ctx.b  # AdaGrad's eta is a scale, not a step size
 
     if spec.kind == "plain":
         if eta is None:
             eta = aerr_eta(m, k, d, ctx.b) if ridge else aelr_eta(m, k, d, ctx.b)
-        cfg = SolverConfig(b=ctx.b, eta=eta, q=uniform_distribution(d), n_point=k, n_inner=n_inner)
+        cfg = SolverConfig(b=ctx.b, eta=eta, q=uniform_distribution(d), n_point=k, n_inner=n_inner,
+                           adagrad=spec.adagrad)
         return solve(train, cfg, seed)
 
     if spec.kind == "moments":
@@ -177,18 +184,10 @@ def train_run(algo_id, train, ctx, eta, seed):
             # scale-free OGD rate; EG rate from the ln(2d) regret bound
             eta = 1.0 / math.sqrt(m) if ridge else math.sqrt(math.log(2 * d) / m) / (2 * ctx.b)
         if ridge:
-            return online_ridge_full(train, ctx.b, eta)
+            return online_ridge_full(train, ctx.b, eta, adagrad=spec.adagrad)
         return online_lasso_full(train, ctx.b, eta)
 
-    if spec.kind == "erm":
-        return offline_erm(train, ctx.b, regime)
-
-    # adagrad family: rates scaled by b by default; uniform q, standard inner-product p
-    eta = ctx.b if eta is None else eta
-    if not spec.budgeted:
-        return online_ridge_full(train, ctx.b, eta, adagrad=True)
-    cfg = SolverConfig(b=ctx.b, eta=eta, q=uniform_distribution(d), n_point=k, n_inner=n_inner, adagrad=True)
-    return solve(train, cfg, seed)
+    return offline_erm(train, ctx.b, regime)
 
 
 def _fold_score(dataset, n, folds, f, algorithm, ctx, eta, seed):
@@ -199,12 +198,12 @@ def _fold_score(dataset, n, folds, f, algorithm, ctx, eta, seed):
     Fold data and fold run streams depend only on (seed, fold), never on
     eta, so duplicated grid entries score identically.
     """
-    blocks = np.array_split(_stream(seed, _TAG_CV_SPLIT).permutation(n), folds)
+    blocks = np.array_split(stream(seed, _TAG_CV_SPLIT).permutation(n), folds)
     val = dataset.subset(blocks[f])
     if not np.any(val.y != 0):
         return None
     train_idx = np.concatenate([blocks[g] for g in range(folds) if g != f])
-    result = train_run(algorithm, dataset.subset(train_idx), ctx, eta, _stream(seed, _TAG_CV_RUN, f))
+    result = train_run(algorithm, dataset.subset(train_idx), ctx, eta, stream(seed, _TAG_CV_RUN, f))
     return relative_loss(result.predictor, val)
 
 
@@ -279,11 +278,7 @@ class ExperimentConfig:
                 or len(set(algos)) < len(algos)):
             raise ValueError(f"algorithms must be a non-empty list of distinct names, got {algos!r}")
         for algo in algos:
-            spec = ALGORITHMS.get(algo)
-            if spec is None:
-                raise ValueError(f"unknown algorithm: {algo}")
-            if spec.regime is not None and spec.regime != self.regime:
-                raise ValueError(f"{algo} requires {spec.regime.value} data")
+            algorithm_regime(algo, self.regime)
         prefixes = _entries("prefixes", self.prefixes, int, "a non-empty list of integers")
         if min(prefixes) < 1 or len(set(prefixes)) < len(prefixes):
             raise ValueError(f"prefixes must be positive and distinct, got {self.prefixes!r}")
@@ -379,37 +374,37 @@ def _materialize(config):
     The split permutation, the generated data, and the scaling all depend
     only on the seed, so every run of the experiment sees the same bytes.
     """
+    def test_size(total):
+        return max(1, int(round(config.test_fraction * total)))
+
+    b_floor = 0.0
     if config.data is not None:
         raw = load_csv(config.data)
-        total = len(raw)
-        test_size = max(1, int(round(config.test_fraction * total)))
-        if total - test_size < 1:
-            raise ValueError("dataset too small for the test split")
-        perm = _stream(config.seed, _TAG_SPLIT).permutation(total)
-        pool_raw = raw.subset(perm[test_size:])
-        scaler = Scaler(config.regime).fit(pool_raw)
-        pool = scaler.transform(pool_raw)
-        test = scaler.transform(raw.subset(perm[:test_size]))
-        b = config.b if config.b is not None else float(np.abs(pool.y).max())
     else:
         need = max(map(int, config.prefixes))
         total = int(math.ceil(need / (1.0 - config.test_fraction)))
-        while total - max(1, int(round(config.test_fraction * total))) < need:
+        while total - test_size(total) < need:
             total += 1
-        test_size = max(1, int(round(config.test_fraction * total)))
         u = power_law_means(config.dim, config.alpha, config.regime)
         w_star = random_target_weights(config.dim, config.regime, config.seed)
-        full = generate_dataset(u, w_star, total, config.regime, config.seed)
-        perm = _stream(config.seed, _TAG_SPLIT).permutation(total)
-        pool = full.subset(perm[test_size:])
-        test = full.subset(perm[:test_size])
-        if config.b is not None:
-            b = config.b
-        else:
-            # max|y| <= ||w*|| whenever ||x|| <= 1, so the max is a formality
-            b = float(max(weight_norm(w_star, config.regime), np.abs(pool.y).max()))
+        raw = generate_dataset(u, w_star, total, config.regime, config.seed)
+        # max|y| <= ||w*|| whenever ||x|| <= 1, so the max is a formality
+        b_floor = weight_norm(w_star, config.regime)
+    n_test = test_size(len(raw))
+    if len(raw) - n_test < 1:
+        raise ValueError("dataset too small for the test split")
+    perm = stream(config.seed, _TAG_SPLIT).permutation(len(raw))
+    pool = raw.subset(perm[n_test:])
+    test = raw.subset(perm[:n_test])
+    if config.data is not None:
+        scaler = Scaler(config.regime).fit(pool)
+        pool = scaler.transform(pool)
+        test = scaler.transform(test)
+    b = config.b if config.b is not None else float(max(b_floor, np.abs(pool.y).max()))
     if b <= 0:
         raise ValueError("norm bound must be positive")
+    if not np.any(test.y != 0):
+        raise ValueError(f"test split has only zero targets ({n_test} example(s)): relative loss is undefined")
     return pool, test, b, dataset_moments(pool)
 
 
@@ -429,9 +424,9 @@ def _run_task(task):
     if fold is not None:
         cv_seed = (seed, _TAG_CV, algo_index, prefix_index)
         return _fold_score(pool, m, payload["folds"], fold, algo_id, ctx, eta, cv_seed)
-    order = _stream(seed, _TAG_SHUFFLE, repeat).permutation(len(pool))
+    order = stream(seed, _TAG_SHUFFLE, repeat).permutation(len(pool))
     train = pool.subset(order[:m])
-    rng = _stream(seed, _TAG_RUN, algo_index, prefix_index, repeat)
+    rng = stream(seed, _TAG_RUN, algo_index, prefix_index, repeat)
     result = train_run(algo_id, train, ctx, eta, rng)
     return int(result.attributes_consumed), relative_loss(result.predictor, test)
 
@@ -474,6 +469,8 @@ def run_experiment(config, workers: int = 1) -> ExperimentResult:
     cv_cells = [c for c in cells if config.eta_grid is not None and ALGORITHMS[c[1]].kind != "erm"]
     cv_tasks = [(ai, algo, pi, m, float(eta), f, None) for ai, algo, pi, m in cv_cells
                 for eta in config.eta_grid for f in range(config.folds)]
+    # a forked pool starts all its workers at the first task, however few the tasks
+    workers = min(workers, max(len(cv_tasks), len(cells) * config.repeats))
 
     payload = {"pool": pool, "test": test, "ctx": ctx, "seed": config.seed, "folds": config.folds}
     pool_exec = (ProcessPoolExecutor(max_workers=workers, initializer=_init_worker, initargs=(payload,))

@@ -9,7 +9,7 @@ uniform baselines.
 
 import numpy as np
 
-from .core import Regime
+from .core import Regime, float_vector
 
 __all__ = [
     "AttributeDistribution",
@@ -38,9 +38,7 @@ class AttributeDistribution:
     __slots__ = ("probabilities", "cumulative", "_last", "fallback")
 
     def __init__(self, probabilities):
-        p = np.asarray(probabilities, dtype=float)
-        if p.size == 0:
-            raise ValueError("zero dimension")
+        p = float_vector(probabilities)
         if np.any(p < 0) or not np.all(np.isfinite(p)):
             raise ValueError("invalid weights")
         total = float(p.sum())
@@ -66,22 +64,23 @@ class AttributeDistribution:
 
 
 def build_distribution(weights):
-    """Normalize nonnegative weights into an AttributeDistribution."""
-    w = np.asarray(weights, dtype=float)
-    if w.size == 0:
-        raise ValueError("zero dimension")
+    """Normalize nonnegative weights into an AttributeDistribution; the
+    caller's array is left as it is."""
+    w = float_vector(weights)
     if np.any(w < 0) or not np.all(np.isfinite(w)):
         raise ValueError("invalid weights")
-    total = float(w.sum())
-    if total <= 0.0:
+    total = np.add.reduce(w)
+    if total == 0.0:
         raise ValueError("invalid weights: all weights are zero")
-    return AttributeDistribution(w / total)
+    if total == np.inf:  # w / total would be all zeros
+        raise ValueError("invalid weights: probabilities must sum to 1")
+    return _trusted(w.copy())
 
 
 def uniform_distribution(d):
     if d <= 0:
         raise ValueError("zero dimension")
-    return AttributeDistribution(np.full(d, 1.0 / d))
+    return _trusted(np.ones(d))
 
 
 def sample_index(dist, u):
@@ -100,9 +99,7 @@ def sample_index(dist, u):
 
 def checked_moments(moments):
     """Moments as a float array, refusing an empty, negative or all-zero vector."""
-    m = np.asarray(moments, dtype=float)
-    if m.size == 0:
-        raise ValueError("zero dimension")
+    m = float_vector(moments)
     if np.any(m < 0) or not np.any(m > 0):
         raise ValueError("degenerate moments")
     return m

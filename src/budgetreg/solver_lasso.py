@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import Regime
+from .core import Regime, check_step_inputs, float_vector
 from .estimator import PassState, adagrad_rate, draw_step, run_pass
 
 __all__ = [
@@ -68,10 +68,8 @@ def eg_state_from_weights(w, b):
     on the ball boundary gets a hair of slack instead, shrinking it by a
     negligible factor.
     """
-    w = np.asarray(w, dtype=float)
+    w = float_vector(w)
     d = w.size
-    if d == 0:
-        raise ValueError("zero dimension")
     l1 = float(np.abs(w).sum())
     gamma = (b - l1) / (2.0 * d)
     if gamma <= 0:
@@ -129,10 +127,10 @@ def gaelr_step(state, x, y, config, indices, values, inner):
     return state
 
 
-def run_gaelr(dataset, config, seed):
-    """Single ordered pass over the dataset; returns the averaged predictor."""
+def run_gaelr(dataset, config, seed, table=None):
+    """Single ordered pass over the dataset; returns the averaged predictor (``table``: see run_pass)."""
     config.require_q()
-    return run_pass(dataset, config, seed, Regime.LINF, EGState.initial, gaelr_step)
+    return run_pass(dataset, config, seed, Regime.LINF, EGState.initial, gaelr_step, table)
 
 
 def aelr_eta(m, k, d, b):
@@ -141,10 +139,7 @@ def aelr_eta(m, k, d, b):
     The cap is the admissibility requirement of the clipped update; the
     norm bound cancels in the first branch.
     """
-    if m < 1 or k < 1 or d < 1:
-        raise ValueError("m, k, d must be positive")
-    if b <= 0:
-        raise ValueError("norm bound must be positive")
+    check_step_inputs("m, k, d", m, k, d, b=b)
     g = b * math.sqrt(8.0 * d / k)
     return min(2.0 * b / (g * math.sqrt(m)), 1.0 / (2.0 * g))
 
@@ -155,10 +150,7 @@ def lasso_eta_known_moments(m, k, d, b, l1_moment):
     The accompanying bound needs m >= ln(2d); smaller m only voids the
     guarantee, so the run proceeds under a warning.
     """
-    if m < 1 or k < 1 or d < 1:
-        raise ValueError("m, k, d must be positive")
-    if b <= 0:
-        raise ValueError("norm bound must be positive")
+    check_step_inputs("m, k, d", m, k, d, b=b)
     if l1_moment < 0:
         raise ValueError("degenerate moments")
     if m < math.log(2 * d):

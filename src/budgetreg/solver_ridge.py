@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Regime
+from .core import Regime, check_step_inputs
 from .estimator import PassState, adagrad_rate, draw_step, run_pass
 
 __all__ = [
@@ -74,10 +74,10 @@ def gaerr_step(state, x, y, config, indices, values, inner):
     return state
 
 
-def run_gaerr(dataset, config, seed):
-    """Single ordered pass over the dataset; returns the averaged predictor."""
+def run_gaerr(dataset, config, seed, table=None):
+    """Single ordered pass over the dataset; returns the averaged predictor (``table``: see run_pass)."""
     config.require_q()
-    return run_pass(dataset, config, seed, Regime.L2, RidgeState.initial, gaerr_step)
+    return run_pass(dataset, config, seed, Regime.L2, RidgeState.initial, gaerr_step, table)
 
 
 def aerr_eta(m, k, d, b):
@@ -85,17 +85,13 @@ def aerr_eta(m, k, d, b):
 
     The norm bound cancels: eta = sqrt(k / (2 d m)).
     """
-    if m < 1 or k < 1 or d < 1:
-        raise ValueError("m, k, d must be positive")
-    if b <= 0:
-        raise ValueError("norm bound must be positive")
+    check_step_inputs("m, k, d", m, k, d, b=b)
     return math.sqrt(k / (2.0 * d * m))
 
 
 def ridge_eta_known_moments(m, k, half_norm):
     """eta = 1 / sqrt(m (||E[x^2]||_{1/2} / k + 1)) for the moment-aware solver."""
-    if m < 1 or k < 1:
-        raise ValueError("m, k must be positive")
+    check_step_inputs("m, k", m, k)
     if half_norm < 0:
         raise ValueError("degenerate moments")
     return 1.0 / math.sqrt(m * (half_norm / k + 1.0))

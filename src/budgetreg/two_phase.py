@@ -14,11 +14,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Regime, RunResult, norm
-from .estimator import SolverConfig, run_pass
+from .core import Regime, RunResult, check_step_inputs, norm, stream
+from .estimator import SolverConfig
 from .sampling import AttributeDistribution, build_distribution, uniform_distribution
-from .solver_lasso import EGState, aelr_eta, gaelr_step, run_gaelr
-from .solver_ridge import RidgeState, aerr_eta, gaerr_step, run_gaerr
+from .solver_lasso import aelr_eta, run_gaelr
+from .solver_ridge import aerr_eta, run_gaerr
 
 __all__ = [
     "MomentTable",
@@ -111,8 +111,7 @@ def ridge_eta_two_phase(m2, k, d, h, eps):
     with H the half-norm estimate and eps the width ``epsilon`` gives the
     phase-1 table.
     """
-    if m2 < 1 or k < 1 or d < 1:
-        raise ValueError("m2, k, d must be positive")
+    check_step_inputs("m2, k, d", m2, k, d)
     if h < 0:
         raise ValueError("negative half-norm estimate")
     bracket = 2.0 * h + 2.0 * math.sqrt(5.0 / 3.0) * d * math.sqrt(h) * math.sqrt(eps) + k
@@ -125,10 +124,7 @@ def lasso_eta_two_phase(m2, k, d, a, b, eps):
     eta = sqrt(k ln(2d) / (20 b^2 m2 (8 ||A||_1 + 20 d eps + k))) with eps
     the (capped) width ``epsilon`` gives the phase-1 table.
     """
-    if m2 < 1 or k < 1 or d < 1:
-        raise ValueError("m2, k, d must be positive")
-    if b <= 0:
-        raise ValueError("norm bound must be positive")
+    check_step_inputs("m2, k, d", m2, k, d, b=b)
     a1 = float(np.abs(np.asarray(a, dtype=float)).sum())
     bracket = 8.0 * a1 + 20.0 * d * eps + k
     return math.sqrt(k * math.log(2 * d) / (20.0 * b * b * m2 * bracket))
@@ -158,24 +154,6 @@ class TwoPhaseConfig:
             raise ValueError("norm bound must be positive")
 
 
-def _phase1_warm_start(dataset, config, table, rng):
-    """Uniform-q solver over the phase-1 slice, feeding the moment table.
-
-    The k point-estimation draws of each step are shared with the moment
-    table; the inner-product draws follow p(w) and stay out of the moment
-    statistics.
-    """
-    d = dataset.dimension
-    m1 = len(dataset)
-    ridge = config.regime == Regime.L2
-    eta1 = config.eta
-    if eta1 is None:
-        eta1 = aerr_eta(m1, config.k, d, config.b) if ridge else aelr_eta(m1, config.k, d, config.b)
-    cfg = SolverConfig(b=config.b, eta=eta1, q=uniform_distribution(d), n_point=config.k, n_inner=config.n_inner)
-    initial, step = (RidgeState.initial, gaerr_step) if ridge else (EGState.initial, gaelr_step)
-    return run_pass(dataset, cfg, rng, config.regime, initial, step, table)
-
-
 def run_two_phase(dataset, config, seed):
     """Both phases on one dataset prefix: the first m1 >= 1 examples feed
     the moment table and a uniform-sampling run whose averaged output seeds
@@ -189,10 +167,15 @@ def run_two_phase(dataset, config, seed):
     if config.m1 + config.m2 > len(dataset):
         raise ValueError("phase sizes exceed the dataset")
     d = dataset.dimension
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(np.random.SeedSequence(seed))
+    rng = stream(seed)
+    solve = run_gaerr if ridge else run_gaelr
 
+    eta1 = config.eta
+    if eta1 is None:
+        eta1 = (aerr_eta if ridge else aelr_eta)(config.m1, config.k, d, config.b)
+    cfg1 = SolverConfig(b=config.b, eta=eta1, q=uniform_distribution(d), n_point=config.k, n_inner=config.n_inner)
     table = MomentTable(d)
-    phase1 = _phase1_warm_start(dataset.subset(np.arange(config.m1)), config, table, rng)
+    phase1 = solve(dataset.subset(np.arange(config.m1)), cfg1, rng, table)
     w_start = phase1.predictor.weights if np.any(phase1.predictor.weights != 0) else None
     a = table.A
 
@@ -215,7 +198,7 @@ def run_two_phase(dataset, config, seed):
         b=config.b, eta=eta2, q=q2, n_point=config.k, n_inner=config.n_inner,
         moments=a if config.improved_p else None, initial_w=w_start,
     )
-    result = (run_gaerr if ridge else run_gaelr)(phase2, cfg2, rng)
+    result = solve(phase2, cfg2, rng)
 
     diagnostics = {
         "m1": config.m1,

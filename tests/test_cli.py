@@ -235,6 +235,16 @@ def test_experiment_refuses_prefixes_no_run_can_take_before_running(tmp_path, ov
     assert not out.exists()
 
 
+def test_experiment_refuses_a_test_split_of_zero_targets(tmp_path, capsys):
+    from budgetreg import cli
+
+    config = experiment_config(tmp_path, algorithms=["erm"], prefixes=[2], dim=10, repeats=1, eta_grid=[0.1], seed=0)
+    out = tmp_path / "out"
+    assert cli.main(["experiment", "--config", str(config), "--out-dir", str(out), "--workers", "1"]) == 1
+    assert "error: test split has only zero targets (1 example(s))" in capsys.readouterr().err
+    assert not (out / "records.csv").exists()
+
+
 def test_experiment_worker_count_invisible(tmp_path):
     config = experiment_config(tmp_path)
     one, two = tmp_path / "w1", tmp_path / "w2"

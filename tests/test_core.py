@@ -12,6 +12,7 @@ from budgetreg.core import (
     project_l1_ball,
     project_l2_ball,
     squared_loss,
+    stream,
     weight_norm,
 )
 
@@ -128,3 +129,14 @@ def test_predictor_predict_and_validate():
         Predictor(np.array([1.0, 1.0]), 1.0, Regime.L2).validate()
     # boundary within tolerance is fine
     Predictor(np.array([1.0 + BALL_TOL / 2, 0.0]), 1.0, Regime.L2).validate()
+
+
+def test_stream_draws_what_seed_sequence_draws():
+    for seed, entropy in ((7, 7), ((7, 3), (7, 3)), (np.int64(7), np.int64(7))):
+        want = np.random.default_rng(np.random.SeedSequence(entropy)).random(4)
+        np.testing.assert_array_equal(stream(seed).random(4), want)
+    for seed, base in ((7, (7,)), ((7, 3), (7, 3)), (np.int64(7), (7,))):
+        want = np.random.default_rng(np.random.SeedSequence(base + (101, 2))).random(4)
+        np.testing.assert_array_equal(stream(seed, 101, 2).random(4), want)
+    rng = np.random.default_rng(1)
+    assert stream(rng) is rng

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from budgetreg.core import Dataset, Regime
+from budgetreg.core import Dataset, Regime, stream
 from budgetreg.datagen import generate_dataset, power_law_means, random_target_weights
 from budgetreg.harness import (
     ALGORITHMS,
@@ -16,7 +16,6 @@ from budgetreg.harness import (
     _fold_score,
     _materialize,
     _pick_eta,
-    _stream,
     dataset_moments,
     relative_loss,
     run_experiment,
@@ -66,28 +65,28 @@ def test_dataset_moments():
 
 
 def test_stream_keying():
-    a = _stream(3, 1, 2).random(4)
-    b = _stream(3, 1, 2).random(4)
+    a = stream(3, 1, 2).random(4)
+    b = stream(3, 1, 2).random(4)
     np.testing.assert_array_equal(a, b)
-    assert np.any(_stream(3, 1, 3).random(4) != a)
-    assert np.any(_stream((3, 9), 1, 2).random(4) != a)
+    assert np.any(stream(3, 1, 3).random(4) != a)
+    assert np.any(stream((3, 9), 1, 2).random(4) != a)
 
 
 def test_train_run_budgets():
     ds = make_dataset(5, 40, 0, Regime.L2)
     ctx = make_ctx(Regime.L2, moments=dataset_moments(ds))
     for algo in ("aerr", "ddaerr", "2p-ddaerr", "adagrad-gaerr"):
-        result = train_run(algo, ds, ctx, None, _stream(0, 1))
+        result = train_run(algo, ds, ctx, None, stream(0, 1))
         assert result.attributes_consumed == 40 * 3, algo
-    assert train_run("ogd-full", ds, ctx, None, _stream(0, 2)).attributes_consumed == 40 * 5
-    assert train_run("erm", ds, ctx, None, _stream(0, 3)).attributes_consumed == 40 * 5
+    assert train_run("ogd-full", ds, ctx, None, stream(0, 2)).attributes_consumed == 40 * 5
+    assert train_run("erm", ds, ctx, None, stream(0, 3)).attributes_consumed == 40 * 5
 
 
 def test_train_run_lasso_family():
     ds = make_dataset(5, 40, 1, Regime.LINF)
     ctx = make_ctx(Regime.LINF, moments=dataset_moments(ds))
     for algo in ("aelr", "ddaelr", "2p-ddaelr", "adagrad-gaelr"):
-        result = train_run(algo, ds, ctx, None, _stream(1, 1))
+        result = train_run(algo, ds, ctx, None, stream(1, 1))
         assert result.attributes_consumed == 40 * 3, algo
         assert np.abs(result.predictor.weights).sum() <= ctx.b + 1e-9
 
@@ -100,7 +99,7 @@ def test_two_phase_train_run_with_one_point_draw():
     assert (n_point, n_inner) == (1, 1)
     for algo, regime in (("2p-ddaerr", Regime.L2), ("2p-ddaelr", Regime.LINF)):
         ctx = make_ctx(regime, n_point=n_point, n_inner=n_inner)
-        result = train_run(algo, make_dataset(d, m, 3, regime), ctx, None, _stream(3, 1))
+        result = train_run(algo, make_dataset(d, m, 3, regime), ctx, None, stream(3, 1))
         m1 = math.ceil(ctx.m1_fraction * m)
         assert result.attributes_consumed == m * 2, algo
         assert result.info["moment_table"].counts.sum() == m1, algo
@@ -121,10 +120,10 @@ def test_train_run_errors():
 def test_train_run_deterministic_and_eta_sensitive():
     ds = make_dataset(4, 60, 3, Regime.L2)
     ctx = make_ctx(Regime.L2, moments=dataset_moments(ds))
-    r1 = train_run("ddaerr", ds, ctx, 0.05, _stream(9, 0))
-    r2 = train_run("ddaerr", ds, ctx, 0.05, _stream(9, 0))
+    r1 = train_run("ddaerr", ds, ctx, 0.05, stream(9, 0))
+    r2 = train_run("ddaerr", ds, ctx, 0.05, stream(9, 0))
     np.testing.assert_array_equal(r1.predictor.weights, r2.predictor.weights)
-    r3 = train_run("ddaerr", ds, ctx, 0.02, _stream(9, 0))
+    r3 = train_run("ddaerr", ds, ctx, 0.02, stream(9, 0))
     assert np.any(r3.predictor.weights != r1.predictor.weights)
 
 
@@ -157,7 +156,7 @@ def test_cross_validate_matches_manual_enumeration():
     ctx = make_ctx(Regime.L2, moments=dataset_moments(ds))
     grid = [0.1, 0.01, 0.05]
     folds, seed = 3, 17
-    order = _stream(seed, _TAG_CV_SPLIT).permutation(len(ds))
+    order = stream(seed, _TAG_CV_SPLIT).permutation(len(ds))
     blocks = np.array_split(order, folds)
     scores = []
     for eta in grid:
@@ -165,7 +164,7 @@ def test_cross_validate_matches_manual_enumeration():
         for f in range(folds):
             val = ds.subset(blocks[f])
             train_idx = np.concatenate([blocks[g] for g in range(folds) if g != f])
-            rng = _stream(seed, _TAG_CV_RUN, f)
+            rng = stream(seed, _TAG_CV_RUN, f)
             result = train_run("aerr", ds.subset(train_idx), ctx, eta, rng)
             per_fold.append(relative_loss(result.predictor, val))
             assert _fold_score(ds, len(ds), folds, f, "aerr", ctx, eta, seed) == per_fold[-1]
@@ -322,6 +321,21 @@ def test_config_accepts_the_smallest_prefixes_a_run_can_take(tmp_path):
         assert len(result.records) == 1
 
 
+# a synthetic pool of 3 or 5 rows leaves a 1-row test split, whose target is 0 at seed 0
+@pytest.mark.parametrize("overrides", [
+    {"algorithms": ["erm"], "prefixes": [2]},
+    {"algorithms": ["2p-ddaerr"], "prefixes": [2], "eta_grid": None},
+    {"algorithms": ["2p-ddaerr"], "prefixes": [4], "folds": 2},
+])
+def test_run_experiment_refuses_a_test_split_of_zero_targets_before_running(monkeypatch, overrides):
+    raw = {"regime": "l2", "k": 2, "dim": 10, "alpha": -1.0, "eta_grid": [0.1], "repeats": 1, **overrides}
+    tasks = []
+    monkeypatch.setattr("budgetreg.harness._run_task", tasks.append)
+    with pytest.raises(ValueError, match=r"test split has only zero targets \(1 example\(s\)\)"):
+        run_experiment(ExperimentConfig.from_dict(raw))
+    assert tasks == []
+
+
 def test_config_accepts_two_phase_settings_in_range():
     raw = {"algorithms": ["2p-ddaerr"], "regime": "l2", "prefixes": [50], "k": 2, "dim": 5, "alpha": -1.0}
     for extra in ({"delta": 0.5}, {"epsilon_override": None}, {"epsilon_override": 0}, {"epsilon_override": 0.25},
@@ -417,6 +431,41 @@ def test_serial_run_experiment_leaves_no_worker_payload(monkeypatch):
     monkeypatch.setattr("budgetreg.harness.train_run", fail)
     with pytest.raises(RuntimeError, match="run failed"):
         run_experiment(small_config(repeats=1))
+    assert _WORKER == {}
+
+
+class RecordingPool:
+    """Stands in for ProcessPoolExecutor: records its size and runs the tasks in this process."""
+
+    sizes = []
+
+    def __init__(self, max_workers, initializer, initargs):
+        self.sizes.append(max_workers)
+        initializer(*initargs)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, tasks, chunksize=1):
+        return map(fn, tasks)
+
+
+@pytest.mark.parametrize("overrides, sizes", [
+    ({"repeats": 3}, [3]),
+    ({"repeats": 1, "eta_grid": [0.1, 0.2], "folds": 2}, [4]),  # 4 CV fold fits, then 1 final run
+    ({"repeats": 1}, []),  # a single task runs in this process
+])
+def test_run_experiment_pool_never_exceeds_the_task_count(monkeypatch, overrides, sizes):
+    config = small_config(algorithms=["aerr"], prefixes=[30], **overrides)
+    serial = run_experiment(config)
+    monkeypatch.setattr(RecordingPool, "sizes", [])
+    monkeypatch.setattr("budgetreg.harness.ProcessPoolExecutor", RecordingPool)
+    pooled = run_experiment(config, workers=8)
+    assert RecordingPool.sizes == sizes
+    assert pooled.records == serial.records and pooled.etas == serial.etas
     assert _WORKER == {}
 
 

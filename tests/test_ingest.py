@@ -58,7 +58,8 @@ EDGE_DOUBLES = [0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308, 2.2250738585
 FINITE_DOUBLES = st.one_of(
     st.sampled_from(EDGE_DOUBLES),
     st.floats(allow_nan=False, allow_infinity=False),
-    st.builds(math.ldexp, st.floats(-1.0, 1.0, exclude_min=True), st.integers(-1074, 1024)).filter(math.isfinite),
+    # |x| < 1 keeps x * 2**1024 finite: math.ldexp raises OverflowError rather than return inf
+    st.builds(math.ldexp, st.floats(-1.0, 1.0, exclude_min=True, exclude_max=True), st.integers(-1074, 1024)),
 )
 
 

@@ -37,6 +37,15 @@ def test_build_distribution_errors():
         build_distribution([np.inf, 1.0])
     with pytest.raises(ValueError, match="zero dimension"):
         build_distribution([])
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="invalid weights: probabilities must sum to 1"):
+        build_distribution([1e308, 1e308])
+
+
+def test_builders_leave_the_callers_weights_unchanged():
+    for build in (build_distribution, ridge_optimal_q, lasso_optimal_q):
+        w = np.array([0.5, 0.25, 2.0])
+        build(w)
+        np.testing.assert_array_equal(w, [0.5, 0.25, 2.0])
 
 
 def test_attribute_distribution_checks_sum():
