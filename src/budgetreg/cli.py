@@ -143,15 +143,18 @@ def _cmd_experiment(args):
     workers = args.workers if args.workers is not None else (os.cpu_count() or 1)
 
     out_dir = Path(args.out_dir)
-    if out_dir.exists() and not args.force:
-        raise ValueError(f"output directory {out_dir} exists (use --force to overwrite)")
-    out_dir.mkdir(parents=True, exist_ok=True)
+    if out_dir.exists() and not (args.force and out_dir.is_dir()):
+        problem = "is not a directory" if args.force else "exists (use --force to overwrite)"
+        raise ValueError(f"output directory {out_dir} {problem}")
 
     cells = len(config.algorithms) * len(config.prefixes) * config.repeats
     print(f"running {cells} cells on {workers} worker(s)", file=sys.stderr)
     start = time.time()
     result = run_experiment(config, workers)
     print(f"finished in {time.time() - start:.1f}s", file=sys.stderr)
+    out_dir.mkdir(parents=True, exist_ok=True)  # only now: a refused run leaves no directory behind
+    for stale in out_dir.glob("curve_*.csv"):  # a previous run's, under --force
+        stale.unlink()
 
     lines = ["algorithm,seed,m,attributes_observed,relative_loss"]
     for rec in result.records:
@@ -201,7 +204,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="weight-ball radius; default max |y|")
     tr.add_argument("--regime", choices=[r.value for r in Regime], default=None)
     group = tr.add_mutually_exclusive_group()
-    group.add_argument("--eta", type=float, default=None)
+    group.add_argument("--eta", type=_positive_finite_float, default=None)
     group.add_argument("--eta-auto", action="store_true",
                        help="use the algorithm's own step-size rule")
     tr.add_argument("--seed", type=_nonnegative_int, default=0)

@@ -167,12 +167,12 @@ class Predictor:
     def predict(self, x):
         return np.asarray(x, dtype=float) @ self.weights
 
-    def validate(self, tol=BALL_TOL):
+    def validate(self):
         if self.norm_bound < 0:
             raise ValueError("negative norm bound")
         if not np.all(np.isfinite(self.weights)):
             raise ValueError("non-finite weights")
-        if weight_norm(self.weights, self.regime) > self.norm_bound + tol:
+        if weight_norm(self.weights, self.regime) > self.norm_bound + BALL_TOL:
             raise ValueError("weights outside the certified ball")
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import contextlib
 import math
+import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
 
@@ -81,28 +82,32 @@ def split_budget(budget: int, fraction: float = 0.5):
 
 @dataclass(frozen=True)
 class AlgoSpec:
-    """Registry entry: norm regime (None = follows the data), budget use,
-    the dispatch kind, and whether the step is AdaGrad's."""
+    """Registry entry: norm regime (None = follows the data), the dispatch
+    kind, and whether the step is AdaGrad's.  Every kind but the
+    full-information ones (full, erm) reads a budget of k+1 values per example."""
 
     regime: Regime | None
-    budgeted: bool
     kind: str
     adagrad: bool = False
 
+    @property
+    def budgeted(self):
+        return self.kind not in ("full", "erm")
+
 
 ALGORITHMS = {
-    "aerr": AlgoSpec(Regime.L2, True, "plain"),
-    "ddaerr": AlgoSpec(Regime.L2, True, "moments"),
-    "2p-ddaerr": AlgoSpec(Regime.L2, True, "two_phase"),
-    "aelr": AlgoSpec(Regime.LINF, True, "plain"),
-    "ddaelr": AlgoSpec(Regime.LINF, True, "moments"),
-    "2p-ddaelr": AlgoSpec(Regime.LINF, True, "two_phase"),
-    "ogd-full": AlgoSpec(Regime.L2, False, "full"),
-    "eg-full": AlgoSpec(Regime.LINF, False, "full"),
-    "erm": AlgoSpec(None, False, "erm"),
-    "adagrad-ogd-full": AlgoSpec(Regime.L2, False, "full", adagrad=True),
-    "adagrad-gaerr": AlgoSpec(Regime.L2, True, "plain", adagrad=True),
-    "adagrad-gaelr": AlgoSpec(Regime.LINF, True, "plain", adagrad=True),
+    "aerr": AlgoSpec(Regime.L2, "plain"),
+    "ddaerr": AlgoSpec(Regime.L2, "moments"),
+    "2p-ddaerr": AlgoSpec(Regime.L2, "two_phase"),
+    "aelr": AlgoSpec(Regime.LINF, "plain"),
+    "ddaelr": AlgoSpec(Regime.LINF, "moments"),
+    "2p-ddaelr": AlgoSpec(Regime.LINF, "two_phase"),
+    "ogd-full": AlgoSpec(Regime.L2, "full"),
+    "eg-full": AlgoSpec(Regime.LINF, "full"),
+    "erm": AlgoSpec(None, "erm"),
+    "adagrad-ogd-full": AlgoSpec(Regime.L2, "full", adagrad=True),
+    "adagrad-gaerr": AlgoSpec(Regime.L2, "plain", adagrad=True),
+    "adagrad-gaelr": AlgoSpec(Regime.LINF, "plain", adagrad=True),
 }
 
 
@@ -234,13 +239,13 @@ class ExperimentConfig:
     repeats: int = 100
     folds: int = 10
     eta_grid: list | None = None
-    m1_fraction: float = 0.1
+    m1_fraction: float = RunContext.m1_fraction
     test_fraction: float = 0.2
     seed: int = 0
     b: float | None = None
-    delta: float = 0.1
-    epsilon_override: float | None = 0.0
-    improved_p: bool = True
+    delta: float = RunContext.delta
+    epsilon_override: float | None = RunContext.epsilon_override
+    improved_p: bool = RunContext.improved_p
 
     _REQUIRED = ("algorithms", "regime", "prefixes", "k")
     _INTEGERS = ("k", "dim", "repeats", "folds", "seed")
@@ -267,11 +272,11 @@ class ExperimentConfig:
     def validate(self):
         for key in self._INTEGERS:
             value = getattr(self, key)
-            if isinstance(value, bool) or not isinstance(value, int):
+            if not _of_kind(value, int):
                 raise ValueError(f"{key} must be an integer, got {value!r}")
         for key in self._REALS:
             value = getattr(self, key)
-            if not (key == "b" and value is None) and not _is_real(value):
+            if not (key == "b" and value is None) and not _of_kind(value, (int, float)):
                 raise ValueError(f"{key} must be a number, got {value!r}")
         algos = self.algorithms
         if (not isinstance(algos, (list, tuple)) or not algos or not all(isinstance(a, str) for a in algos)
@@ -284,10 +289,9 @@ class ExperimentConfig:
             raise ValueError(f"prefixes must be positive and distinct, got {self.prefixes!r}")
         if not 0.0 <= self.budget_split <= 1.0:
             raise ValueError(f"budget_split must lie in [0, 1], got {self.budget_split!r}")
-        budgeted = any(ALGORITHMS[a].budgeted for a in algos)
-        if budgeted and self.k < 1:
-            raise ValueError("k must be at least 1")
-        if budgeted:
+        if any(ALGORITHMS[a].budgeted for a in algos):
+            if self.k < 1:
+                raise ValueError("k must be at least 1")
             split_budget(self.k + 1, self.budget_split)
         if self.data is None and (self.dim < 1 or not -math.inf < self.alpha <= 0):
             raise ValueError("synthetic data needs dim >= 1 and a finite alpha <= 0")
@@ -296,8 +300,8 @@ class ExperimentConfig:
         if self.folds < 2:
             raise ValueError("need at least two folds")
         if self.eta_grid is not None:
-            grid = _entries("eta_grid", self.eta_grid, float, "null or a non-empty list of numbers")
-            if not all(0 < eta < math.inf for eta in grid):
+            grid = _entries("eta_grid", self.eta_grid, (int, float), "null or a non-empty list of numbers")
+            if not all(0 < eta <= sys.float_info.max for eta in grid):  # nor an int too large for a float
                 raise ValueError("eta_grid entries must be finite and positive")
         if self.b is not None and not 0 < self.b < math.inf:
             raise ValueError("b must be finite and positive")
@@ -310,7 +314,7 @@ class ExperimentConfig:
         if not 0.0 < self.delta < 1.0:
             raise ValueError("delta must lie in (0, 1)")
         eps = self.epsilon_override
-        if eps is not None and (not _is_real(eps) or not 0 <= eps < math.inf):
+        if eps is not None and (not _of_kind(eps, (int, float)) or not 0 <= eps < math.inf):
             raise ValueError("epsilon_override must be null or a finite number >= 0")
         if not isinstance(self.improved_p, bool):
             raise ValueError("improved_p must be true or false")
@@ -328,18 +332,15 @@ class ExperimentConfig:
                                  f"example(s) and m1_fraction {self.m1_fraction} gives phase 1 {m1}")
 
 
-def _is_real(value):
-    """An int or a float, but not a bool: what a JSON number loads as."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+def _of_kind(value, kinds):
+    """An instance of ``kinds`` but not a bool: JSON's true and false load as bools, which are ints."""
+    return isinstance(value, kinds) and not isinstance(value, bool)
 
 
-def _entries(key, value, parse, what):
-    """A non-empty list's entries read by ``parse`` (int or float): its numbers or strings, never booleans."""
-    kinds = (str, int, float) if parse is float else (str, int)
-    listed = isinstance(value, (list, tuple)) and all(isinstance(v, kinds) and not isinstance(v, bool) for v in value)
-    with contextlib.suppress(ValueError, OverflowError):
-        if listed and value:
-            return [parse(v) for v in value]
+def _entries(key, value, kinds, what):
+    """``value`` when it is a non-empty list (or tuple) of ``kinds`` entries, never booleans."""
+    if isinstance(value, (list, tuple)) and value and all(_of_kind(v, kinds) for v in value):
+        return value
     raise ValueError(f"{key} must be {what}, got {value!r}")
 
 
@@ -381,7 +382,7 @@ def _materialize(config):
     if config.data is not None:
         raw = load_csv(config.data)
     else:
-        need = max(map(int, config.prefixes))
+        need = max(config.prefixes)
         total = int(math.ceil(need / (1.0 - config.test_fraction)))
         while total - test_size(total) < need:
             total += 1
@@ -453,7 +454,7 @@ def run_experiment(config, workers: int = 1) -> ExperimentResult:
     if workers < 1:
         raise ValueError("workers must be positive")
     pool, test, b, moments = _materialize(config)
-    if max(map(int, config.prefixes)) > len(pool):
+    if max(config.prefixes) > len(pool):
         raise ValueError("prefix exceeds the available training examples")
     n_point, n_inner = (1, 1)
     if any(ALGORITHMS[a].budgeted for a in config.algorithms):
@@ -464,7 +465,7 @@ def run_experiment(config, workers: int = 1) -> ExperimentResult:
         m1_fraction=config.m1_fraction, delta=config.delta,
         epsilon_override=config.epsilon_override,
     )
-    cells = [(ai, algo, pi, int(m)) for ai, algo in enumerate(config.algorithms)
+    cells = [(ai, algo, pi, m) for ai, algo in enumerate(config.algorithms)
              for pi, m in enumerate(config.prefixes)]
     cv_cells = [c for c in cells if config.eta_grid is not None and ALGORITHMS[c[1]].kind != "erm"]
     cv_tasks = [(ai, algo, pi, m, float(eta), f, None) for ai, algo, pi, m in cv_cells

@@ -102,8 +102,8 @@ class Scaler:
     """
 
     regime: Regime
-    factors: np.ndarray | None = None  # scalar array (L2) or per-column (Linf)
-    clipped: int = field(default=0)  # out-of-ball transform rows, cumulative
+    factors: np.ndarray | None = field(default=None, init=False)  # scalar array (L2) or per-column (Linf)
+    clipped: int = field(default=0, init=False)  # out-of-ball transform rows, cumulative
     dimension: int | None = field(default=None, init=False)  # attribute count of the training data
 
     def fit(self, dataset):
@@ -127,7 +127,7 @@ class Scaler:
         if self.regime == Regime.L2:
             scale = np.sqrt((x * x).sum(axis=1))
         else:
-            scale = np.abs(x).max(axis=1) if x.size else np.zeros(len(dataset))
+            scale = np.abs(x).max(axis=1)
         outside = scale > 1.0
         if np.any(outside):
             self.clipped += int(outside.sum())

@@ -148,10 +148,6 @@ class TwoPhaseConfig:
             raise ValueError("empty second phase")
         if self.m1 < 1:
             raise ValueError("empty first phase")
-        if self.k < 1:
-            raise ValueError("k must be positive")
-        if self.b <= 0:
-            raise ValueError("norm bound must be positive")
 
 
 def run_two_phase(dataset, config, seed):

@@ -125,6 +125,10 @@ def test_online_baseline_errors():
         online_ridge_full(Dataset(np.zeros((0, 3)), np.zeros(0), Regime.L2), 1.0, 0.1)
     with pytest.raises(ValueError, match="must be positive"):
         online_ridge_full(l2, 1.0, 0.0)
+    with pytest.raises(ValueError, match="empty dataset"):
+        offline_erm(Dataset(np.zeros((0, 3)), np.zeros(0), Regime.L2), 1.0, Regime.L2)
+    with pytest.raises(ValueError, match="need at least one pass"):
+        offline_erm(l2, 1.0, Regime.L2, passes=0)
 
 
 def test_erm_matches_least_squares_when_unconstrained():
@@ -166,6 +170,10 @@ def test_erm_zero_radius():
     result = offline_erm(ds, b=0.0, regime=Regime.L2)
     np.testing.assert_array_equal(result.predictor.weights, np.zeros(3))
     assert result.attributes_consumed == 10 * 3
+    # all-zero attributes: no curvature, so no step is taken
+    result = offline_erm(Dataset(np.zeros((10, 3)), ds.y, Regime.L2), b=1.0, regime=Regime.L2)
+    np.testing.assert_array_equal(result.predictor.weights, np.zeros(3))
+    assert result.info == {"passes_used": 0, "converged": True}
 
 
 @pytest.mark.parametrize("b", [math.nan, math.inf, -1.0])

@@ -153,6 +153,20 @@ def test_train_rejects_b_that_is_not_finite_and_positive(data_csv, tmp_path, b):
     assert not model.exists()
 
 
+@pytest.mark.parametrize("algo", ["erm", "ogd-full"])
+@pytest.mark.parametrize("eta", ["nan", "inf", "1e999", "0", "-1"])
+def test_train_rejects_eta_that_is_not_finite_and_positive(data_csv, tmp_path, capsys, algo, eta):
+    from budgetreg import cli
+
+    model = tmp_path / "model.json"
+    with pytest.raises(SystemExit) as exit_:
+        cli.main(["train", "--algo", algo, "--regime", "l2", "--data", str(data_csv), "--eta", eta,
+                  "--out-model", str(model)])
+    assert exit_.value.code == 2
+    assert "error: argument --eta: must be positive and finite" in capsys.readouterr().err
+    assert not model.exists()
+
+
 def experiment_config(tmp_path, **overrides):
     raw = {
         "algorithms": ["aerr", "ddaerr"], "regime": "l2", "prefixes": [20, 40],
@@ -210,7 +224,7 @@ def test_experiment_rejects_unknown_keys(tmp_path):
                                         ("budget_split", float("inf")), ("budget_split", float("nan")),
                                         ("budget_split", 5.0), ("budget_split", -3.0),
                                         ("algorithms", ["2p-ddaerr", "2p-ddaerr"]), ("algorithms", "2p-ddaerr"),
-                                        ("prefixes", [1])])
+                                        ("prefixes", [1]), ("prefixes", ["20"])])
 def test_experiment_rejects_two_phase_settings_before_running(tmp_path, key, value):
     config = experiment_config(tmp_path, **{"algorithms": ["2p-ddaerr"], "eta_grid": None, key: value})
     out = tmp_path / "out"
@@ -242,7 +256,30 @@ def test_experiment_refuses_a_test_split_of_zero_targets(tmp_path, capsys):
     out = tmp_path / "out"
     assert cli.main(["experiment", "--config", str(config), "--out-dir", str(out), "--workers", "1"]) == 1
     assert "error: test split has only zero targets (1 example(s))" in capsys.readouterr().err
-    assert not (out / "records.csv").exists()
+    assert not out.exists()
+
+
+def test_experiment_force_replaces_only_the_previous_runs_curves(tmp_path, capsys):
+    from budgetreg import cli
+
+    out = tmp_path / "out"
+    config = experiment_config(tmp_path, algorithms=["aerr", "ogd-full"], prefixes=[20], repeats=1)
+    argv = ["experiment", "--config", str(config), "--out-dir", str(out), "--force", "--workers", "1"]
+    assert cli.main(argv) == 0
+    (out / "notes.txt").write_text("kept\n")
+    experiment_config(tmp_path, algorithms=["ddaerr"], prefixes=[20], repeats=1)  # rewrites the same config file
+    assert cli.main(argv) == 0
+    assert sorted(p.name for p in out.iterdir()) == ["curve_ddaerr.csv", "notes.txt", "records.csv", "summary.json"]
+    assert (out / "notes.txt").read_text() == "kept\n"
+    capsys.readouterr()
+
+    # --force does not replace a file that is not a directory, and refuses before running
+    blocker = tmp_path / "blocker"
+    blocker.write_text("kept\n")
+    assert cli.main(["experiment", "--config", str(config), "--out-dir", str(blocker), "--force"]) == 1
+    err = capsys.readouterr().err
+    assert f"error: output directory {blocker} is not a directory" in err and "running" not in err
+    assert blocker.read_text() == "kept\n"
 
 
 def test_experiment_worker_count_invisible(tmp_path):

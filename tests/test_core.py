@@ -82,6 +82,7 @@ def test_project_l1_ball_properties():
         assert np.all(p * v >= -1e-15)
     with pytest.raises(ValueError):
         project_l1_ball([1.0], -1.0)
+    np.testing.assert_array_equal(project_l1_ball([2.0, -1.0], 0.0), [0.0, 0.0])
 
 
 def test_squared_loss():

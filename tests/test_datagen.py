@@ -32,6 +32,8 @@ def test_power_law_means_errors_and_shape():
             power_law_means(3, alpha, Regime.L2)
     with pytest.raises(ValueError, match="zero dimension"):
         power_law_means(0, -1.0, Regime.L2)
+    with pytest.raises(ValueError, match="zero dimension"):
+        random_target_weights(0, Regime.L2, 0)
     u = power_law_means(100, -0.5, Regime.LINF)
     assert np.all(np.diff(u) <= 0) and u[0] == 1.0
 

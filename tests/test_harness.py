@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from budgetreg.core import Dataset, Regime, stream
 from budgetreg.datagen import generate_dataset, power_law_means, random_target_weights
@@ -80,6 +82,32 @@ def test_train_run_budgets():
         assert result.attributes_consumed == 40 * 3, algo
     assert train_run("ogd-full", ds, ctx, None, stream(0, 2)).attributes_consumed == 40 * 5
     assert train_run("erm", ds, ctx, None, stream(0, 3)).attributes_consumed == 40 * 5
+
+
+@pytest.mark.filterwarnings("ignore:m below ln")  # lasso's known-moments rate warns on tiny runs
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_train_run_reads_exactly_its_budget_and_stays_in_its_ball(data):
+    """Every algorithm, on any data of its regime (zero columns and constant
+    targets included), reads k+1 values per example (d for a
+    full-information run) and returns a valid predictor."""
+    algo = data.draw(st.sampled_from(sorted(ALGORITHMS)))
+    regime = ALGORITHMS[algo].regime or data.draw(st.sampled_from(list(Regime)))
+    d, budget, m = data.draw(st.integers(1, 30)), data.draw(st.integers(2, 8)), data.draw(st.integers(2, 60))
+    n_point, n_inner = split_budget(budget, data.draw(st.floats(0.0, 1.0)))
+    live = np.array(data.draw(st.lists(st.booleans(), min_size=d, max_size=d)))
+    live[data.draw(st.integers(0, d - 1))] = True  # an all-zero pool has no moments to sample by
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    x = rng.uniform(-1.0, 1.0, (m, d)) * live
+    if regime == Regime.L2:
+        x /= np.maximum(np.linalg.norm(x, axis=1, keepdims=True), 1.0)
+    y = np.full(m, data.draw(st.floats(-1.0, 1.0))) if data.draw(st.booleans()) else rng.uniform(-1.0, 1.0, m)
+    train = Dataset(x, y, regime)
+    ctx = make_ctx(regime, b=data.draw(st.floats(0.1, 3.0)), n_point=n_point, n_inner=n_inner,
+                   moments=dataset_moments(train))
+    result = train_run(algo, train, ctx, None, stream(0))
+    assert result.attributes_consumed == m * (budget if ALGORITHMS[algo].budgeted else d)
+    result.predictor.validate()
 
 
 def test_train_run_lasso_family():
@@ -221,6 +249,7 @@ def test_config_round_trip_and_errors():
     ("b", math.inf),
     ("b", 0.0),
     ("b", -1.0),
+    ("eta_grid", [10**400]),  # a JSON integer too large for a float
 ])
 def test_config_rejects_step_sizes_and_norm_bounds_that_are_not_finite_and_positive(key, value):
     raw = {"algorithms": ["aerr"], "regime": "l2", "prefixes": [50], "k": 2, "dim": 5, "alpha": -1.0}
@@ -265,7 +294,7 @@ def test_config_rejects_step_sizes_and_norm_bounds_that_are_not_finite_and_posit
     ("prefixes", "30", "prefixes must be a non-empty list of integers, got '30'"),
     ("prefixes", [], r"prefixes must be a non-empty list of integers, got \[\]"),
     ("prefixes", [40, 40], r"prefixes must be positive and distinct, got \[40, 40\]"),
-    ("prefixes", ["40", 40], "prefixes must be positive and distinct"),
+    ("prefixes", ["40", 40], r"prefixes must be a non-empty list of integers, got \['40', 40\]"),
     ("eta_grid", [True], r"eta_grid must be null or a non-empty list of numbers, got \[True\]"),
     ("eta_grid", "0.1", "eta_grid must be null or a non-empty list of numbers, got '0.1'"),
     ("eta_grid", [0.1, "fast"], r"eta_grid must be null or a non-empty list of numbers, got \[0.1, 'fast'\]"),
@@ -281,6 +310,12 @@ def test_config_rejects_step_sizes_and_norm_bounds_that_are_not_finite_and_posit
     ("algorithms", [["aerr"]], "algorithms must be a non-empty list of distinct names"),
     ("prefixes", [1], "prefixes must leave 2p-ddaerr a second phase: its smallest run has 1 example"),
     ("m1_fraction", 0.99, "prefixes must leave 2p-ddaerr a second phase: .* m1_fraction 0.99 gives phase 1 50"),
+    ("k", 0, "k must be at least 1"),
+    ("repeats", 0, "repeats must be positive"),
+    ("test_fraction", 1.0, r"test fraction must lie in \(0, 1\)"),
+    ("m1_fraction", 0.0, r"phase-1 fraction must lie in \(0, 1\)"),
+    ("seed", -1, "seed must be nonnegative"),
+    ("eta_grid", ["0.1"], r"eta_grid must be null or a non-empty list of numbers, got \['0.1'\]"),
 ])
 def test_config_rejects_two_phase_settings_out_of_range(key, value, message):
     raw = {"algorithms": ["2p-ddaerr"], "regime": "l2", "prefixes": [50], "k": 2, "dim": 5, "alpha": -1.0}
@@ -339,7 +374,7 @@ def test_run_experiment_refuses_a_test_split_of_zero_targets_before_running(monk
 def test_config_accepts_two_phase_settings_in_range():
     raw = {"algorithms": ["2p-ddaerr"], "regime": "l2", "prefixes": [50], "k": 2, "dim": 5, "alpha": -1.0}
     for extra in ({"delta": 0.5}, {"epsilon_override": None}, {"epsilon_override": 0}, {"epsilon_override": 0.25},
-                  {"improved_p": False}, {"prefixes": ["50", 60], "eta_grid": ["0.1", 0.2], "alpha": -1, "b": 2},
+                  {"improved_p": False}, {"prefixes": [50, 60], "eta_grid": [1, 0.2], "alpha": -1, "b": 2},
                   {"budget_split": 0.0}, {"budget_split": 1.0}, {"budget_split": 1}):
         ExperimentConfig.from_dict({**raw, **extra})
 
@@ -383,10 +418,13 @@ def test_run_experiment_shapes_and_budget_parity():
         assert len(curve.points) == 2
 
 
-def test_run_experiment_reads_integer_string_prefixes_as_numbers():
-    """As text "100" < "9"; the pool is sized, and each run trained, by the numbers."""
-    result = run_experiment(small_config(algorithms=["ogd-full"], prefixes=["9", "100"], repeats=1))
-    assert [(rec.m, rec.attributes_observed) for rec in result.records] == [(9, 9 * 5), (100, 100 * 5)]
+def test_run_experiment_refuses_string_prefixes_before_running(monkeypatch):
+    """A numeric string is not read as a number (as text, "100" < "9")."""
+    tasks = []
+    monkeypatch.setattr("budgetreg.harness._run_task", tasks.append)
+    with pytest.raises(ValueError, match=r"prefixes must be a non-empty list of integers, got \['9', '100'\]"):
+        run_experiment(small_config(algorithms=["ogd-full"], prefixes=["9", "100"], repeats=1))
+    assert tasks == []
 
 
 def test_run_experiment_deterministic_across_workers():
@@ -486,6 +524,17 @@ def test_run_experiment_prefix_too_large(tmp_path):
     write_csv(path, Dataset(ds.x, ds.y))
     with pytest.raises(ValueError, match="prefix exceeds the available training examples"):
         run_experiment(small_config(data=str(path), prefixes=[100]))
+    with pytest.raises(ValueError, match="workers must be positive"):
+        run_experiment(small_config(data=str(path), prefixes=[10]), workers=0)
+    write_csv(path, Dataset(ds.x[:1], ds.y[:1]))
+    with pytest.raises(ValueError, match="dataset too small for the test split"):
+        run_experiment(small_config(data=str(path), prefixes=[1]))
+    write_csv(path, Dataset(ds.x, 0.0 * ds.y))
+    with pytest.raises(ValueError, match="norm bound must be positive"):
+        run_experiment(small_config(data=str(path), prefixes=[10]))
+    # a test split rounded to nothing still takes one example, and the pool grows to keep the largest prefix
+    pool, test, _, _ = _materialize(small_config(prefixes=[30, 60], test_fraction=1e-17))
+    assert (len(pool), len(test)) == (60, 1)
 
 
 def test_run_experiment_csv_source(tmp_path):

@@ -51,6 +51,8 @@ def test_builders_leave_the_callers_weights_unchanged():
 def test_attribute_distribution_checks_sum():
     with pytest.raises(ValueError, match="invalid weights"):
         AttributeDistribution([0.5, 0.4])
+    with pytest.raises(ValueError, match="invalid weights"):
+        AttributeDistribution([-0.5, 1.5])
     d = AttributeDistribution([0.5, 0.5])
     assert d.dimension == 2
     np.testing.assert_allclose(d.cumulative, [0.5, 1.0])
@@ -181,6 +183,8 @@ def test_improved_inner_product_p_falls_back_on_dead_support():
 def test_improved_inner_product_p_errors():
     with pytest.raises(ValueError, match="zero weight vector"):
         improved_inner_product_p([0.0], moment_roots([1.0], 1), Regime.L2)
+    with pytest.raises(ValueError, match="zero dimension"):
+        improved_inner_product_p([], np.zeros(0), Regime.L2)
     with pytest.raises(ValueError, match="moment vector length mismatch"):
         moment_roots([1.0], 2)
     for bad in ([-1.0], [np.nan], [np.inf]):

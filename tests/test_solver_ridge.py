@@ -41,6 +41,8 @@ def test_config_validation():
         SolverConfig(b=0.0, eta=0.1, q=q).validate(2)
     with pytest.raises(ValueError, match="dimension mismatch"):
         SolverConfig(b=1.0, eta=0.1, q=q).validate(3)
+    with pytest.raises(ValueError, match="need at least one draw per estimate"):
+        SolverConfig(b=1.0, eta=0.1, q=q, n_point=0).validate(2)
 
 
 def test_step_from_zero_iterate():
@@ -198,6 +200,8 @@ def test_ridge_eta_known_moments_values():
     assert ridge_eta_known_moments(100, 1, 3.0) == pytest.approx(1 / 20, abs=1e-15)
     assert ridge_eta_known_moments(1, 1, 0.0) == pytest.approx(1.0, abs=1e-15)
     assert ridge_eta_known_moments(400, 4, 12.0) == pytest.approx(1 / 40, abs=1e-15)
+    with pytest.raises(ValueError, match="degenerate moments"):
+        ridge_eta_known_moments(100, 1, -1.0)
 
 
 def test_equal_moments_recover_uniform_run():

@@ -76,6 +76,8 @@ def test_epsilon_cap_and_errors():
         epsilon(10, 1.5, 5, 100, Regime.L2)
     with pytest.raises(ValueError, match="draws and m1 must be positive"):
         epsilon(10, 0.1, 0, 100, Regime.L2)
+    with pytest.raises(ValueError, match="zero dimension"):
+        epsilon(0, 0.1, 5, 100, Regime.L2)
 
 
 def test_epsilon_scaling_law():
@@ -130,6 +132,8 @@ def test_estimate_half_norm_values():
 
 def test_ridge_eta_two_phase_values():
     assert ridge_eta_two_phase(1, 6, 1, 0.0, 0.0) == pytest.approx(1.0, abs=1e-15)
+    with pytest.raises(ValueError, match="negative half-norm estimate"):
+        ridge_eta_two_phase(1, 6, 1, -1.0, 0.0)
     # a huge half norm hands the choice to the moment-free branch
     k, d, m2 = 2, 5, 50
     assert ridge_eta_two_phase(m2, k, d, 1e9, 5 * math.log(100) / 30) == pytest.approx(
@@ -220,6 +224,27 @@ def test_two_phase_refuses_empty_phase1():
             config.validate()
         with pytest.raises(ValueError, match="empty first phase"):
             run_two_phase(ds, config, 3)
+
+
+# k and b are refused by phase 1's step-size rule (eta unset) or its solver config (eta set)
+@pytest.mark.parametrize("regime", [Regime.L2, Regime.LINF])
+@pytest.mark.parametrize("eta, k, b, message", [
+    (None, 0, 2.0, "m, k, d must be positive"),
+    (None, 1, 0.0, "norm bound must be positive"),
+    (None, 1, -1.0, "norm bound must be positive"),
+    (None, 1, math.nan, "norm bound must be positive and finite"),
+    (0.1, 0, 2.0, "need at least one draw per estimate"),
+    (0.1, 1, 0.0, "norm bound must be positive and finite"),
+    (0.1, 1, -1.0, "norm bound must be positive and finite"),
+    (0.1, 1, math.nan, "norm bound must be positive and finite"),
+])
+def test_two_phase_refuses_k_and_b_before_any_draw(regime, eta, k, b, message):
+    ds = make_dataset(5, 80, 14, regime)
+    rng = np.random.default_rng(3)
+    before = rng.bit_generator.state
+    with pytest.raises(ValueError, match=message):
+        run_two_phase(ds, TwoPhaseConfig(m1=20, m2=60, b=b, k=k, regime=regime, eta=eta), rng)
+    assert rng.bit_generator.state == before
 
 
 def test_two_phase_epsilon_override_only_reshapes_q():
