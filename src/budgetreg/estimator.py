@@ -126,7 +126,13 @@ def estimate_phi(x, y, w, p, draws):
     w_j != 0, so a zero iterate (no such p) is the caller's to handle.
     """
     j = sample_index(p, draws)
-    return float(np.add.reduce(w[j] / p.probabilities[j] * x[j]) / j.size - y)
+    if j.size < 8:  # numpy's add.reduce adds fewer than 8 terms left to right from +0.0, as this loop does
+        total = 0.0
+        for i in j.tolist():
+            total += w.item(i) / p.probabilities.item(i) * x.item(i)
+    else:
+        total = np.add.reduce(w[j] / p.probabilities[j] * x[j])
+    return float(total / j.size - y)
 
 
 def draw_step(state, w, x, y, config, inner, regime):
@@ -203,32 +209,38 @@ def _budgeted_pass(state, xs, ys, config, rng, step, table):
     iterate is zero, its n_inner inner-product uniforms from the stream.
     A block lays n_point + n_inner uniforms per example, row-major, which
     is that order exactly as long as no step has a zero iterate.  A
-    zero-iterate step ends its block: the uniforms the pass did not use
-    are handed back with ``advance``, so the generator ends where a
-    per-step draw would leave it, and the next examples are laid one per
-    block until a step has a nonzero iterate again.
+    zero-iterate step ends its block, and the uniforms the pass did not
+    use are handed back with ``advance``, so the generator ends where a
+    per-step draw would leave it.  A zero-iterate step that cannot move
+    the iterate (y = 0, or every point value is 0) leaves it zero for the
+    next example, so the next block lays n_point uniforms per example and
+    ends at the first example that can move it.
     """
     k, n_inner = config.n_point, config.n_inner
-    width = k + n_inner
     m = len(ys)
-    start, rows = 0, _BLOCK_ROWS
+    start, zero_run = 0, False
     while start < m:
-        stop = min(start + rows, m)
+        stop = min(start + _BLOCK_ROWS, m)
+        width = k if zero_run else k + n_inner
         u = rng.random((stop - start) * width).reshape(stop - start, width)
-        x_block = xs[start:stop]
+        x_block, y_block = xs[start:stop], ys[start:stop]
         drawn, indices, values, bounds = estimate_point(x_block, config.q, u[:, :k])
+        rows = len(u)
+        if zero_run:  # the iterate stays zero up to the first example that can move it
+            moves = np.logical_or.reduceat(values != 0, bounds[:-1]) & (y_block != 0)
+            rows = int(moves.argmax()) + 1 if moves.any() else rows
         bounds = bounds.tolist()
         zero_steps = state.zero_weight_steps
-        examples = zip(x_block, ys[start:stop].tolist(), bounds, bounds[1:], u[:, k:])
+        examples = zip(x_block[:rows], y_block.tolist(), bounds, bounds[1:], u[:, k:])
         for used, (x, y, lo, hi, inner) in enumerate(examples, start=1):
             step(state, x, y, config, indices[lo:hi], values[lo:hi], inner)
-            if state.zero_weight_steps != zero_steps:
+            if state.zero_weight_steps != zero_steps and not zero_run:
                 break
         zero = state.zero_weight_steps != zero_steps
-        unused = (len(u) - used) * width + (n_inner if zero else 0)
+        unused = (len(u) - used) * width + (n_inner if zero and not zero_run else 0)
         if unused:
             rng.bit_generator.advance(-unused)
         if table is not None:
             table.add(drawn[:used], x_block[:used])
         start += used
-        rows = 1 if zero else _BLOCK_ROWS
+        zero_run = zero and (y == 0 or not values[lo:hi].any())

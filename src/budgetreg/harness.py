@@ -195,19 +195,19 @@ def train_run(algo_id, train, ctx, eta, seed):
     return offline_erm(train, ctx.b, regime)
 
 
-def _fold_score(dataset, n, folds, f, algorithm, ctx, eta, seed):
-    """Validation relative loss of the fold-f run at eta, the folds split
-    from the first n >= folds examples by the (seed) stream alone; None
-    when the fold's validation targets are all zero (the fold is skipped).
+def _fold_score(dataset, blocks, f, algorithm, ctx, eta, seed):
+    """Validation relative loss of the fold-f run at eta, ``blocks`` being
+    the folds' validation indices, split from the first n >= folds examples
+    by the (seed, _TAG_CV_SPLIT) stream alone; None when the fold's
+    validation targets are all zero (the fold is skipped).
 
     Fold data and fold run streams depend only on (seed, fold), never on
     eta, so duplicated grid entries score identically.
     """
-    blocks = np.array_split(stream(seed, _TAG_CV_SPLIT).permutation(n), folds)
     val = dataset.subset(blocks[f])
     if not np.any(val.y != 0):
         return None
-    train_idx = np.concatenate([blocks[g] for g in range(folds) if g != f])
+    train_idx = np.concatenate([b for g, b in enumerate(blocks) if g != f])
     result = train_run(algorithm, dataset.subset(train_idx), ctx, eta, stream(seed, _TAG_CV_RUN, f))
     return relative_loss(result.predictor, val)
 
@@ -293,7 +293,7 @@ class ExperimentConfig:
             if self.k < 1:
                 raise ValueError("k must be at least 1")
             split_budget(self.k + 1, self.budget_split)
-        if self.data is None and (self.dim < 1 or not -math.inf < self.alpha <= 0):
+        if self.data is None and (self.dim < 1 or not -sys.float_info.max <= self.alpha <= 0):
             raise ValueError("synthetic data needs dim >= 1 and a finite alpha <= 0")
         if self.repeats < 1:
             raise ValueError("repeats must be positive")
@@ -303,7 +303,7 @@ class ExperimentConfig:
             grid = _entries("eta_grid", self.eta_grid, (int, float), "null or a non-empty list of numbers")
             if not all(0 < eta <= sys.float_info.max for eta in grid):  # nor an int too large for a float
                 raise ValueError("eta_grid entries must be finite and positive")
-        if self.b is not None and not 0 < self.b < math.inf:
+        if self.b is not None and not 0 < self.b <= sys.float_info.max:
             raise ValueError("b must be finite and positive")
         if not 0.0 < self.test_fraction < 1.0:
             raise ValueError("test fraction must lie in (0, 1)")
@@ -314,7 +314,7 @@ class ExperimentConfig:
         if not 0.0 < self.delta < 1.0:
             raise ValueError("delta must lie in (0, 1)")
         eps = self.epsilon_override
-        if eps is not None and (not _of_kind(eps, (int, float)) or not 0 <= eps < math.inf):
+        if eps is not None and (not _of_kind(eps, (int, float)) or not 0 <= eps <= sys.float_info.max):
             raise ValueError("epsilon_override must be null or a finite number >= 0")
         if not isinstance(self.improved_p, bool):
             raise ValueError("improved_p must be true or false")
@@ -423,8 +423,8 @@ def _run_task(task):
     payload = _WORKER["payload"]
     pool, test, ctx, seed = payload["pool"], payload["test"], payload["ctx"], payload["seed"]
     if fold is not None:
-        cv_seed = (seed, _TAG_CV, algo_index, prefix_index)
-        return _fold_score(pool, m, payload["folds"], fold, algo_id, ctx, eta, cv_seed)
+        blocks = payload["cv_blocks"][algo_index, prefix_index]
+        return _fold_score(pool, blocks, fold, algo_id, ctx, eta, (seed, _TAG_CV, algo_index, prefix_index))
     order = stream(seed, _TAG_SHUFFLE, repeat).permutation(len(pool))
     train = pool.subset(order[:m])
     rng = stream(seed, _TAG_RUN, algo_index, prefix_index, repeat)
@@ -473,7 +473,10 @@ def run_experiment(config, workers: int = 1) -> ExperimentResult:
     # a forked pool starts all its workers at the first task, however few the tasks
     workers = min(workers, max(len(cv_tasks), len(cells) * config.repeats))
 
-    payload = {"pool": pool, "test": test, "ctx": ctx, "seed": config.seed, "folds": config.folds}
+    # each CV cell's fold split, derived once for all of its (eta, fold) tasks
+    cv_blocks = {(ai, pi): np.array_split(stream((config.seed, _TAG_CV, ai, pi), _TAG_CV_SPLIT).permutation(m),
+                                          config.folds) for ai, _, pi, m in cv_cells}
+    payload = {"pool": pool, "test": test, "ctx": ctx, "seed": config.seed, "cv_blocks": cv_blocks}
     pool_exec = (ProcessPoolExecutor(max_workers=workers, initializer=_init_worker, initargs=(payload,))
                  if workers > 1 else contextlib.nullcontext())
     try:

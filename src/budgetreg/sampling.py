@@ -35,7 +35,7 @@ class AttributeDistribution:
     ``fallback`` marks an improved inner-product p that fell back.
     """
 
-    __slots__ = ("probabilities", "cumulative", "_last", "fallback")
+    __slots__ = ("probabilities", "cumulative", "fallback")
 
     def __init__(self, probabilities):
         p = float_vector(probabilities)
@@ -48,10 +48,7 @@ class AttributeDistribution:
 
     def _fill(self, p):
         self.probabilities = p
-        self.cumulative = c = np.add.accumulate(p)
-        # a draw lands past the last index with a nonempty segment only if
-        # it is >= c[-1], which no draw in [0, 1) is when c[-1] >= 1
-        self._last = int(c.searchsorted(c[-1])) if c[-1] < 1.0 else None
+        self.cumulative = np.add.accumulate(p)
         self.fallback = False
         return self
 
@@ -91,10 +88,12 @@ def sample_index(dist, u):
     are never returned: searching with side="right" lands on one only past
     the end of the table, which resolves to the last index with mass.
     """
-    idx = dist.cumulative.searchsorted(u, side="right")
-    if dist._last is None:
-        return idx
-    return np.minimum(idx, dist._last, out=idx)
+    c = dist.cumulative
+    idx = c.searchsorted(u, side="right")
+    # only a draw >= c[-1] lands past the end, and none in [0, 1) does when c[-1] >= 1
+    if c[-1] < 1.0 and idx.item(idx.argmax()) == c.size:
+        np.minimum(idx, c.searchsorted(c[-1]), out=idx)
+    return idx
 
 
 def checked_moments(moments):
@@ -158,7 +157,8 @@ def improved_inner_product_p(w, root_moments, regime):
     w = np.asarray(w, dtype=float)
     if w.size == 0:
         raise ValueError("zero dimension")
-    weights = np.abs(w) * root_moments
+    weights = np.abs(w)
+    weights *= root_moments
     if np.count_nonzero(weights) != np.count_nonzero(w):
         p = inner_product_p(w, regime)
         p.fallback = True

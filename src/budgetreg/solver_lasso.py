@@ -32,14 +32,15 @@ __all__ = [
 ]
 
 _RENORM_THRESHOLD = 1e100
+_GROWTH = math.e * (1.0 + 1e-12)  # covers e (1 + 2^-52) and the rounding of the bound itself
 
 
 @dataclass
 class EGState(PassState):
     z_plus: np.ndarray
     z_minus: np.ndarray
-    # eg_update has checked every z entry against the renormalization threshold
-    peak_checked: bool = field(default=False, init=False, repr=False)
+    # an upper bound on every z entry; unknown (inf) until eg_update first scans them
+    z_peak: float = field(default=math.inf, init=False, repr=False)
 
     @classmethod
     def initial(cls, d, config):
@@ -88,24 +89,26 @@ def eg_update(state, indices, values, eta):
     clipped at 1/eta of its own coordinate.  Off-support coordinates are
     untouched; both z vectors are rescaled by the same factor if an entry
     overflows the renormalization threshold (the derived weights are
-    invariant to common rescaling).  Once a state has been checked, only
-    an updated entry can cross the threshold, so the search over all 2d
-    entries runs only when one does.
+    invariant to common rescaling).  The clip keeps |eta g| <= 1 up to
+    rounding, so no factor exceeds e (1 + 2^-52) and ``state.z_peak``
+    grows by at most that much per update; the search over all 2d
+    entries runs only when that bound passes the threshold.  (Only an
+    infinite estimate, where 1/eta overflows, escapes the clip; the
+    weights then hold NaN and the next step fails either way.)
     """
     bound = 1.0 / eta
     g = np.minimum(np.maximum(values, -bound), bound)
     z_plus, z_minus = state.z_plus, state.z_minus
-    up = z_plus[indices] * np.exp(-eta * g)
-    down = z_minus[indices] * np.exp(eta * g)
-    z_plus[indices] = up
-    z_minus[indices] = down
-    if (not state.peak_checked or np.maximum.reduce(up, initial=0.0) > _RENORM_THRESHOLD
-            or np.maximum.reduce(down, initial=0.0) > _RENORM_THRESHOLD):
+    z_plus[indices] *= np.exp(-eta * g)
+    z_minus[indices] *= np.exp(eta * g)
+    state.z_peak *= _GROWTH
+    if state.z_peak > _RENORM_THRESHOLD:
         peak = max(float(z_plus.max()), float(z_minus.max()))
         if peak > _RENORM_THRESHOLD:
             z_plus /= peak
             z_minus /= peak
-        state.peak_checked = True
+            peak = 1.0
+        state.z_peak = peak
     return state
 
 

@@ -259,6 +259,19 @@ def test_experiment_refuses_a_test_split_of_zero_targets(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("key, value", [("b", 10**400), ("alpha", -10**400), ("epsilon_override", 10**400)],
+                         ids=["b", "alpha", "epsilon_override"])
+def test_experiment_refuses_json_integers_too_large_for_a_float(tmp_path, capsys, key, value):
+    from budgetreg import cli
+
+    config = experiment_config(tmp_path, **{key: value})
+    out = tmp_path / "out"
+    assert cli.main(["experiment", "--config", str(config), "--out-dir", str(out), "--workers", "1"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "running" not in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_experiment_force_replaces_only_the_previous_runs_curves(tmp_path, capsys):
     from budgetreg import cli
 

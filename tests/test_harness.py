@@ -155,10 +155,15 @@ def test_train_run_deterministic_and_eta_sensitive():
     assert np.any(r3.predictor.weights != r1.predictor.weights)
 
 
+def fold_blocks(n, folds, seed):
+    """The folds' validation indices of the first n examples, as run_experiment splits a CV cell."""
+    return np.array_split(stream(seed, _TAG_CV_SPLIT).permutation(n), folds)
+
+
 def cv_pick(ds, algo, grid, folds, seed, ctx):
     """The step size k-fold validation on all of ds picks, as run_experiment composes it."""
-    scores = [[_fold_score(ds, len(ds), folds, f, algo, ctx, float(eta), seed) for f in range(folds)]
-              for eta in grid]
+    blocks = fold_blocks(len(ds), folds, seed)
+    scores = [[_fold_score(ds, blocks, f, algo, ctx, float(eta), seed) for f in range(folds)] for eta in grid]
     return _pick_eta(grid, scores)
 
 
@@ -168,7 +173,8 @@ def test_cross_validate_single_and_duplicate_entries():
     assert cv_pick(ds, "aerr", [0.03], 5, 0, ctx) == 0.03
     assert cv_pick(ds, "aerr", [0.03, 0.03, 0.03], 5, 0, ctx) == 0.03
     # duplicated entries score identically, fold by fold
-    scores = [[_fold_score(ds, len(ds), 5, f, "aerr", ctx, 0.03, 0) for f in range(5)] for _ in range(3)]
+    blocks = fold_blocks(len(ds), 5, 0)
+    scores = [[_fold_score(ds, blocks, f, "aerr", ctx, 0.03, 0) for f in range(5)] for _ in range(3)]
     assert scores[0] == scores[1] == scores[2]
     assert _pick_eta([0.05, 0.03, 0.03], [[0.2], [0.1], [0.1]]) == 0.03
     for grid in ([0.03], [0.03, 0.03, 0.03]):
@@ -195,7 +201,7 @@ def test_cross_validate_matches_manual_enumeration():
             rng = stream(seed, _TAG_CV_RUN, f)
             result = train_run("aerr", ds.subset(train_idx), ctx, eta, rng)
             per_fold.append(relative_loss(result.predictor, val))
-            assert _fold_score(ds, len(ds), folds, f, "aerr", ctx, eta, seed) == per_fold[-1]
+            assert _fold_score(ds, blocks, f, "aerr", ctx, eta, seed) == per_fold[-1]
         scores.append(float(np.mean(per_fold)))
     expected = min(zip(scores, grid))[1]
     assert cv_pick(ds, "aerr", grid, folds, seed, ctx) == expected
@@ -211,7 +217,8 @@ def test_cross_validate_errors():
     with pytest.raises(ValueError, match=r"prefixes must be at least folds \(3\) when step sizes are cross-validated"):
         ExperimentConfig.from_dict({**raw, "prefixes": [2, 30]})
     zeros = Dataset(np.ones((12, 2)) * 0.5, np.zeros(12), Regime.L2)
-    scores = [[_fold_score(zeros, 12, 3, f, "aerr", make_ctx(Regime.L2, b=1.0), 0.1, 0) for f in range(3)]]
+    blocks = fold_blocks(12, 3, 0)
+    scores = [[_fold_score(zeros, blocks, f, "aerr", make_ctx(Regime.L2, b=1.0), 0.1, 0) for f in range(3)]]
     assert scores == [[None, None, None]]
     with pytest.raises(ValueError, match="zero-predictor loss undefined"):
         _pick_eta([0.1], scores)
@@ -316,6 +323,11 @@ def test_config_rejects_step_sizes_and_norm_bounds_that_are_not_finite_and_posit
     ("m1_fraction", 0.0, r"phase-1 fraction must lie in \(0, 1\)"),
     ("seed", -1, "seed must be nonnegative"),
     ("eta_grid", ["0.1"], r"eta_grid must be null or a non-empty list of numbers, got \['0.1'\]"),
+    # JSON integers beyond the largest float, which a `< inf` bound lets through to an OverflowError
+    pytest.param("b", 10**400, "b must be finite and positive", id="b-beyond-float"),
+    pytest.param("alpha", -10**400, "synthetic data needs dim >= 1 and a finite alpha <= 0", id="alpha-beyond-float"),
+    pytest.param("epsilon_override", 10**400, "epsilon_override must be null or a finite number >= 0",
+                 id="epsilon_override-beyond-float"),
 ])
 def test_config_rejects_two_phase_settings_out_of_range(key, value, message):
     raw = {"algorithms": ["2p-ddaerr"], "regime": "l2", "prefixes": [50], "k": 2, "dim": 5, "alpha": -1.0}

@@ -2,16 +2,19 @@
 they replaced.
 
 The step path was made cheaper (fewer numpy calls, ufuncs called
-directly, the EG threshold checked on the updated entries only), and
-the pass now builds the point estimates of a block of examples before
-its steps, drawing the block's uniforms at once and handing back the
-ones a zero-iterate step leaves unused.  No result changed.  The helpers
-below are the earlier per-step implementation, kept as the reference: a
-hypothesis property drives both through the same draws and requires
-identical iterates, averages, AdaGrad sums and counters after every
-step, and identical results from a whole pass; whole passes given a
-Generator across the block size must also leave it where the reference
-per-step loop leaves it, and so must the two-phase solver.
+directly, the EG threshold checked against a running bound on the z
+entries, short inner-product sums added in Python), and the pass now
+builds the point estimates of a block of examples before its steps,
+drawing the block's uniforms at once and handing back the ones a
+zero-iterate step leaves unused; a run of examples that cannot move a
+zero iterate is laid n_point uniforms per example.  No result changed.
+The helpers below are the earlier per-step implementation, kept as the
+reference: a hypothesis property drives both through the same draws and
+requires identical iterates, averages, AdaGrad sums and counters after
+every step, and identical results from a whole pass; whole passes given
+a Generator across the block size (sparse rows behind a zero iterate
+among them) must also leave it where the reference per-step loop leaves
+it, and so must the two-phase solver.
 """
 
 import math
@@ -24,6 +27,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from budgetreg import estimator
 from budgetreg.core import Dataset, Predictor, Regime, RunResult
 from budgetreg.estimator import _BLOCK_ROWS, DELTA_ADA, SolverConfig, estimate_point
 from budgetreg.sampling import build_distribution, uniform_distribution
@@ -417,6 +421,32 @@ def random_case(regime, m, n_point, n_inner, seed):
     return Dataset(x, y), config
 
 
+def sparse_rows(rng, m, d):
+    """Rows whose entries are mostly 0, so that most point values are 0;
+    y = 0 on the first _BLOCK_ROWS + 30 rows and on a tenth of the rest,
+    and the 20 rows after those leading zeros are all zero with y != 0."""
+    x = rng.uniform(-1.0, 1.0, (m, d)) * (rng.random((m, d)) < 0.2)
+    y = rng.uniform(-1.0, 1.0, m)
+    y[rng.random(m) < 0.1] = 0.0
+    lead = _BLOCK_ROWS + 30
+    y[:lead] = 0.0
+    x[lead:lead + 20] = 0.0
+    return x, y
+
+
+def sparse_case(regime, m, n_point, n_inner, seed):
+    """A zero iterate through examples that cannot move it: sparse_rows on
+    six attributes, a random q, the improved p on odd seeds; ridge starts
+    at zero."""
+    rng = np.random.default_rng(seed)
+    d = 6
+    x, y = sparse_rows(rng, m, d)
+    config = SolverConfig(b=1.0, eta=0.3, q=build_distribution(rng.uniform(0.1, 1.0, d)), n_point=n_point,
+                          n_inner=n_inner, moments=rng.uniform(0.1, 1.0, d) if seed % 2 else None,
+                          initial_w=np.zeros(d) if regime is Regime.L2 else None)
+    return Dataset(x, y), config
+
+
 # (rows, n_point, n_inner): both sides of the block size, 1 to 4 point and 1 to 10 inner draws
 SHAPES = ((1, 2, 3), (_BLOCK_ROWS - 1, 1, 1), (_BLOCK_ROWS, 2, 10), (_BLOCK_ROWS + 1, 4, 2),
           (2 * _BLOCK_ROWS + 1, 3, 7))
@@ -433,33 +463,51 @@ def test_pass_across_blocks_matches_reference_loop(make_case, regime, m, n_point
         assert got.zero_weight_steps > 10  # zero iterates throughout the pass, not only at its start
 
 
-@pytest.mark.parametrize("returning", [False, True])
+@pytest.mark.parametrize("n_point, n_inner", [(1, 1), (2, 3), (4, 7)])
 @pytest.mark.parametrize("regime", [Regime.L2, Regime.LINF])
-def test_two_phase_matches_reference_phases(regime, returning):
-    """run_two_phase against the reference per-step loop: phase 1 tables
-    each step's raw point draws before the step, phase 2 samples from
-    the smoothed table and starts at phase 1's average, and both draw
-    from one Generator, which ends at the same next draw.  With
-    ``returning`` there is one attribute, and the phase-1 iterate returns
-    to exactly zero in the middle of its blocks (ridge starts at b/2 and
-    steps by eta phi = 1/2; lasso as in returning_case)."""
-    rng = np.random.default_rng(11)
-    m1, m2, k, n_inner, eta, eps = _BLOCK_ROWS + 76, 300, 3, 2, 0.5 if returning else 0.2, 0.01
-    if returning:
-        d = 1
-        x = np.ones((m1 + m2, d))
-        y = level_targets(rng, m1 + m2, 1.0, -0.5, away=True) if regime is Regime.L2 else \
-            level_targets(rng, m1 + m2, 10.0, -10.0)
-    else:
-        d = 5
-        x = rng.uniform(-1.0, 1.0, (m1 + m2, d))
-        y = rng.uniform(-1.0, 1.0, m1 + m2)
-        y[:3] = 0.0
+def test_zero_run_across_blocks_matches_reference_loop(regime, n_point, n_inner):
+    """A run of examples that cannot move a zero iterate (y = 0, or only
+    0 point values) is laid n_point uniforms per example, past the block
+    size; the pass still matches the reference loop and its next draw."""
+    seed = n_point + n_inner
+    dataset, config = sparse_case(regime, 2 * _BLOCK_ROWS + 1, n_point, n_inner, seed)
+    got = assert_same_pass(dataset, config, regime, seed)
+    assert got.zero_weight_steps > _BLOCK_ROWS + 50
+
+
+def test_leading_zero_targets_take_one_block(monkeypatch):
+    """A lasso pass whose first 50 targets are 0 builds its point estimates
+    in 3 blocks: the first step, the zero run up to the first example that
+    moves the iterate, and the rest (it was one block per example)."""
+    blocks = []
+
+    def counting(x, q, draws):
+        blocks.append(len(x))
+        return estimate_point(x, q, draws)
+
+    monkeypatch.setattr(estimator, "estimate_point", counting)
+    rng = np.random.default_rng(3)
+    x, y = rng.uniform(-1.0, 1.0, (500, 6)), rng.uniform(-1.0, 1.0, 500)
+    y[:50] = 0.0
+    config = SolverConfig(b=1.0, eta=0.3, q=uniform_distribution(6), n_point=2, n_inner=3)
+    got = run_gaelr(Dataset(x, y), config, 7)
+    assert got.zero_weight_steps >= 51
+    assert len(blocks) <= 3
+
+
+TWO_PHASE_M1 = _BLOCK_ROWS + 76
+
+
+def assert_same_two_phase(x, y, regime, eta):
+    """run_two_phase on the first TWO_PHASE_M1 examples as phase 1 and the
+    rest as phase 2 equals the reference phases; returns the reference
+    phase 1's result."""
+    m1, m2, k, n_inner, eps = TWO_PHASE_M1, len(y) - TWO_PHASE_M1, 3, 2, 0.01
+    d = x.shape[1]
     config = TwoPhaseConfig(m1=m1, m2=m2, b=1.0, k=k, regime=regime, eta=eta, n_inner=n_inner,
                             improved_p=True, epsilon_override=eps)
     live_rng = np.random.default_rng(5)
     got = run_two_phase(Dataset(x, y), config, live_rng)
-
     initial, ref_step, _ = PASSES[regime]
     ref_rng = np.random.default_rng(5)
     uniform = uniform_distribution(d)
@@ -491,6 +539,40 @@ def test_two_phase_matches_reference_phases(regime, returning):
     assert same_bits(got.predictor.weights, phase2.predictor.weights)
     assert got.info["phase1_budget"] == phase1.attributes_consumed
     assert got.zero_weight_steps == phase1.zero_weight_steps + phase2.zero_weight_steps
+    assert same_bits(live_rng.random(3), ref_rng.random(3))
+    return phase1
+
+
+@pytest.mark.parametrize("returning", [False, True])
+@pytest.mark.parametrize("regime", [Regime.L2, Regime.LINF])
+def test_two_phase_matches_reference_phases(regime, returning):
+    """run_two_phase against the reference per-step loop: phase 1 tables
+    each step's raw point draws before the step, phase 2 samples from
+    the smoothed table and starts at phase 1's average, and both draw
+    from one Generator, which ends at the same next draw.  With
+    ``returning`` there is one attribute, and the phase-1 iterate returns
+    to exactly zero in the middle of its blocks (ridge starts at b/2 and
+    steps by eta phi = 1/2; lasso as in returning_case)."""
+    rng = np.random.default_rng(11)
+    m = TWO_PHASE_M1 + 300
+    if returning:
+        x = np.ones((m, 1))
+        y = level_targets(rng, m, 1.0, -0.5, away=True) if regime is Regime.L2 else \
+            level_targets(rng, m, 10.0, -10.0)
+    else:
+        x = rng.uniform(-1.0, 1.0, (m, 5))
+        y = rng.uniform(-1.0, 1.0, m)
+        y[:3] = 0.0
+    phase1 = assert_same_two_phase(x, y, regime, 0.5 if returning else 0.2)
     if returning:
         assert phase1.zero_weight_steps > 10
-    assert same_bits(live_rng.random(3), ref_rng.random(3))
+
+
+def test_two_phase_zero_run_matches_reference_phases():
+    """Lasso run_two_phase on sparse_rows: phase 1's iterate starts at zero
+    (ridge's starts inside the ball) and stays there past the block size
+    and through examples with y != 0 but only 0 point values, and its
+    moment table still gets every consumed example's draws."""
+    x, y = sparse_rows(np.random.default_rng(13), TWO_PHASE_M1 + 300, 6)
+    phase1 = assert_same_two_phase(x, y, Regime.LINF, 0.2)
+    assert phase1.zero_weight_steps > _BLOCK_ROWS + 30
