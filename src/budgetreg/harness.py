@@ -274,6 +274,9 @@ class ExperimentConfig:
             value = getattr(self, key)
             if not _of_kind(value, int):
                 raise ValueError(f"{key} must be an integer, got {value!r}")
+            # a larger count overflows a float (split_budget, _phase1_size), a list or an array
+            if key in ("k", "dim", "repeats") and value > sys.maxsize:
+                raise ValueError(f"{key} must be at most {sys.maxsize}")
         for key in self._REALS:
             value = getattr(self, key)
             if not (key == "b" and value is None) and not _of_kind(value, (int, float)):
@@ -287,6 +290,8 @@ class ExperimentConfig:
         prefixes = _entries("prefixes", self.prefixes, int, "a non-empty list of integers")
         if min(prefixes) < 1 or len(set(prefixes)) < len(prefixes):
             raise ValueError(f"prefixes must be positive and distinct, got {self.prefixes!r}")
+        if max(prefixes) > sys.maxsize:
+            raise ValueError(f"prefixes must be at most {sys.maxsize}")
         if not 0.0 <= self.budget_split <= 1.0:
             raise ValueError(f"budget_split must lie in [0, 1], got {self.budget_split!r}")
         if any(ALGORITHMS[a].budgeted for a in algos):
@@ -418,10 +423,11 @@ def _init_worker(payload):
 
 
 def _run_task(task):
-    """One training run: a CV fold's score when ``fold`` is set, else a final run."""
+    """One training run: a CV fold's score when ``fold`` is set, else a final
+    run's (attributes consumed, predictor), scored later by ``_score_task``."""
     algo_index, algo_id, prefix_index, m, eta, fold, repeat = task
     payload = _WORKER["payload"]
-    pool, test, ctx, seed = payload["pool"], payload["test"], payload["ctx"], payload["seed"]
+    pool, ctx, seed = payload["pool"], payload["ctx"], payload["seed"]
     if fold is not None:
         blocks = payload["cv_blocks"][algo_index, prefix_index]
         return _fold_score(pool, blocks, fold, algo_id, ctx, eta, (seed, _TAG_CV, algo_index, prefix_index))
@@ -429,14 +435,19 @@ def _run_task(task):
     train = pool.subset(order[:m])
     rng = stream(seed, _TAG_RUN, algo_index, prefix_index, repeat)
     result = train_run(algo_id, train, ctx, eta, rng)
-    return int(result.attributes_consumed), relative_loss(result.predictor, test)
+    return int(result.attributes_consumed), result.predictor
 
 
-def _map_tasks(pool_exec, workers, tasks):
-    """Run the tasks in order, in the worker pool when there is one."""
+def _score_task(predictor):
+    """A final run's test relative loss."""
+    return relative_loss(predictor, _WORKER["payload"]["test"])
+
+
+def _map_tasks(pool_exec, workers, fn, tasks):
+    """Run ``fn`` over the tasks in order, in the worker pool when there is one."""
     if workers == 1:
-        return [_run_task(t) for t in tasks]
-    return list(pool_exec.map(_run_task, tasks, chunksize=max(1, len(tasks) // (4 * workers))))
+        return [fn(t) for t in tasks]
+    return list(pool_exec.map(fn, tasks, chunksize=max(1, len(tasks) // (4 * workers))))
 
 
 def run_experiment(config, workers: int = 1) -> ExperimentResult:
@@ -447,8 +458,11 @@ def run_experiment(config, workers: int = 1) -> ExperimentResult:
     (paired comparisons).  Step sizes come from one cross-validation per
     (algorithm, prefix) on the unshuffled pool prefix, or from each
     algorithm's own rate when no grid is configured.  CV fold fits, then
-    final runs, are tasks for the same workers.  The worker count is an
-    execution detail and never affects the result.
+    final training, then final scoring are three phases of tasks for the
+    same workers: scoring waits until every final run has trained, so the
+    test-split products, which threaded BLAS splits across helper threads
+    that keep spinning afterwards, never share the cores with training.
+    The worker count is an execution detail and never affects the result.
     """
     config.validate()
     if workers < 1:
@@ -483,21 +497,22 @@ def run_experiment(config, workers: int = 1) -> ExperimentResult:
         with pool_exec:
             if workers == 1:
                 _init_worker(payload)
-            scores = iter(_map_tasks(pool_exec, workers, cv_tasks))
+            scores = iter(_map_tasks(pool_exec, workers, _run_task, cv_tasks))
             etas = {(algo, m): None for _, algo, _, m in cells}
             for _, algo, _, m in cv_cells:
                 etas[(algo, m)] = _pick_eta(config.eta_grid, [[next(scores) for _ in range(config.folds)]
                                                               for _ in config.eta_grid])
             tasks = [(ai, algo, pi, m, etas[(algo, m)], None, r) for ai, algo, pi, m in cells
                      for r in range(config.repeats)]
-            raw = _map_tasks(pool_exec, workers, tasks)
+            attrs, predictors = zip(*_map_tasks(pool_exec, workers, _run_task, tasks))
+            losses = _map_tasks(pool_exec, workers, _score_task, predictors)
     finally:
         _WORKER.clear()  # a serial run installed its payload in this process
 
     records = [
         RunRecord(algorithm=task[1], seed=task[6], m=task[3],
-                  attributes_observed=attrs, test_relative_loss=rel)
-        for task, (attrs, rel) in zip(tasks, raw)
+                  attributes_observed=a, test_relative_loss=rel)
+        for task, a, rel in zip(tasks, attrs, losses)
     ]
     # tasks run cell by cell in (algorithm, prefix) order, repeats innermost
     curves = {}

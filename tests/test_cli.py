@@ -272,6 +272,25 @@ def test_experiment_refuses_json_integers_too_large_for_a_float(tmp_path, capsys
     assert not out.exists()
 
 
+@pytest.mark.parametrize("key, value", [("k", 10**400), ("prefixes", [20, 10**400]), ("dim", 10**400),
+                                        ("repeats", 10**400)],
+                         ids=["k", "prefixes", "dim", "repeats"])
+def test_experiment_refuses_counts_beyond_sys_maxsize(tmp_path, capsys, monkeypatch, key, value):
+    from budgetreg import cli
+
+    def unrefused(*args):  # an unrefused repeats of 10**400 would build an unbounded task list
+        raise AssertionError(f"{key} {value!r} reached run_experiment")
+
+    monkeypatch.setattr(cli, "run_experiment", unrefused)
+    config = experiment_config(tmp_path, **{key: value})
+    out = tmp_path / "out"
+    assert cli.main(["experiment", "--config", str(config), "--out-dir", str(out), "--workers", "1"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {key} must be at most {sys.maxsize}")
+    assert "running" not in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_experiment_force_replaces_only_the_previous_runs_curves(tmp_path, capsys):
     from budgetreg import cli
 

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -328,6 +329,12 @@ def test_config_rejects_step_sizes_and_norm_bounds_that_are_not_finite_and_posit
     pytest.param("alpha", -10**400, "synthetic data needs dim >= 1 and a finite alpha <= 0", id="alpha-beyond-float"),
     pytest.param("epsilon_override", 10**400, "epsilon_override must be null or a finite number >= 0",
                  id="epsilon_override-beyond-float"),
+    # counts beyond sys.maxsize: a k or a prefix that large overflows a float in split_budget or _phase1_size
+    pytest.param("k", 10**400, f"k must be at most {sys.maxsize}", id="k-beyond-maxsize"),
+    pytest.param("prefixes", [50, 10**400], f"prefixes must be at most {sys.maxsize}", id="prefixes-beyond-maxsize"),
+    pytest.param("dim", 10**400, f"dim must be at most {sys.maxsize}", id="dim-beyond-maxsize"),
+    pytest.param("repeats", 10**400, f"repeats must be at most {sys.maxsize}", id="repeats-beyond-maxsize"),
+    pytest.param("k", sys.maxsize + 1, f"k must be at most {sys.maxsize}", id="k-one-beyond-maxsize"),
 ])
 def test_config_rejects_two_phase_settings_out_of_range(key, value, message):
     raw = {"algorithms": ["2p-ddaerr"], "regime": "l2", "prefixes": [50], "k": 2, "dim": 5, "alpha": -1.0}
@@ -387,7 +394,8 @@ def test_config_accepts_two_phase_settings_in_range():
     raw = {"algorithms": ["2p-ddaerr"], "regime": "l2", "prefixes": [50], "k": 2, "dim": 5, "alpha": -1.0}
     for extra in ({"delta": 0.5}, {"epsilon_override": None}, {"epsilon_override": 0}, {"epsilon_override": 0.25},
                   {"improved_p": False}, {"prefixes": [50, 60], "eta_grid": [1, 0.2], "alpha": -1, "b": 2},
-                  {"budget_split": 0.0}, {"budget_split": 1.0}, {"budget_split": 1}):
+                  {"budget_split": 0.0}, {"budget_split": 1.0}, {"budget_split": 1},
+                  {"k": sys.maxsize}, {"prefixes": [50, sys.maxsize]}, {"dim": sys.maxsize}, {"repeats": sys.maxsize}):
         ExperimentConfig.from_dict({**raw, **extra})
 
 
@@ -446,6 +454,47 @@ def test_run_experiment_deterministic_across_workers():
         (r.algorithm, r.seed, r.m, r.attributes_observed, r.test_relative_loss) for r in r2.records
     ]
     assert r1.etas == r2.etas
+
+
+@pytest.mark.parametrize("eta_grid", [None, [0.02, 0.5]])
+def test_final_runs_are_scored_after_every_final_run_has_trained(monkeypatch, eta_grid):
+    """Final runs train in one phase and are scored in the next, so no test-split
+    product runs while another final run trains."""
+    import budgetreg.harness as harness
+
+    calls = []
+
+    def logged(kind, fn):
+        def wrapper(*args):
+            calls.append(kind)
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(harness, "train_run", logged("train", harness.train_run))
+    monkeypatch.setattr(harness, "relative_loss", logged("score", harness.relative_loss))
+    config = small_config(eta_grid=eta_grid)
+    result = run_experiment(config)
+    finals = len(result.records)
+    assert calls[-2 * finals:] == ["train"] * finals + ["score"] * finals
+    if eta_grid is None:
+        assert len(calls) == 2 * finals
+    else:  # the CV fold fits come first, each scored on its own validation fold
+        assert calls[:-2 * finals] == ["train", "score"] * (len(calls) // 2 - finals)
+
+
+def test_run_experiment_identical_across_worker_counts_with_a_blas_threaded_test_split():
+    """A test split of at least 9216 cells (rows x dim) is large enough for
+    OpenBLAS to thread its product; records, curves and selected step sizes
+    must still not depend on the worker count."""
+    config = small_config(algorithms=["aelr", "ddaelr", "2p-ddaelr", "eg-full"], regime=Regime.LINF,
+                          prefixes=[200], dim=200, repeats=2, folds=2, eta_grid=[0.1, 1.0], seed=17)
+    _, test, _, _ = _materialize(config)
+    assert len(test) * test.dimension >= 9216
+    runs = [run_experiment(config, workers=w) for w in (1, 2, 3)]
+    for run in runs[1:]:
+        assert run.records == runs[0].records
+        assert run.curves == runs[0].curves
+        assert run.etas == runs[0].etas
 
 
 def test_run_experiment_pooled_cv_matches_fold_scores_across_workers():
