@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import Regime, norm
+from .core import Regime, check_b, norm
 from .datagen import generate_dataset, improvement_ratio, power_law_means, random_target_weights
 from .harness import (
     ALGORITHMS,
@@ -113,9 +113,10 @@ def _cmd_train(args):
     scaler = Scaler(regime).fit(raw)
     train = scaler.transform(raw)
     test = scaler.transform(load_csv(args.test)) if args.test is not None else None
+    if test is not None and not np.any(test.y != 0):
+        raise ValueError(f"test set has only zero targets ({len(test)} example(s)): relative loss is undefined")
     b = args.b if args.b is not None else float(np.abs(train.y).max())
-    if b <= 0:
-        raise ValueError("norm bound must be positive")
+    check_b(b, "--b" if args.b is not None else "b (default: max |y| of --data)")
     n_point, n_inner = split_budget(args.k + 1) if spec.budgeted else (1, 1)
     ctx = RunContext(regime=regime, b=b, n_point=n_point, n_inner=n_inner,
                      moments=dataset_moments(train))

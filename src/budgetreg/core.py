@@ -8,6 +8,7 @@ tolerance of ``BALL_TOL``.
 """
 
 import math
+import sys
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -28,6 +29,8 @@ __all__ = [
 ]
 
 BALL_TOL = 1e-9
+# norm bounds whose square neither underflows to zero nor overflows
+B_RANGE = (math.sqrt(sys.float_info.min), math.sqrt(sys.float_info.max))
 
 
 class Regime(str, Enum):
@@ -62,6 +65,13 @@ def check_step_inputs(names, *sizes, b=None):
         raise ValueError(f"{names} must be positive")
     if b is not None and b <= 0:
         raise ValueError("norm bound must be positive")
+
+
+def check_b(b, name="b"):
+    """``b`` when it lies in B_RANGE, outside which a run fails midway."""
+    if not B_RANGE[0] <= b <= B_RANGE[1]:
+        raise ValueError(f"{name} must be finite and positive, within [{B_RANGE[0]:.3g}, {B_RANGE[1]:.3g}], got {b!r}")
+    return b
 
 
 def norm(v, p):
@@ -109,7 +119,8 @@ def project_l1_ball(v, b):
     u = np.sort(a)[::-1]
     css = np.cumsum(u)
     j = np.arange(1, u.size + 1)
-    rho = np.nonzero(u * j > css - b)[0][-1]
+    hits = np.nonzero(u * j > css - b)[0]  # none when b is below the rounding resolution of max|v|
+    rho = hits[-1] if hits.size else 0  # theta = max|v| then: the zero vector
     theta = (css[rho] - b) / (rho + 1.0)
     return np.sign(v) * np.maximum(a - theta, 0.0)
 

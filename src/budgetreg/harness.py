@@ -12,12 +12,12 @@ import contextlib
 import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 
 from .baselines import offline_erm, online_lasso_full, online_ridge_full
-from .core import Regime, norm, squared_loss, stream, weight_norm
+from .core import Regime, check_b, norm, squared_loss, stream, weight_norm
 from .datagen import generate_dataset, power_law_means, random_target_weights
 from .estimator import SolverConfig
 from .ingest import Scaler, load_csv
@@ -177,12 +177,7 @@ def train_run(algo_id, train, ctx, eta, seed):
 
     if spec.kind == "two_phase":
         m1 = _phase1_size(m, ctx.m1_fraction)
-        cfg = TwoPhaseConfig(
-            m1=m1, m2=m - m1, b=ctx.b, k=k, regime=regime, delta=ctx.delta,
-            eta=eta, n_inner=n_inner, improved_p=ctx.improved_p,
-            epsilon_override=ctx.epsilon_override,
-        )
-        return run_two_phase(train, cfg, seed)
+        return run_two_phase(train, TwoPhaseConfig(m1, m - m1, ctx, eta), seed)
 
     if spec.kind == "full":
         if eta is None:
@@ -247,7 +242,6 @@ class ExperimentConfig:
     epsilon_override: float | None = RunContext.epsilon_override
     improved_p: bool = RunContext.improved_p
 
-    _REQUIRED = ("algorithms", "regime", "prefixes", "k")
     _INTEGERS = ("k", "dim", "repeats", "folds", "seed")
     _REALS = ("alpha", "budget_split", "m1_fraction", "test_fraction", "delta", "b")
 
@@ -256,7 +250,7 @@ class ExperimentConfig:
         unknown = sorted(set(raw) - {f.name for f in fields(cls)})
         if unknown:
             raise ValueError("invalid config keys: " + ", ".join(unknown))
-        missing = sorted(k for k in cls._REQUIRED if k not in raw)
+        missing = sorted(f.name for f in fields(cls) if f.default is MISSING and f.name not in raw)
         if missing:
             raise ValueError("missing config keys: " + ", ".join(missing))
         kwargs = dict(raw)
@@ -297,7 +291,8 @@ class ExperimentConfig:
         if any(ALGORITHMS[a].budgeted for a in algos):
             if self.k < 1:
                 raise ValueError("k must be at least 1")
-            split_budget(self.k + 1, self.budget_split)
+        if self.data is not None and (not isinstance(self.data, str) or not self.data):
+            raise ValueError(f"data must be null or a non-empty CSV path, got {self.data!r}")
         if self.data is None and (self.dim < 1 or not -sys.float_info.max <= self.alpha <= 0):
             raise ValueError("synthetic data needs dim >= 1 and a finite alpha <= 0")
         if self.repeats < 1:
@@ -308,8 +303,8 @@ class ExperimentConfig:
             grid = _entries("eta_grid", self.eta_grid, (int, float), "null or a non-empty list of numbers")
             if not all(0 < eta <= sys.float_info.max for eta in grid):  # nor an int too large for a float
                 raise ValueError("eta_grid entries must be finite and positive")
-        if self.b is not None and not 0 < self.b <= sys.float_info.max:
-            raise ValueError("b must be finite and positive")
+        if self.b is not None:
+            check_b(self.b)
         if not 0.0 < self.test_fraction < 1.0:
             raise ValueError("test fraction must lie in (0, 1)")
         if not 0.0 < self.m1_fraction < 1.0:
@@ -406,9 +401,9 @@ def _materialize(config):
         scaler = Scaler(config.regime).fit(pool)
         pool = scaler.transform(pool)
         test = scaler.transform(test)
-    b = config.b if config.b is not None else float(max(b_floor, np.abs(pool.y).max()))
-    if b <= 0:
-        raise ValueError("norm bound must be positive")
+    b = config.b
+    if b is None:
+        b = check_b(float(max(b_floor, np.abs(pool.y).max())), "b (default: max |y| of the training pool)")
     if not np.any(test.y != 0):
         raise ValueError(f"test split has only zero targets ({n_test} example(s)): relative loss is undefined")
     return pool, test, b, dataset_moments(pool)

@@ -66,11 +66,6 @@ def build_distribution(weights):
     w = float_vector(weights)
     if np.any(w < 0) or not np.all(np.isfinite(w)):
         raise ValueError("invalid weights")
-    total = np.add.reduce(w)
-    if total == 0.0:
-        raise ValueError("invalid weights: all weights are zero")
-    if total == np.inf:  # w / total would be all zeros
-        raise ValueError("invalid weights: probabilities must sum to 1")
     return _trusted(w.copy())
 
 
@@ -122,10 +117,12 @@ def lasso_optimal_q(moments):
 
 def _trusted(weights):
     """AttributeDistribution of weights / sum without re-validation: the
-    p builders' weights are nonnegative; a zero or non-finite sum is refused."""
+    weights are nonnegative; a zero or infinite sum is refused (weights /
+    an infinite sum would be all zeros)."""
     total = np.add.reduce(weights)
     if not 0.0 < total < np.inf:
-        raise ValueError("zero weight vector" if total == 0.0 else "invalid weights")
+        raise ValueError("invalid weights: all weights are zero" if total == 0.0
+                         else "invalid weights: probabilities must sum to 1")
     weights /= total
     return AttributeDistribution.__new__(AttributeDistribution)._fill(weights)
 
@@ -136,9 +133,7 @@ def inner_product_p(w, regime):
     Ridge: p_j = w_j^2 / ||w||_2^2.  Lasso: p_j = |w_j| / ||w||_1.
     The w = 0 case is the caller's to handle (solvers short-circuit it).
     """
-    w = np.asarray(w, dtype=float)
-    if w.size == 0:
-        raise ValueError("zero dimension")
+    w = float_vector(w)
     if regime is not Regime.L2 and regime is not Regime.LINF:
         regime = Regime(regime)
     return _trusted(w * w if regime is Regime.L2 else np.abs(w))
@@ -154,9 +149,7 @@ def improved_inner_product_p(w, root_moments, regime):
     standard distribution is used instead (``fallback`` is then set).
     ``root_moments`` is moment_roots(E[x^2]), computed once per run.
     """
-    w = np.asarray(w, dtype=float)
-    if w.size == 0:
-        raise ValueError("zero dimension")
+    w = float_vector(w)
     weights = np.abs(w)
     weights *= root_moments
     if np.count_nonzero(weights) != np.count_nonzero(w):

@@ -134,14 +134,8 @@ def lasso_eta_two_phase(m2, k, d, a, b, eps):
 class TwoPhaseConfig:
     m1: int
     m2: int
-    b: float
-    k: int
-    regime: Regime
-    delta: float = 0.1
+    ctx: object  # the run's harness.RunContext (not imported: harness imports this module)
     eta: float | None = None  # None: phase-specific defaults
-    n_inner: int = 1
-    improved_p: bool = False  # phase 2's inner-product p weighted by the table's A
-    epsilon_override: float | None = None  # replaces eps in smoothed_q only
 
     def validate(self):
         if self.m2 < 1:
@@ -159,8 +153,10 @@ def run_two_phase(dataset, config, seed):
     always use the theoretical width.
     """
     config.validate()
-    ridge = config.regime == Regime.L2
-    if config.m1 + config.m2 > len(dataset):
+    ctx = config.ctx
+    m1, m2, b, k, regime = config.m1, config.m2, ctx.b, ctx.n_point, ctx.regime
+    ridge = regime == Regime.L2
+    if m1 + m2 > len(dataset):
         raise ValueError("phase sizes exceed the dataset")
     d = dataset.dimension
     rng = stream(seed)
@@ -168,37 +164,37 @@ def run_two_phase(dataset, config, seed):
 
     eta1 = config.eta
     if eta1 is None:
-        eta1 = (aerr_eta if ridge else aelr_eta)(config.m1, config.k, d, config.b)
-    cfg1 = SolverConfig(b=config.b, eta=eta1, q=uniform_distribution(d), n_point=config.k, n_inner=config.n_inner)
+        eta1 = (aerr_eta if ridge else aelr_eta)(m1, k, d, b)
+    cfg1 = SolverConfig(b=b, eta=eta1, q=uniform_distribution(d), n_point=k, n_inner=ctx.n_inner)
     table = MomentTable(d)
-    phase1 = solve(dataset.subset(np.arange(config.m1)), cfg1, rng, table)
+    phase1 = solve(dataset.subset(np.arange(m1)), cfg1, rng, table)
     w_start = phase1.predictor.weights if np.any(phase1.predictor.weights != 0) else None
     a = table.A
 
     # the table holds the k point draws of each phase-1 example
-    eps = epsilon(d, config.delta, config.k, config.m1, config.regime)
-    eps_for_q = eps if config.epsilon_override is None else config.epsilon_override
-    q2 = smoothed_q(a, eps_for_q, config.regime)
+    eps = epsilon(d, ctx.delta, k, m1, regime)
+    eps_for_q = eps if ctx.epsilon_override is None else ctx.epsilon_override
+    q2 = smoothed_q(a, eps_for_q, regime)
 
     eta2 = config.eta
     half_norm = None
     if ridge:
         half_norm = estimate_half_norm(a, eps)
         if eta2 is None:
-            eta2 = ridge_eta_two_phase(config.m2, config.k, d, half_norm, eps)
+            eta2 = ridge_eta_two_phase(m2, k, d, half_norm, eps)
     elif eta2 is None:
-        eta2 = lasso_eta_two_phase(config.m2, config.k, d, a, config.b, eps)
+        eta2 = lasso_eta_two_phase(m2, k, d, a, b, eps)
 
-    phase2 = dataset.subset(np.arange(config.m1, config.m1 + config.m2))
+    phase2 = dataset.subset(np.arange(m1, m1 + m2))
     cfg2 = SolverConfig(
-        b=config.b, eta=eta2, q=q2, n_point=config.k, n_inner=config.n_inner,
-        moments=a if config.improved_p else None, initial_w=w_start,
+        b=b, eta=eta2, q=q2, n_point=k, n_inner=ctx.n_inner,
+        moments=a if ctx.improved_p else None, initial_w=w_start,
     )
     result = solve(phase2, cfg2, rng)
 
     diagnostics = {
-        "m1": config.m1,
-        "m2": config.m2,
+        "m1": m1,
+        "m2": m2,
         "epsilon": eps,
         "epsilon_for_q": eps_for_q,
         "eta": eta2,

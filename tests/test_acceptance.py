@@ -210,7 +210,9 @@ def test_criterion_05_confidence_sandwich_monte_carlo():
     mom = binary_l2_moments(u)
     eps = d * math.log(2 * d / delta) / (n_point * m1)
     assert eps == pytest.approx(0.0530, abs=1e-4)
-    config = TwoPhaseConfig(m1=m1, m2=1, b=weight_norm(w_star, Regime.L2), k=n_point, regime=Regime.L2, n_inner=1)
+    ctx = RunContext(regime=Regime.L2, b=weight_norm(w_star, Regime.L2), n_point=n_point, n_inner=1,
+                     improved_p=False, epsilon_override=None)
+    config = TwoPhaseConfig(m1=m1, m2=1, ctx=ctx)
     upper = 2.0 * mom + 7.0 * eps / 6.0
     lower = 0.5 * mom - 5.0 * eps / 3.0
     true_half = float(norm(mom, 0.5))
@@ -355,8 +357,8 @@ def test_criterion_08_budget_accounting():
             result = train_run(algo, data, ctx, None, (9,))
             assert result.attributes_consumed == m * d, algo
 
-    two_phase = run_two_phase(datasets[Regime.L2], TwoPhaseConfig(
-        m1=20, m2=40, b=2.0, k=k, regime=Regime.L2), 4)
+    two_phase = run_two_phase(datasets[Regime.L2], TwoPhaseConfig(m1=20, m2=40, ctx=RunContext(
+        regime=Regime.L2, b=2.0, n_point=k, n_inner=1, improved_p=False, epsilon_override=None)), 4)
     assert two_phase.info["phase1_budget"] == 20 * (k + 1)
     assert two_phase.attributes_consumed == m * (k + 1)
     print(f"all budgets exact: m(k+1)={m * (k + 1)}, m*d={m * d}, phase-1 {20 * (k + 1)}")

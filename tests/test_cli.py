@@ -153,6 +153,50 @@ def test_train_rejects_b_that_is_not_finite_and_positive(data_csv, tmp_path, b):
     assert not model.exists()
 
 
+@pytest.mark.parametrize("b", ["1e-170", "1.49e-154", "1e160", "1.7e308"])
+def test_train_refuses_b_outside_its_range_before_training(data_csv, tmp_path, b):
+    model = tmp_path / "aerr.json"
+    proc = run_cli("train", "--algo", "aerr", "--k", 2, "--eta-auto", "--data", data_csv, "--b", b,
+                   "--out-model", model)
+    assert proc.returncode == 1
+    assert "error: --b must be finite and positive, within [1.49e-154, 1.34e+154], got " in proc.stderr
+    assert not model.exists()
+
+
+def test_train_refuses_a_default_b_outside_its_range(data_csv, tmp_path):
+    rows = [line.split(",") for line in data_csv.read_text().splitlines()]
+    tiny = tmp_path / "tiny.csv"
+    tiny.write_text("".join(",".join(r[:-1] + [f"{1e-170 * float(r[-1]):.17g}"]) + "\n" for r in rows))
+    model = tmp_path / "aerr.json"
+    proc = run_cli("train", "--algo", "aerr", "--k", 2, "--eta-auto", "--data", tiny, "--out-model", model)
+    assert proc.returncode == 1
+    assert "error: b (default: max |y| of --data) must be finite and positive" in proc.stderr
+    assert not model.exists()
+
+
+def test_train_erm_with_b_below_the_rounding_resolution(tmp_path):
+    """The L1 projection of ERM's iterates at b = 1e-17 lands on zero, not on an IndexError."""
+    data, model = tmp_path / "linf.csv", tmp_path / "erm.json"
+    assert run_cli(*gen_args(data, regime="linf")).returncode == 0
+    proc = run_cli("train", "--algo", "erm", "--regime", "linf", "--data", data, "--b", "1e-17",
+                   "--out-model", model)
+    assert proc.returncode == 0, proc.stderr
+    weights = json.loads(model.read_text())["weights"]
+    assert sum(abs(w) for w in weights) <= 1e-17
+
+
+def test_train_refuses_test_data_of_zero_targets_before_training(data_csv, tmp_path):
+    rows = [line.split(",") for line in data_csv.read_text().splitlines()]
+    test = tmp_path / "zero.csv"
+    test.write_text("".join(",".join(r[:-1] + ["0"]) + "\n" for r in rows[:5]))
+    model = tmp_path / "ogd.json"
+    proc = run_cli("train", "--algo", "ogd-full", "--eta-auto", "--data", data_csv, "--test", test,
+                   "--out-model", model)
+    assert proc.returncode == 1
+    assert "error: test set has only zero targets (5 example(s)): relative loss is undefined" in proc.stderr
+    assert not model.exists()
+
+
 @pytest.mark.parametrize("algo", ["erm", "ogd-full"])
 @pytest.mark.parametrize("eta", ["nan", "inf", "1e999", "0", "-1"])
 def test_train_rejects_eta_that_is_not_finite_and_positive(data_csv, tmp_path, capsys, algo, eta):
@@ -224,7 +268,8 @@ def test_experiment_rejects_unknown_keys(tmp_path):
                                         ("budget_split", float("inf")), ("budget_split", float("nan")),
                                         ("budget_split", 5.0), ("budget_split", -3.0),
                                         ("algorithms", ["2p-ddaerr", "2p-ddaerr"]), ("algorithms", "2p-ddaerr"),
-                                        ("prefixes", [1]), ("prefixes", ["20"])])
+                                        ("prefixes", [1]), ("prefixes", ["20"]),
+                                        ("b", 1e-170), ("b", 1e160), ("b", 1.7e308)])
 def test_experiment_rejects_two_phase_settings_before_running(tmp_path, key, value):
     config = experiment_config(tmp_path, **{"algorithms": ["2p-ddaerr"], "eta_grid": None, key: value})
     out = tmp_path / "out"
@@ -269,6 +314,34 @@ def test_experiment_refuses_json_integers_too_large_for_a_float(tmp_path, capsys
     assert cli.main(["experiment", "--config", str(config), "--out-dir", str(out), "--workers", "1"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "running" not in err and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", [0, 1, 2, 3, True, 12.5, "", [], ["train.csv"], {"path": "train.csv"}])
+def test_experiment_refuses_data_that_is_not_a_csv_path_before_reading(tmp_path, capsys, monkeypatch, value):
+    from budgetreg import cli, harness
+
+    def unread(*args):  # an integer data opens that file descriptor: 0 reads stdin, 2 closes stderr
+        raise AssertionError(f"data {value!r} was read")
+
+    monkeypatch.setattr(harness, "load_csv", unread)
+    monkeypatch.setattr(cli, "run_experiment", unread)
+    config = experiment_config(tmp_path, data=value)
+    out = tmp_path / "out"
+    assert cli.main(["experiment", "--config", str(config), "--out-dir", str(out), "--workers", "1"]) == 1
+    assert capsys.readouterr().err == f"error: data must be null or a non-empty CSV path, got {value!r}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", [0, 2])
+def test_experiment_with_a_file_descriptor_as_data_leaves_stdin_and_stderr_alone(data_csv, tmp_path, value):
+    config = experiment_config(tmp_path, data=value)
+    out = tmp_path / "out"
+    proc = subprocess.run([sys.executable, "-m", "budgetreg.cli", "experiment", "--config", str(config),
+                           "--out-dir", str(out), "--workers", "1"],
+                          input=data_csv.read_text(), capture_output=True, text=True)
+    assert proc.returncode == 1
+    assert proc.stderr == f"error: data must be null or a non-empty CSV path, got {value}\n"
     assert not out.exists()
 
 

@@ -85,6 +85,16 @@ def test_project_l1_ball_properties():
     np.testing.assert_array_equal(project_l1_ball([2.0, -1.0], 0.0), [0.0, 0.0])
 
 
+def test_project_l1_ball_radius_below_the_rounding_resolution():
+    """1 - 1e-17 rounds to 1, so no threshold index qualifies; the
+    projection is then the zero vector, inside the ball, not an IndexError."""
+    for v in ([1.0, 0.5], [-1.0, 1.0, 0.25]):
+        p = project_l1_ball(v, 1e-17)
+        np.testing.assert_array_equal(p, np.zeros(len(v)))
+    # just above the resolution the one qualifying index still thresholds as before
+    np.testing.assert_allclose(project_l1_ball([1.0, 0.5], 1e-15), [1e-15, 0.0], rtol=0.2)
+
+
 def test_squared_loss():
     assert squared_loss(1.0, 1.0) == 0.0
     assert squared_loss(2.0, 0.0) == 2.0

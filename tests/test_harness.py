@@ -1,4 +1,5 @@
 import math
+import re
 import sys
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from budgetreg.core import Dataset, Regime, stream
+from budgetreg.core import B_RANGE, Dataset, Regime, stream, weight_norm
 from budgetreg.datagen import generate_dataset, power_law_means, random_target_weights
 from budgetreg.harness import (
     ALGORITHMS,
@@ -109,6 +110,19 @@ def test_train_run_reads_exactly_its_budget_and_stays_in_its_ball(data):
     result = train_run(algo, train, ctx, None, stream(0))
     assert result.attributes_consumed == m * (budget if ALGORITHMS[algo].budgeted else d)
     result.predictor.validate()
+
+
+@pytest.mark.filterwarnings("ignore:m below ln")  # lasso's known-moments rate warns on tiny runs
+@pytest.mark.parametrize("b", [1.49e-154, B_RANGE[0], 1e150])
+def test_every_algorithm_runs_near_the_edges_of_the_b_range(b):
+    """Squared weights at the ball's scale neither underflow to a zero
+    p (at the lower edge) nor overflow (at 1e150)."""
+    for algo, spec in ALGORITHMS.items():
+        for regime in [spec.regime] if spec.regime else list(Regime):
+            ds = make_dataset(10, 50, 4, regime)
+            ctx = make_ctx(regime, b=b, n_point=2, n_inner=2, moments=dataset_moments(ds))
+            w = train_run(algo, ds, ctx, None, stream(5)).predictor.weights
+            assert np.all(np.isfinite(w)) and weight_norm(w, regime) <= b * (1 + 1e-9), (algo, regime)
 
 
 def test_train_run_lasso_family():
@@ -257,6 +271,12 @@ def test_config_round_trip_and_errors():
     ("b", math.inf),
     ("b", 0.0),
     ("b", -1.0),
+    # squared weights underflow to zero below the range and step sizes overflow above it
+    ("b", 1e-170),
+    ("b", 1.49e-154),
+    ("b", 1e160),
+    ("b", 1.7e308),
+    ("b", 10**155),
     ("eta_grid", [10**400]),  # a JSON integer too large for a float
 ])
 def test_config_rejects_step_sizes_and_norm_bounds_that_are_not_finite_and_positive(key, value):
@@ -287,6 +307,9 @@ def test_config_rejects_step_sizes_and_norm_bounds_that_are_not_finite_and_posit
     ("folds", 3.5, "folds must be an integer, got 3.5"),
     ("seed", None, "seed must be an integer"),
     ("seed", "1", "seed must be an integer"),
+    # an integer data is opened as a file descriptor: 0 reads stdin, 2 closes stderr
+    *[("data", value, re.escape(f"data must be null or a non-empty CSV path, got {value!r}"))
+      for value in (0, 2, 3, True, 12.5, "", ["train.csv"], {"path": "train.csv"})],
     ("alpha", "-1", "alpha must be a number, got '-1'"),
     ("alpha", False, "alpha must be a number, got False"),
     ("budget_split", "0.5", "budget_split must be a number"),
@@ -395,7 +418,8 @@ def test_config_accepts_two_phase_settings_in_range():
     for extra in ({"delta": 0.5}, {"epsilon_override": None}, {"epsilon_override": 0}, {"epsilon_override": 0.25},
                   {"improved_p": False}, {"prefixes": [50, 60], "eta_grid": [1, 0.2], "alpha": -1, "b": 2},
                   {"budget_split": 0.0}, {"budget_split": 1.0}, {"budget_split": 1},
-                  {"k": sys.maxsize}, {"prefixes": [50, sys.maxsize]}, {"dim": sys.maxsize}, {"repeats": sys.maxsize}):
+                  {"k": sys.maxsize}, {"prefixes": [50, sys.maxsize]}, {"dim": sys.maxsize}, {"repeats": sys.maxsize},
+                  {"b": B_RANGE[0]}, {"b": B_RANGE[1]}):
         ExperimentConfig.from_dict({**raw, **extra})
 
 
@@ -590,9 +614,10 @@ def test_run_experiment_prefix_too_large(tmp_path):
     write_csv(path, Dataset(ds.x[:1], ds.y[:1]))
     with pytest.raises(ValueError, match="dataset too small for the test split"):
         run_experiment(small_config(data=str(path), prefixes=[1]))
-    write_csv(path, Dataset(ds.x, 0.0 * ds.y))
-    with pytest.raises(ValueError, match="norm bound must be positive"):
-        run_experiment(small_config(data=str(path), prefixes=[10]))
+    for scale in (0.0, 1e-170):  # the default b, max |y| of the pool, is 0 or too small to square
+        write_csv(path, Dataset(ds.x, scale * ds.y))
+        with pytest.raises(ValueError, match=r"b \(default: max \|y\| of the training pool\) must be finite and positive"):
+            run_experiment(small_config(data=str(path), prefixes=[10]))
     # a test split rounded to nothing still takes one example, and the pool grows to keep the largest prefix
     pool, test, _, _ = _materialize(small_config(prefixes=[30, 60], test_fraction=1e-17))
     assert (len(pool), len(test)) == (60, 1)

@@ -30,6 +30,7 @@ from hypothesis.extra.numpy import arrays
 from budgetreg import estimator
 from budgetreg.core import Dataset, Predictor, Regime, RunResult
 from budgetreg.estimator import _BLOCK_ROWS, DELTA_ADA, SolverConfig, estimate_point
+from budgetreg.harness import RunContext
 from budgetreg.sampling import build_distribution, uniform_distribution
 from budgetreg.solver_lasso import EGState, gaelr_step, run_gaelr
 from budgetreg.solver_ridge import RidgeState, gaerr_step, run_gaerr
@@ -60,7 +61,8 @@ class RefDistribution:
 def ref_trusted(weights):
     total = weights.sum()
     if not 0.0 < total < np.inf:
-        raise ValueError("zero weight vector" if total == 0.0 else "invalid weights")
+        raise ValueError("invalid weights: all weights are zero" if total == 0.0
+                         else "invalid weights: probabilities must sum to 1")
     weights /= total
     return RefDistribution(weights)
 
@@ -504,8 +506,8 @@ def assert_same_two_phase(x, y, regime, eta):
     phase 1's result."""
     m1, m2, k, n_inner, eps = TWO_PHASE_M1, len(y) - TWO_PHASE_M1, 3, 2, 0.01
     d = x.shape[1]
-    config = TwoPhaseConfig(m1=m1, m2=m2, b=1.0, k=k, regime=regime, eta=eta, n_inner=n_inner,
-                            improved_p=True, epsilon_override=eps)
+    ctx = RunContext(regime=regime, b=1.0, n_point=k, n_inner=n_inner, improved_p=True, epsilon_override=eps)
+    config = TwoPhaseConfig(m1=m1, m2=m2, ctx=ctx, eta=eta)
     live_rng = np.random.default_rng(5)
     got = run_two_phase(Dataset(x, y), config, live_rng)
     initial, ref_step, _ = PASSES[regime]

@@ -155,7 +155,7 @@ def test_inner_product_p_examples():
 
 def test_inner_product_p_zero_weight_error():
     for regime in (Regime.L2, Regime.LINF):
-        with pytest.raises(ValueError, match="zero weight vector"):
+        with pytest.raises(ValueError, match="invalid weights: all weights are zero"):
             inner_product_p([0.0, 0.0], regime)
     with pytest.raises(ValueError, match="zero dimension"):
         inner_product_p([], Regime.L2)
@@ -181,7 +181,7 @@ def test_improved_inner_product_p_falls_back_on_dead_support():
 
 
 def test_improved_inner_product_p_errors():
-    with pytest.raises(ValueError, match="zero weight vector"):
+    with pytest.raises(ValueError, match="invalid weights: all weights are zero"):
         improved_inner_product_p([0.0], moment_roots([1.0], 1), Regime.L2)
     with pytest.raises(ValueError, match="zero dimension"):
         improved_inner_product_p([], np.zeros(0), Regime.L2)

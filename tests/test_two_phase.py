@@ -6,6 +6,7 @@ import pytest
 
 from budgetreg.core import Dataset, Regime, norm
 from budgetreg.datagen import generate_dataset, power_law_means, random_target_weights
+from budgetreg.harness import RunContext
 from budgetreg.sampling import sample_index, uniform_distribution
 from budgetreg.solver_ridge import default_initial_w
 from budgetreg.two_phase import (
@@ -18,6 +19,14 @@ from budgetreg.two_phase import (
     run_two_phase,
     smoothed_q,
 )
+
+
+def two_phase_config(m1, m2, b, k, regime, eta=None, n_inner=1, improved_p=False, epsilon_override=None):
+    """A TwoPhaseConfig whose RunContext takes the standard p and the
+    theoretical eps for q unless told otherwise."""
+    ctx = RunContext(regime=regime, b=b, n_point=k, n_inner=n_inner, improved_p=improved_p,
+                     epsilon_override=epsilon_override)
+    return TwoPhaseConfig(m1, m2, ctx, eta)
 
 
 def make_dataset(d, m, seed, regime, alpha=-1.0):
@@ -174,7 +183,7 @@ def test_two_phase_budget_per_phase():
     for regime in (Regime.L2, Regime.LINF):
         ds = make_dataset(6, 300, 7, regime)
         k = 2
-        config = TwoPhaseConfig(m1=100, m2=200, b=3.0, k=k, regime=regime)
+        config = two_phase_config(m1=100, m2=200, b=3.0, k=k, regime=regime)
         result = run_two_phase(ds, config, 11)
         assert result.info["phase1_budget"] == 100 * (k + 1)
         assert result.info["phase2_budget"] == 200 * (k + 1)
@@ -186,7 +195,7 @@ def test_two_phase_budget_warm_start_mode():
     for regime in (Regime.L2, Regime.LINF):
         ds = make_dataset(6, 300, 8, regime)
         k = 3
-        config = TwoPhaseConfig(m1=60, m2=240, b=3.0, k=k, regime=regime)
+        config = two_phase_config(m1=60, m2=240, b=3.0, k=k, regime=regime)
         result = run_two_phase(ds, config, 12)
         assert result.attributes_consumed == 300 * (k + 1)
         result.predictor.validate()
@@ -194,7 +203,7 @@ def test_two_phase_budget_warm_start_mode():
 
 def test_two_phase_budget_wider_inner_split():
     ds = make_dataset(6, 100, 9, Regime.L2)
-    config = TwoPhaseConfig(m1=40, m2=60, b=3.0, k=2, regime=Regime.L2, n_inner=3)
+    config = two_phase_config(m1=40, m2=60, b=3.0, k=2, regime=Regime.L2, n_inner=3)
     result = run_two_phase(ds, config, 13)
     assert result.attributes_consumed == 100 * (2 + 3)
 
@@ -202,16 +211,16 @@ def test_two_phase_budget_wider_inner_split():
 def test_two_phase_config_errors():
     ds = make_dataset(4, 50, 10, Regime.L2)
     with pytest.raises(ValueError, match="empty second phase"):
-        run_two_phase(ds, TwoPhaseConfig(m1=10, m2=0, b=1.0, k=1, regime=Regime.L2), 0)
+        run_two_phase(ds, two_phase_config(m1=10, m2=0, b=1.0, k=1, regime=Regime.L2), 0)
     with pytest.raises(ValueError, match="empty first phase"):
-        run_two_phase(ds, TwoPhaseConfig(m1=0, m2=10, b=1.0, k=1, regime=Regime.L2), 0)
+        run_two_phase(ds, two_phase_config(m1=0, m2=10, b=1.0, k=1, regime=Regime.L2), 0)
     with pytest.raises(ValueError, match="empty first phase"):
-        run_two_phase(ds, TwoPhaseConfig(m1=-1, m2=10, b=1.0, k=1, regime=Regime.L2), 0)
+        run_two_phase(ds, two_phase_config(m1=-1, m2=10, b=1.0, k=1, regime=Regime.L2), 0)
     with pytest.raises(ValueError, match="phase sizes exceed the dataset"):
-        run_two_phase(ds, TwoPhaseConfig(m1=40, m2=20, b=1.0, k=1, regime=Regime.L2), 0)
+        run_two_phase(ds, two_phase_config(m1=40, m2=20, b=1.0, k=1, regime=Regime.L2), 0)
     linf = make_dataset(4, 50, 10, Regime.LINF)
     with pytest.raises(ValueError, match="requires L2-regime data"):
-        run_two_phase(linf, TwoPhaseConfig(m1=10, m2=10, b=1.0, k=1, regime=Regime.L2), 0)
+        run_two_phase(linf, two_phase_config(m1=10, m2=10, b=1.0, k=1, regime=Regime.L2), 0)
 
 
 def test_two_phase_refuses_empty_phase1():
@@ -219,7 +228,7 @@ def test_two_phase_refuses_empty_phase1():
     phase 1 is refused in both regimes before any draw."""
     for regime in (Regime.L2, Regime.LINF):
         ds = make_dataset(5, 80, 14, regime)
-        config = TwoPhaseConfig(m1=0, m2=80, b=2.0, k=1, regime=regime)
+        config = two_phase_config(m1=0, m2=80, b=2.0, k=1, regime=regime)
         with pytest.raises(ValueError, match="empty first phase"):
             config.validate()
         with pytest.raises(ValueError, match="empty first phase"):
@@ -243,14 +252,14 @@ def test_two_phase_refuses_k_and_b_before_any_draw(regime, eta, k, b, message):
     rng = np.random.default_rng(3)
     before = rng.bit_generator.state
     with pytest.raises(ValueError, match=message):
-        run_two_phase(ds, TwoPhaseConfig(m1=20, m2=60, b=b, k=k, regime=regime, eta=eta), rng)
+        run_two_phase(ds, two_phase_config(m1=20, m2=60, b=b, k=k, regime=regime, eta=eta), rng)
     assert rng.bit_generator.state == before
 
 
 def test_two_phase_epsilon_override_only_reshapes_q():
     ds = make_dataset(5, 200, 15, Regime.L2)
-    base = TwoPhaseConfig(m1=50, m2=150, b=3.0, k=2, regime=Regime.L2, epsilon_override=None)
-    override = TwoPhaseConfig(m1=50, m2=150, b=3.0, k=2, regime=Regime.L2, epsilon_override=0.0)
+    base = two_phase_config(m1=50, m2=150, b=3.0, k=2, regime=Regime.L2, epsilon_override=None)
+    override = two_phase_config(m1=50, m2=150, b=3.0, k=2, regime=Regime.L2, epsilon_override=0.0)
     r1 = run_two_phase(ds, base, 4)
     r2 = run_two_phase(ds, override, 4)
     assert r1.info["eta"] == r2.info["eta"]
@@ -262,7 +271,7 @@ def test_two_phase_epsilon_override_only_reshapes_q():
 def test_warm_start_seeds_second_phase():
     # m2=1 makes the returned average equal the phase-2 starting iterate
     ds = make_dataset(4, 41, 16, Regime.L2)
-    config = TwoPhaseConfig(m1=40, m2=1, b=2.0, k=2, regime=Regime.L2)
+    config = two_phase_config(m1=40, m2=1, b=2.0, k=2, regime=Regime.L2)
     result = run_two_phase(ds, config, 6)
     default = default_initial_w(4, 2.0)
     assert np.any(result.predictor.weights != default)
@@ -274,7 +283,7 @@ def test_warm_start_zero_average_falls_back():
     # cannot seed the multiplicative state and the fresh start is used
     x = np.tile([0.4, 0.2, 0.1], (31, 1))
     ds = Dataset(x, np.zeros(31), Regime.LINF)
-    config = TwoPhaseConfig(m1=30, m2=1, b=2.0, k=1, regime=Regime.LINF)
+    config = two_phase_config(m1=30, m2=1, b=2.0, k=1, regime=Regime.LINF)
     result = run_two_phase(ds, config, 7)
     np.testing.assert_array_equal(result.predictor.weights, np.zeros(3))
 
@@ -285,7 +294,7 @@ def test_warm_start_tables_only_point_draws():
     for regime in (Regime.L2, Regime.LINF):
         ds = make_dataset(5, 100, 17, regime)
         m1, k, n_inner = 30, 2, 3
-        config = TwoPhaseConfig(m1=m1, m2=70, b=2.0, k=k, regime=regime, n_inner=n_inner)
+        config = two_phase_config(m1=m1, m2=70, b=2.0, k=k, regime=regime, n_inner=n_inner)
         result = run_two_phase(ds, config, 8)
         table = result.info["moment_table"]
         assert table.m1 == m1
@@ -302,7 +311,7 @@ def test_epsilon_counts_the_tabled_point_draws():
     assert by_hand == pytest.approx(0.1325, abs=1e-4)
     for regime in (Regime.L2, Regime.LINF):
         ds = make_dataset(d, m1 + m2, 19, regime)
-        config = TwoPhaseConfig(m1=m1, m2=m2, b=b, k=k, regime=regime, n_inner=n_inner, epsilon_override=None)
+        config = two_phase_config(m1=m1, m2=m2, b=b, k=k, regime=regime, n_inner=n_inner, epsilon_override=None)
         info = run_two_phase(ds, config, 10).info
         eps, a = info["epsilon"], info["moment_table"].A
         assert eps == pytest.approx(by_hand, rel=1e-12)
@@ -316,7 +325,7 @@ def test_epsilon_counts_the_tabled_point_draws():
 
 def test_two_phase_deterministic():
     ds = make_dataset(5, 100, 18, Regime.L2)
-    config = TwoPhaseConfig(m1=20, m2=80, b=2.0, k=2, regime=Regime.L2)
+    config = two_phase_config(m1=20, m2=80, b=2.0, k=2, regime=Regime.L2)
     r1 = run_two_phase(ds, config, 9)
     r2 = run_two_phase(ds, config, 9)
     np.testing.assert_array_equal(r1.predictor.weights, r2.predictor.weights)
@@ -329,7 +338,7 @@ def test_half_norm_upper_bounds_with_high_probability():
     u = power_law_means(d, -1.0, Regime.LINF)
     truth = norm(u, 0.5)  # binary entries keep E[x^2] = u in the Linf regime
     eps = d * math.log(2 * d / delta) / (n_point * m1)
-    config = TwoPhaseConfig(m1=m1, m2=1, b=1.0, k=n_point, regime=Regime.LINF, n_inner=1)
+    config = two_phase_config(m1=m1, m2=1, b=1.0, k=n_point, regime=Regime.LINF, n_inner=1)
     hits = 0
     runs = 200
     for r in range(runs):
@@ -346,11 +355,11 @@ def test_two_phase_p_fallbacks_add_up_both_phases():
     back; the warm-start phase uses the standard p and adds none."""
     ds = make_dataset(4, 100, 17, Regime.L2)
     ds.x[:, 2] = 0.0
-    config = TwoPhaseConfig(
+    config = two_phase_config(
         m1=20, m2=80, b=2.0, k=2, regime=Regime.L2, improved_p=True, epsilon_override=0.0,
     )
     result = run_two_phase(ds, config, 4)
     assert result.info["moment_table"].A[2] == 0.0
     assert result.p_fallbacks == 80
-    standard = run_two_phase(ds, dataclasses.replace(config, improved_p=False), 4)
+    standard = run_two_phase(ds, dataclasses.replace(config, ctx=dataclasses.replace(config.ctx, improved_p=False)), 4)
     assert standard.p_fallbacks == 0
