@@ -18,6 +18,7 @@ __all__ = [
     "BALL_TOL",
     "Regime",
     "norm",
+    "l2_norm",
     "project_l2_ball",
     "project_l1_ball",
     "squared_loss",
@@ -86,10 +87,22 @@ def norm(v, p):
     if p == 1:
         return float(np.abs(v).sum())
     if p == 2:
-        return float(np.sqrt(np.dot(v, v)))
+        return l2_norm(v)
     if p == math.inf:
         return float(np.abs(v).max())
     raise ValueError(f"unsupported norm order {p!r}")
+
+
+def l2_norm(v):
+    """sqrt(<v, v>), with v first scaled by max|v| when <v, v> overflows
+    (||v|| > 1.34e154), so that the norm of a finite v is finite; where
+    the square is finite, the bits are those of sqrt(<v, v>)."""
+    square = float(np.dot(v, v))
+    if square == math.inf:
+        top = float(np.abs(v).max())
+        v = v / top
+        return top * math.sqrt(float(np.dot(v, v)))
+    return math.sqrt(square)
 
 
 def project_l2_ball(v, b):
@@ -97,7 +110,7 @@ def project_l2_ball(v, b):
     v = np.asarray(v, dtype=float)
     if b < 0:
         raise ValueError("radius must be nonnegative")
-    nrm = math.sqrt(float(np.dot(v, v)))
+    nrm = l2_norm(v)
     if nrm <= b:
         return v.copy()
     return v * (b / nrm)

@@ -11,14 +11,20 @@ The ridge and lasso solvers share everything here: one config, the
 point estimates of a block of examples built before its steps, one
 draw of phi per step, one step rule (fixed eta or AdaGrad), and one
 single-pass loop.  Only the geometry of the update is theirs.
+
+``run_lockstep`` runs R such passes at once, runs that differ only in
+their step size and start: the rows of an (R, d) state share each
+block's uniforms and point estimates, and every per-step numpy call
+serves all R rows.
 """
 
+import copy
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .core import Predictor, RunResult, stream
+from .core import Predictor, RunResult, Regime, l2_norm, stream
 from .sampling import (
     AttributeDistribution,
     improved_inner_product_p,
@@ -29,6 +35,7 @@ from .sampling import (
 
 __all__ = [
     "DELTA_ADA",
+    "LockstepBreak",
     "PassState",
     "SolverConfig",
     "estimate_point",
@@ -36,10 +43,14 @@ __all__ = [
     "draw_step",
     "adagrad_rate",
     "run_pass",
+    "draw_rows",
+    "row_norms",
+    "run_lockstep",
 ]
 
 DELTA_ADA = 1e-8  # stabilizer under the adaptive square root
 _BLOCK_ROWS = 1024  # most examples whose point estimates are built at once
+_VECDOT = hasattr(np, "vecdot")
 
 
 @dataclass
@@ -244,3 +255,93 @@ def _budgeted_pass(state, xs, ys, config, rng, step, table):
             table.add(drawn[:used], x_block[:used])
         start += used
         zero_run = zero and (y == 0 or not values[lo:hi].any())
+
+
+class LockstepBreak(Exception):
+    """The rows of a lockstep pass stopped agreeing on which steps have a
+    zero iterate (or on a p that can be built), so they no longer read one
+    stream alike; each run has to be made on its own."""
+
+
+def draw_rows(state, w, x, y, config, inner, regime):
+    """draw_step for the R runs of a lockstep pass, one row of ``w`` each;
+    returns phi, one per row.
+
+    Every row builds its own p from its own iterate (the improved-p
+    fallback is decided per row) and resolves the shared uniforms
+    ``inner`` against it, with the operations of the one-run step applied
+    row-wise, so each row's phi has the bits of that run's.  The rows
+    must agree on a zero iterate: all of them or none.
+    """
+    state.sum_w += w
+    state.steps += 1
+    state.attributes_consumed += config.n_point + config.n_inner
+    if config.root_moments is None:
+        weights = w * w if regime is Regime.L2 else np.abs(w)
+    else:
+        weights = np.abs(w)
+        weights *= config.root_moments
+        if np.count_nonzero(weights) != np.count_nonzero(w):  # some row falls back to the standard p
+            fallback = ((weights == 0) & (w != 0)).any(axis=1)
+            weights = np.where(fallback[:, None], w * w if regime is Regime.L2 else np.abs(w), weights)
+            state.p_fallbacks += fallback
+    total = np.add.reduce(weights, axis=1, keepdims=True)
+    if not total.min() > 0.0:  # a zero iterate; or a zero or NaN total, which the one-run p refuses
+        if np.count_nonzero(w):
+            raise LockstepBreak
+        state.zero_weight_steps += 1
+        return np.full(len(w), -float(y))
+    p = weights / total
+    c = np.add.accumulate(p, axis=1)
+    # searchsorted(c, u, side="right") per row and draw: the first entry above u
+    above = c[:, None, :] > inner[:, None]
+    j = above.argmax(axis=2)
+    found = above[:, :, -1]
+    if not found.all():  # past a total that rounds below 1: the last index with mass
+        if not c[:, -1].min() > 0.5:  # an infinite total, which the one-run p rescales or refuses
+            raise LockstepBreak
+        j = np.where(found, j, np.count_nonzero(c < c[:, -1:], axis=1)[:, None])
+    flat = j + state.row_starts
+    terms = w.take(flat) / p.take(flat) * x.take(j)
+    # add.reduce starts at +0.0 and adds fewer than 8 terms left to right (pairwise from 8 on), as estimate_phi
+    return np.add.reduce(terms, axis=1) / j.shape[1] - y
+
+
+def row_norms(w):
+    """l2_norm of each row of ``w``, bit for bit: np.vecdot (numpy >= 2)
+    dots each row as np.dot does, and older numpy dots row by row."""
+    square = np.vecdot(w, w) if _VECDOT else np.array([np.dot(row, row) for row in w])
+    norms = np.sqrt(square)
+    for i in np.flatnonzero(square == math.inf):
+        norms[i] = l2_norm(w[i])
+    return norms
+
+
+def run_lockstep(dataset, configs, seed, regime, initial_state, step, table=None):
+    """run_pass for R = len(configs) runs in lockstep on the one stream of
+    ``seed``; returns their RunResults, bit for bit those of run_pass.
+
+    The configs differ only in eta and initial_w.  Each run's state from
+    ``initial_state`` becomes a row of one state whose arrays (and
+    floats) are stacked, with the step sizes in ``state.eta``; ``step``
+    updates all rows at once.  A row that draws phi = 0 skips its whole
+    update.  The rows share each block's uniforms and point estimates,
+    which is each run's own draw as long as they agree on which steps
+    have a zero iterate; ``step`` raises LockstepBreak where they do not.
+    """
+    d = dataset.dimension
+    for config in configs:
+        config.validate(d)
+    runs = [initial_state(d, config) for config in configs]
+    state = copy.copy(runs[0])
+    for name in (f.name for f in fields(state)):
+        if isinstance(getattr(state, name), (np.ndarray, float)):
+            setattr(state, name, np.array([getattr(run, name) for run in runs]))
+    state.eta = np.array([config.eta for config in configs])
+    state.row_starts = np.arange(0, len(configs) * d, d)[:, None]  # flat index of each row's first entry
+    state.p_fallbacks = np.zeros(len(configs), dtype=int)
+    config = configs[0]
+    _budgeted_pass(state, dataset.x, dataset.y, config, stream(seed), step, table)
+    return [RunResult(Predictor(sum_w / state.steps, config.b, regime), state.attributes_consumed,
+                      state.zero_weight_steps, p_fallbacks=int(fallbacks))
+            for sum_w, fallbacks in zip(state.sum_w, state.p_fallbacks)]

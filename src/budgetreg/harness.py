@@ -19,12 +19,12 @@ import numpy as np
 from .baselines import offline_erm, online_lasso_full, online_ridge_full
 from .core import Regime, check_b, norm, squared_loss, stream, weight_norm
 from .datagen import generate_dataset, power_law_means, random_target_weights
-from .estimator import SolverConfig
+from .estimator import LockstepBreak, SolverConfig
 from .ingest import Scaler, load_csv
 from .sampling import lasso_optimal_q, ridge_optimal_q, uniform_distribution
-from .solver_lasso import aelr_eta, lasso_eta_known_moments, run_gaelr
-from .solver_ridge import aerr_eta, ridge_eta_known_moments, run_gaerr
-from .two_phase import TwoPhaseConfig, run_two_phase
+from .solver_lasso import aelr_eta, lasso_eta_known_moments, run_gaelr, run_gaelr_lockstep
+from .solver_ridge import aerr_eta, ridge_eta_known_moments, run_gaerr, run_gaerr_lockstep
+from .two_phase import TwoPhaseConfig, run_two_phase, run_two_phase_lockstep
 
 __all__ = [
     "ALGORITHMS",
@@ -39,6 +39,7 @@ __all__ = [
     "relative_loss",
     "run_experiment",
     "split_budget",
+    "train_grid",
     "train_run",
 ]
 
@@ -149,31 +150,11 @@ def train_run(algo_id, train, ctx, eta, seed):
     ridge = regime == Regime.L2
     d = train.dimension
     m = len(train)
-    k, n_inner = ctx.n_point, ctx.n_inner
-    solve = run_gaerr if ridge else run_gaelr
     if spec.adagrad and eta is None:
         eta = ctx.b  # AdaGrad's eta is a scale, not a step size
 
-    if spec.kind == "plain":
-        if eta is None:
-            eta = aerr_eta(m, k, d, ctx.b) if ridge else aelr_eta(m, k, d, ctx.b)
-        cfg = SolverConfig(b=ctx.b, eta=eta, q=uniform_distribution(d), n_point=k, n_inner=n_inner,
-                           adagrad=spec.adagrad)
-        return solve(train, cfg, seed)
-
-    if spec.kind == "moments":
-        mom = ctx.moments
-        if mom is None:
-            raise ValueError(f"{algo_id} needs second-moment estimates")
-        if eta is None:
-            if ridge:
-                eta = ridge_eta_known_moments(m, k, float(norm(mom, 0.5)))
-            else:
-                eta = lasso_eta_known_moments(m, k, d, ctx.b, float(norm(mom, 1)))
-        q = ridge_optimal_q(mom) if ridge else lasso_optimal_q(mom)
-        cfg = SolverConfig(b=ctx.b, eta=eta, q=q, n_point=k, n_inner=n_inner,
-                           moments=mom if ctx.improved_p else None)
-        return solve(train, cfg, seed)
+    if spec.kind in ("plain", "moments"):
+        return (run_gaerr if ridge else run_gaelr)(train, _solver_config(algo_id, train, ctx, eta), seed)
 
     if spec.kind == "two_phase":
         m1 = _phase1_size(m, ctx.m1_fraction)
@@ -190,33 +171,89 @@ def train_run(algo_id, train, ctx, eta, seed):
     return offline_erm(train, ctx.b, regime)
 
 
-def _fold_score(dataset, blocks, f, algorithm, ctx, eta, seed):
-    """Validation relative loss of the fold-f run at eta, ``blocks`` being
-    the folds' validation indices, split from the first n >= folds examples
-    by the (seed, _TAG_CV_SPLIT) stream alone; None when the fold's
-    validation targets are all zero (the fold is skipped).
+def _solver_config(algo_id, train, ctx, eta):
+    """The SolverConfig of a plain or moments run at eta (None: the
+    algorithm's own rate; train_run has set AdaGrad's scale)."""
+    spec = ALGORITHMS[algo_id]
+    ridge = ctx.regime == Regime.L2
+    d = train.dimension
+    m = len(train)
+    k = ctx.n_point
+    if spec.kind == "plain":
+        if eta is None:
+            eta = aerr_eta(m, k, d, ctx.b) if ridge else aelr_eta(m, k, d, ctx.b)
+        return SolverConfig(b=ctx.b, eta=eta, q=uniform_distribution(d), n_point=k, n_inner=ctx.n_inner,
+                            adagrad=spec.adagrad)
+    mom = ctx.moments
+    if mom is None:
+        raise ValueError(f"{algo_id} needs second-moment estimates")
+    if eta is None:
+        if ridge:
+            eta = ridge_eta_known_moments(m, k, float(norm(mom, 0.5)))
+        else:
+            eta = lasso_eta_known_moments(m, k, d, ctx.b, float(norm(mom, 1)))
+    q = ridge_optimal_q(mom) if ridge else lasso_optimal_q(mom)
+    return SolverConfig(b=ctx.b, eta=eta, q=q, n_point=k, n_inner=ctx.n_inner,
+                        moments=mom if ctx.improved_p else None)
 
-    Fold data and fold run streams depend only on (seed, fold), never on
-    eta, so duplicated grid entries score identically.
+
+def train_grid(algo_id, train, ctx, etas, key):
+    """train_run at each step size of ``etas`` (numbers, as a CV grid
+    holds), every run on the stream stream(key).
+
+    The budgeted kinds make all of them in one lockstep pass
+    (estimator.run_lockstep), bit for bit the train_run results; the
+    full-information kinds, and a grid whose rows stop agreeing on a zero
+    iterate (LockstepBreak), are run one by one through train_run.
+    """
+    regime = algorithm_regime(algo_id, ctx.regime)
+    spec = ALGORITHMS[algo_id]
+    if spec.budgeted:
+        try:
+            if spec.kind == "two_phase":
+                m1 = _phase1_size(len(train), ctx.m1_fraction)
+                return run_two_phase_lockstep(train, TwoPhaseConfig(m1, len(train) - m1, ctx), etas, stream(key))
+            solve = run_gaerr_lockstep if regime == Regime.L2 else run_gaelr_lockstep
+            return solve(train, [_solver_config(algo_id, train, ctx, eta) for eta in etas], stream(key))
+        except LockstepBreak:
+            pass
+    return [train_run(algo_id, train, ctx, eta, stream(key)) for eta in etas]
+
+
+def _fold_scores(dataset, blocks, f, algorithm, ctx, eta_grid, key):
+    """Validation relative losses of the fold-f runs at every eta of the
+    grid, ``blocks`` being the folds' validation indices, split from the
+    first n >= folds examples by the (key, _TAG_CV_SPLIT) stream alone;
+    None for each when the fold's validation targets are all zero (the
+    fold is skipped).
+
+    Fold data and fold run streams depend only on (key, fold), never on
+    eta, so the whole grid is one train_grid call and duplicated grid
+    entries score identically.  Each fit is checked as it is made: it must
+    read exactly its budget, and its predictor must be valid.
     """
     val = dataset.subset(blocks[f])
     if not np.any(val.y != 0):
-        return None
-    train_idx = np.concatenate([b for g, b in enumerate(blocks) if g != f])
-    result = train_run(algorithm, dataset.subset(train_idx), ctx, eta, stream(seed, _TAG_CV_RUN, f))
-    return relative_loss(result.predictor, val)
+        return [None] * len(eta_grid)
+    train = dataset.subset(np.concatenate([b for g, b in enumerate(blocks) if g != f]))
+    results = train_grid(algorithm, train, ctx, eta_grid, (*key, _TAG_CV_RUN, f))
+    per_example = ctx.n_point + ctx.n_inner if ALGORITHMS[algorithm].budgeted else train.dimension
+    for eta, result in zip(eta_grid, results):
+        try:
+            if result.attributes_consumed != len(train) * per_example:
+                raise ValueError(f"read {result.attributes_consumed} values, expected {len(train) * per_example}")
+            result.predictor.validate()
+        except ValueError as exc:
+            raise ValueError(f"{algorithm} at eta {eta}, fold {f}: {exc}") from None
+    return [relative_loss(result.predictor, val) for result in results]
 
 
 def _pick_eta(eta_grid, scores):
     """The candidate with the smallest mean fold score (ties: smaller eta,
-    then earlier entry); ``scores[j]`` holds candidate j's fold scores."""
-    keys = []
-    for j, (eta, per_fold) in enumerate(zip(eta_grid, scores)):
-        per_fold = [v for v in per_fold if v is not None]
-        if not per_fold:
-            raise ValueError("zero-predictor loss undefined")
-        keys.append((float(np.mean(per_fold)), float(eta), j))
-    return min(keys)[1]
+    then earlier entry); ``scores[j]`` holds candidate j's fold scores, at
+    least one of which is not None."""
+    return min((float(np.mean([v for v in per_fold if v is not None])), float(eta), j)
+               for j, (eta, per_fold) in enumerate(zip(eta_grid, scores)))[1]
 
 
 @dataclass
@@ -418,14 +455,15 @@ def _init_worker(payload):
 
 
 def _run_task(task):
-    """One training run: a CV fold's score when ``fold`` is set, else a final
-    run's (attributes consumed, predictor), scored later by ``_score_task``."""
+    """A CV fold's scores over the whole grid when ``fold`` is set, else a
+    final run's (attributes consumed, predictor), scored later by ``_score_task``."""
     algo_index, algo_id, prefix_index, m, eta, fold, repeat = task
     payload = _WORKER["payload"]
     pool, ctx, seed = payload["pool"], payload["ctx"], payload["seed"]
     if fold is not None:
         blocks = payload["cv_blocks"][algo_index, prefix_index]
-        return _fold_score(pool, blocks, fold, algo_id, ctx, eta, (seed, _TAG_CV, algo_index, prefix_index))
+        return _fold_scores(pool, blocks, fold, algo_id, ctx, payload["eta_grid"],
+                            (seed, _TAG_CV, algo_index, prefix_index))
     order = stream(seed, _TAG_SHUFFLE, repeat).permutation(len(pool))
     train = pool.subset(order[:m])
     rng = stream(seed, _TAG_RUN, algo_index, prefix_index, repeat)
@@ -445,7 +483,7 @@ def _map_tasks(pool_exec, workers, fn, tasks):
     return list(pool_exec.map(fn, tasks, chunksize=max(1, len(tasks) // (4 * workers))))
 
 
-def run_experiment(config, workers: int = 1) -> ExperimentResult:
+def run_experiment(config, workers: int = 1, on_start=None) -> ExperimentResult:
     """Run every (algorithm, prefix, repeat) cell and aggregate curves.
 
     Prefixes reuse one per-repeat pool shuffle, so at a fixed repeat all
@@ -458,6 +496,8 @@ def run_experiment(config, workers: int = 1) -> ExperimentResult:
     test-split products, which threaded BLAS splits across helper threads
     that keep spinning afterwards, never share the cores with training.
     The worker count is an execution detail and never affects the result.
+    ``on_start``, when given, is called once every input has been checked,
+    just before the first run.
     """
     config.validate()
     if workers < 1:
@@ -477,15 +517,22 @@ def run_experiment(config, workers: int = 1) -> ExperimentResult:
     cells = [(ai, algo, pi, m) for ai, algo in enumerate(config.algorithms)
              for pi, m in enumerate(config.prefixes)]
     cv_cells = [c for c in cells if config.eta_grid is not None and ALGORITHMS[c[1]].kind != "erm"]
-    cv_tasks = [(ai, algo, pi, m, float(eta), f, None) for ai, algo, pi, m in cv_cells
-                for eta in config.eta_grid for f in range(config.folds)]
+    cv_tasks = [(ai, algo, pi, m, None, f, None) for ai, algo, pi, m in cv_cells for f in range(config.folds)]
     # a forked pool starts all its workers at the first task, however few the tasks
     workers = min(workers, max(len(cv_tasks), len(cells) * config.repeats))
 
-    # each CV cell's fold split, derived once for all of its (eta, fold) tasks
+    # each CV cell's fold split, derived once for all of its fold tasks
     cv_blocks = {(ai, pi): np.array_split(stream((config.seed, _TAG_CV, ai, pi), _TAG_CV_SPLIT).permutation(m),
                                           config.folds) for ai, _, pi, m in cv_cells}
-    payload = {"pool": pool, "test": test, "ctx": ctx, "seed": config.seed, "cv_blocks": cv_blocks}
+    for ai, algo, pi, m in cv_cells:
+        if not any(np.any(pool.y[block] != 0) for block in cv_blocks[ai, pi]):
+            raise ValueError(f"cannot cross-validate {algo} at prefix {m}: every validation fold has only "
+                             f"zero targets, so no step size can be scored")
+    if on_start is not None:
+        on_start()
+    eta_grid = None if config.eta_grid is None else [float(eta) for eta in config.eta_grid]
+    payload = {"pool": pool, "test": test, "ctx": ctx, "seed": config.seed, "cv_blocks": cv_blocks,
+               "eta_grid": eta_grid}
     pool_exec = (ProcessPoolExecutor(max_workers=workers, initializer=_init_worker, initargs=(payload,))
                  if workers > 1 else contextlib.nullcontext())
     try:
@@ -495,8 +542,7 @@ def run_experiment(config, workers: int = 1) -> ExperimentResult:
             scores = iter(_map_tasks(pool_exec, workers, _run_task, cv_tasks))
             etas = {(algo, m): None for _, algo, _, m in cells}
             for _, algo, _, m in cv_cells:
-                etas[(algo, m)] = _pick_eta(config.eta_grid, [[next(scores) for _ in range(config.folds)]
-                                                              for _ in config.eta_grid])
+                etas[(algo, m)] = _pick_eta(eta_grid, list(zip(*(next(scores) for _ in range(config.folds)))))
             tasks = [(ai, algo, pi, m, etas[(algo, m)], None, r) for ai, algo, pi, m in cells
                      for r in range(config.repeats)]
             attrs, predictors = zip(*_map_tasks(pool_exec, workers, _run_task, tasks))

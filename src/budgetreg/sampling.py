@@ -115,11 +115,15 @@ def lasso_optimal_q(moments):
     return build_distribution(checked_moments(moments))
 
 
-def _trusted(weights):
+def _trusted(weights, rescale=False):
     """AttributeDistribution of weights / sum without re-validation: the
-    weights are nonnegative; a zero or infinite sum is refused (weights /
-    an infinite sum would be all zeros)."""
+    weights are nonnegative; with ``rescale``, finite weights whose sum
+    overflows are first scaled by their maximum; a zero or infinite sum is
+    refused (weights / an infinite sum would be all zeros)."""
     total = np.add.reduce(weights)
+    if rescale and total == np.inf:
+        weights /= weights.max()
+        total = np.add.reduce(weights)
     if not 0.0 < total < np.inf:
         raise ValueError("invalid weights: all weights are zero" if total == 0.0
                          else "invalid weights: probabilities must sum to 1")
@@ -136,7 +140,8 @@ def inner_product_p(w, regime):
     w = float_vector(w)
     if regime is not Regime.L2 and regime is not Regime.LINF:
         regime = Regime(regime)
-    return _trusted(w * w if regime is Regime.L2 else np.abs(w))
+    # the squares of an iterate near the top of the b range can sum past the float range
+    return _trusted(w * w if regime is Regime.L2 else np.abs(w), rescale=True)
 
 
 def improved_inner_product_p(w, root_moments, regime):

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import Regime, check_step_inputs, float_vector
-from .estimator import PassState, adagrad_rate, draw_step, run_pass
+from .estimator import PassState, adagrad_rate, draw_rows, draw_step, run_lockstep, run_pass
 
 __all__ = [
     "EGState",
@@ -27,6 +27,8 @@ __all__ = [
     "eg_update",
     "gaelr_step",
     "run_gaelr",
+    "gaelr_rows_step",
+    "run_gaelr_lockstep",
     "aelr_eta",
     "lasso_eta_known_moments",
 ]
@@ -134,6 +136,45 @@ def run_gaelr(dataset, config, seed, table=None):
     """Single ordered pass over the dataset; returns the averaged predictor (``table``: see run_pass)."""
     config.require_q()
     return run_pass(dataset, config, seed, Regime.LINF, EGState.initial, gaelr_step, table)
+
+
+def gaelr_rows_step(state, x, y, config, indices, values, inner):
+    """gaelr_step for every row of a lockstep state (see run_lockstep):
+    the rows whose phi is nonzero get eg_update's clipped multiplicative
+    update, each with its own z_peak and renormalization."""
+    z_plus, z_minus = state.z_plus, state.z_minus
+    scale = config.b / (np.add.reduce(z_plus, axis=1) + np.add.reduce(z_minus, axis=1))
+    phi = draw_rows(state, (z_plus - z_minus) * scale[:, None], x, y, config, inner, Regime.LINF)
+    moving = phi.nonzero()[0]
+    if moving.size:
+        rows = slice(None) if moving.size == len(phi) else moving
+        g = phi[rows, None] * values
+        eta = state.eta[rows, None]
+        if config.adagrad:
+            eta = adagrad_rate(state.accum, (moving[:, None], indices), g, eta)
+        bound = 1.0 / eta
+        g = np.minimum(np.maximum(g, -bound), bound)
+        step = eta * g  # -(eta g) has the bits of (-eta) g
+        z_plus[moving[:, None], indices] *= np.exp(-step)
+        z_minus[moving[:, None], indices] *= np.exp(step)
+        peaks = state.z_peak
+        peaks[rows] *= _GROWTH
+        if peaks[rows].max() > _RENORM_THRESHOLD:
+            check = moving[peaks[moving] > _RENORM_THRESHOLD]
+            peak = np.maximum(z_plus[check].max(axis=1), z_minus[check].max(axis=1))
+            big = peak > _RENORM_THRESHOLD
+            if big.any():
+                z_plus[check[big]] /= peak[big, None]
+                z_minus[check[big]] /= peak[big, None]
+                peak[big] = 1.0
+            peaks[check] = peak
+    return state
+
+
+def run_gaelr_lockstep(dataset, configs, seed, table=None):
+    """run_gaelr for each of ``configs`` (one per eta and start), in lockstep on one stream (see run_lockstep)."""
+    configs[0].require_q()
+    return run_lockstep(dataset, configs, seed, Regime.LINF, EGState.initial, gaelr_rows_step, table)
 
 
 def aelr_eta(m, k, d, b):

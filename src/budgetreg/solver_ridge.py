@@ -15,14 +15,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Regime, check_step_inputs
-from .estimator import PassState, adagrad_rate, draw_step, run_pass
+from .core import Regime, check_step_inputs, l2_norm
+from .estimator import PassState, adagrad_rate, draw_rows, draw_step, row_norms, run_lockstep, run_pass
 
 __all__ = [
     "RidgeState",
     "default_initial_w",
     "gaerr_step",
     "run_gaerr",
+    "gaerr_rows_step",
+    "run_gaerr_lockstep",
     "aerr_eta",
     "ridge_eta_known_moments",
 ]
@@ -55,7 +57,7 @@ def l2_step(state, indices, phi, values, config):
         w[indices] -= adagrad_rate(state.accum, indices, g, config.eta) * g
     else:
         w[indices] -= config.eta * phi * values
-    nrm = math.sqrt(float(np.dot(w, w)))
+    nrm = l2_norm(w)
     if nrm > config.b:
         w *= config.b / nrm
 
@@ -78,6 +80,34 @@ def run_gaerr(dataset, config, seed, table=None):
     """Single ordered pass over the dataset; returns the averaged predictor (``table``: see run_pass)."""
     config.require_q()
     return run_pass(dataset, config, seed, Regime.L2, RidgeState.initial, gaerr_step, table)
+
+
+def gaerr_rows_step(state, x, y, config, indices, values, inner):
+    """gaerr_step for every row of a lockstep state (see run_lockstep):
+    the rows whose phi is nonzero step and are projected, as l2_step
+    steps and projects each run."""
+    phi = draw_rows(state, state.w, x, y, config, inner, Regime.L2)
+    moving = phi.nonzero()[0]
+    if moving.size:
+        rows = slice(None) if moving.size == len(phi) else moving
+        w = state.w
+        if config.adagrad:
+            g = phi[rows, None] * values
+            w[moving[:, None], indices] -= adagrad_rate(state.accum, (moving[:, None], indices), g,
+                                                        state.eta[rows, None]) * g
+        else:
+            w[moving[:, None], indices] -= (state.eta[rows] * phi[rows])[:, None] * values
+        norms = row_norms(w[rows])
+        over = norms > config.b
+        if over.any():
+            w[moving[over]] *= (config.b / norms[over])[:, None]
+    return state
+
+
+def run_gaerr_lockstep(dataset, configs, seed, table=None):
+    """run_gaerr for each of ``configs`` (one per eta and start), in lockstep on one stream (see run_lockstep)."""
+    configs[0].require_q()
+    return run_lockstep(dataset, configs, seed, Regime.L2, RidgeState.initial, gaerr_rows_step, table)
 
 
 def aerr_eta(m, k, d, b):

@@ -17,8 +17,8 @@ import numpy as np
 from .core import Regime, RunResult, check_step_inputs, norm, stream
 from .estimator import SolverConfig
 from .sampling import AttributeDistribution, build_distribution, uniform_distribution
-from .solver_lasso import aelr_eta, run_gaelr
-from .solver_ridge import aerr_eta, run_gaerr
+from .solver_lasso import aelr_eta, run_gaelr, run_gaelr_lockstep
+from .solver_ridge import aerr_eta, run_gaerr, run_gaerr_lockstep
 
 __all__ = [
     "MomentTable",
@@ -29,6 +29,7 @@ __all__ = [
     "ridge_eta_two_phase",
     "lasso_eta_two_phase",
     "run_two_phase",
+    "run_two_phase_lockstep",
 ]
 
 
@@ -152,6 +153,27 @@ def run_two_phase(dataset, config, seed):
     epsilon_override only reshapes the sampling distribution; step sizes
     always use the theoretical width.
     """
+    ridge = config.ctx.regime == Regime.L2
+
+    def solve(dataset, configs, rng, table=None):
+        return [(run_gaerr if ridge else run_gaelr)(dataset, configs[0], rng, table)]
+
+    return _phases(dataset, config, seed, [config.eta], solve)[0]
+
+
+def run_two_phase_lockstep(dataset, config, etas, seed):
+    """run_two_phase at each step size of ``etas`` (not config.eta), the
+    runs in lockstep on one stream (see estimator.run_lockstep): phase 1
+    runs at each row's eta and its point draws, which the rows share, fill
+    one moment table, so phase 2 shares q and the moments too."""
+    solve = run_gaerr_lockstep if config.ctx.regime == Regime.L2 else run_gaelr_lockstep
+    return _phases(dataset, config, seed, etas, solve)
+
+
+def _phases(dataset, config, seed, etas, solve):
+    """The two phases of a run at each of ``etas`` (None: the phase-specific
+    rates); ``solve(dataset, configs, rng, table=None)`` runs one pass per
+    config, on one generator, and returns their RunResults."""
     config.validate()
     ctx = config.ctx
     m1, m2, b, k, regime = config.m1, config.m2, ctx.b, ctx.n_point, ctx.regime
@@ -160,15 +182,12 @@ def run_two_phase(dataset, config, seed):
         raise ValueError("phase sizes exceed the dataset")
     d = dataset.dimension
     rng = stream(seed)
-    solve = run_gaerr if ridge else run_gaelr
 
-    eta1 = config.eta
-    if eta1 is None:
-        eta1 = (aerr_eta if ridge else aelr_eta)(m1, k, d, b)
-    cfg1 = SolverConfig(b=b, eta=eta1, q=uniform_distribution(d), n_point=k, n_inner=ctx.n_inner)
+    q1 = uniform_distribution(d)
+    cfg1 = [SolverConfig(b=b, eta=(aerr_eta if ridge else aelr_eta)(m1, k, d, b) if eta is None else eta,
+                         q=q1, n_point=k, n_inner=ctx.n_inner) for eta in etas]
     table = MomentTable(d)
     phase1 = solve(dataset.subset(np.arange(m1)), cfg1, rng, table)
-    w_start = phase1.predictor.weights if np.any(phase1.predictor.weights != 0) else None
     a = table.A
 
     # the table holds the k point draws of each phase-1 example
@@ -176,39 +195,36 @@ def run_two_phase(dataset, config, seed):
     eps_for_q = eps if ctx.epsilon_override is None else ctx.epsilon_override
     q2 = smoothed_q(a, eps_for_q, regime)
 
-    eta2 = config.eta
-    half_norm = None
-    if ridge:
-        half_norm = estimate_half_norm(a, eps)
-        if eta2 is None:
-            eta2 = ridge_eta_two_phase(m2, k, d, half_norm, eps)
-    elif eta2 is None:
-        eta2 = lasso_eta_two_phase(m2, k, d, a, b, eps)
+    half_norm = estimate_half_norm(a, eps) if ridge else None
+    eta2 = [eta if eta is not None else
+            (ridge_eta_two_phase(m2, k, d, half_norm, eps) if ridge else lasso_eta_two_phase(m2, k, d, a, b, eps))
+            for eta in etas]
+    cfg2 = [SolverConfig(b=b, eta=eta, q=q2, n_point=k, n_inner=ctx.n_inner,
+                         moments=a if ctx.improved_p else None,
+                         initial_w=run.predictor.weights if np.any(run.predictor.weights != 0) else None)
+            for eta, run in zip(eta2, phase1)]
+    phase2 = solve(dataset.subset(np.arange(m1, m1 + m2)), cfg2, rng)
 
-    phase2 = dataset.subset(np.arange(m1, m1 + m2))
-    cfg2 = SolverConfig(
-        b=b, eta=eta2, q=q2, n_point=k, n_inner=ctx.n_inner,
-        moments=a if ctx.improved_p else None, initial_w=w_start,
-    )
-    result = solve(phase2, cfg2, rng)
-
-    diagnostics = {
-        "m1": m1,
-        "m2": m2,
-        "epsilon": eps,
-        "epsilon_for_q": eps_for_q,
-        "eta": eta2,
-        "phase1_budget": phase1.attributes_consumed,
-        "phase2_budget": result.attributes_consumed,
-        "moment_table": table,
-        "smoothed_q": q2.probabilities,
-    }
-    if half_norm is not None:
-        diagnostics["half_norm_estimate"] = half_norm
-    return RunResult(
-        result.predictor,
-        phase1.attributes_consumed + result.attributes_consumed,
-        phase1.zero_weight_steps + result.zero_weight_steps,
-        diagnostics,
-        phase1.p_fallbacks + result.p_fallbacks,
-    )
+    results = []
+    for eta, first, second in zip(eta2, phase1, phase2):
+        diagnostics = {
+            "m1": m1,
+            "m2": m2,
+            "epsilon": eps,
+            "epsilon_for_q": eps_for_q,
+            "eta": eta,
+            "phase1_budget": first.attributes_consumed,
+            "phase2_budget": second.attributes_consumed,
+            "moment_table": table,
+            "smoothed_q": q2.probabilities,
+        }
+        if half_norm is not None:
+            diagnostics["half_norm_estimate"] = half_norm
+        results.append(RunResult(
+            second.predictor,
+            first.attributes_consumed + second.attributes_consumed,
+            first.zero_weight_steps + second.zero_weight_steps,
+            diagnostics,
+            first.p_fallbacks + second.p_fallbacks,
+        ))
+    return results

@@ -304,6 +304,20 @@ def test_experiment_refuses_a_test_split_of_zero_targets(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_experiment_refuses_a_cv_cell_whose_every_fold_has_only_zero_targets(tmp_path, capsys):
+    from budgetreg import cli
+    from test_harness import sparse_target_config
+
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(sparse_target_config(tmp_path).to_dict()))
+    out = tmp_path / "out"
+    assert cli.main(["experiment", "--config", str(config), "--out-dir", str(out), "--workers", "2"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot cross-validate aerr at prefix 10: every validation fold has only zero targets")
+    assert "running" not in err and "Traceback" not in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("key, value", [("b", 10**400), ("alpha", -10**400), ("epsilon_override", 10**400)],
                          ids=["b", "alpha", "epsilon_override"])
 def test_experiment_refuses_json_integers_too_large_for_a_float(tmp_path, capsys, key, value):

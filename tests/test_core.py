@@ -53,6 +53,19 @@ def test_project_l2_ball():
         project_l2_ball(np.array([3.0, 4.0]), -1.0)
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_project_l2_ball_where_the_squared_norm_overflows():
+    """||v||^2 overflows once ||v|| > 1.34e154; the norm is then taken of v
+    scaled by max|v|, so v is scaled onto the ball, not to zero."""
+    v = np.full(4, 1e154)
+    assert norm(v, 2) == 2e154
+    projected = project_l2_ball(v, 1.34e154)
+    np.testing.assert_allclose(projected, np.full(4, 6.7e153), rtol=1e-15)
+    assert norm(projected, 2) <= 1.34e154 * (1 + 1e-15)
+    below = np.full(4, 1e153)  # a finite square keeps the bits of sqrt(<v, v>)
+    assert norm(below, 2) == math.sqrt(float(np.dot(below, below)))
+
+
 def test_project_l2_ball_idempotent_and_contractive():
     rng = np.random.default_rng(1)
     for _ in range(50):

@@ -1,3 +1,4 @@
+import contextlib
 import math
 import re
 import sys
@@ -7,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from budgetreg.core import B_RANGE, Dataset, Regime, stream, weight_norm
+from budgetreg import baselines, solver_lasso, solver_ridge
+from budgetreg.core import B_RANGE, BALL_TOL, Dataset, Regime, stream, weight_norm
 from budgetreg.datagen import generate_dataset, power_law_means, random_target_weights
 from budgetreg.harness import (
     ALGORITHMS,
@@ -17,16 +19,20 @@ from budgetreg.harness import (
     _TAG_CV_RUN,
     _TAG_CV_SPLIT,
     _WORKER,
-    _fold_score,
+    _fold_scores,
     _materialize,
     _pick_eta,
     dataset_moments,
     relative_loss,
     run_experiment,
     split_budget,
+    train_grid,
     train_run,
 )
 from budgetreg.core import Predictor
+from budgetreg.estimator import run_pass
+from budgetreg.solver_lasso import eg_weights
+from budgetreg.solver_ridge import RidgeState
 
 
 def make_dataset(d, m, seed, regime, alpha=-1.0):
@@ -92,7 +98,9 @@ def test_train_run_budgets():
 def test_train_run_reads_exactly_its_budget_and_stays_in_its_ball(data):
     """Every algorithm, on any data of its regime (zero columns and constant
     targets included), reads k+1 values per example (d for a
-    full-information run) and returns a valid predictor."""
+    full-information run) and returns a valid predictor; every iterate of
+    an online pass stays in the ball too, which a hook on each step of
+    run_pass checks."""
     algo = data.draw(st.sampled_from(sorted(ALGORITHMS)))
     regime = ALGORITHMS[algo].regime or data.draw(st.sampled_from(list(Regime)))
     d, budget, m = data.draw(st.integers(1, 30)), data.draw(st.integers(2, 8)), data.draw(st.integers(2, 60))
@@ -107,9 +115,23 @@ def test_train_run_reads_exactly_its_budget_and_stays_in_its_ball(data):
     train = Dataset(x, y, regime)
     ctx = make_ctx(regime, b=data.draw(st.floats(0.1, 3.0)), n_point=n_point, n_inner=n_inner,
                    moments=dataset_moments(train))
-    result = train_run(algo, train, ctx, None, stream(0))
+    iterates = []
+
+    def checked_pass(dataset, config, seed, regime, initial_state, step, table=None):
+        def checked_step(state, *args):
+            step(state, *args)
+            w = state.w if isinstance(state, RidgeState) else eg_weights(state, config.b)
+            assert np.all(np.isfinite(w)) and weight_norm(w, regime) <= config.b + BALL_TOL
+            iterates.append(state.steps)
+        return run_pass(dataset, config, seed, regime, initial_state, checked_step, table)
+
+    with pytest.MonkeyPatch.context() as patch:
+        for module in (solver_ridge, solver_lasso, baselines):
+            patch.setattr(module, "run_pass", checked_pass)
+        result = train_run(algo, train, ctx, None, stream(0))
     assert result.attributes_consumed == m * (budget if ALGORITHMS[algo].budgeted else d)
     result.predictor.validate()
+    assert len(iterates) == (0 if algo == "erm" else m)
 
 
 @pytest.mark.filterwarnings("ignore:m below ln")  # lasso's known-moments rate warns on tiny runs
@@ -123,6 +145,23 @@ def test_every_algorithm_runs_near_the_edges_of_the_b_range(b):
             ctx = make_ctx(regime, b=b, n_point=2, n_inner=2, moments=dataset_moments(ds))
             w = train_run(algo, ds, ctx, None, stream(5)).predictor.weights
             assert np.all(np.isfinite(w)) and weight_norm(w, regime) <= b * (1 + 1e-9), (algo, regime)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+@pytest.mark.parametrize("b", [1.34e154, B_RANGE[1]])
+def test_ridge_runs_at_the_top_of_the_b_range_keep_a_nonzero_iterate(b):
+    """An iterate whose squared norm overflows is projected onto the ball,
+    not scaled to zero (which the next step would see as a zero iterate),
+    in a single run and in a lockstep grid alike."""
+    ds = make_dataset(10, 50, 4, Regime.L2)
+    ctx = make_ctx(Regime.L2, b=b, n_point=2, n_inner=2, moments=dataset_moments(ds))
+    for algo in ("aerr", "ddaerr", "2p-ddaerr"):
+        rows = train_grid(algo, ds, ctx, [0.4, 0.05], (5,))
+        for eta, row in zip([0.4, 0.05], rows):
+            one = train_run(algo, ds, ctx, eta, stream(5))
+            assert one.zero_weight_steps == 0, (algo, eta)
+            one.predictor.validate()
+            assert row.predictor.weights.tobytes() == one.predictor.weights.tobytes(), (algo, eta)
 
 
 def test_train_run_lasso_family():
@@ -178,19 +217,21 @@ def fold_blocks(n, folds, seed):
 def cv_pick(ds, algo, grid, folds, seed, ctx):
     """The step size k-fold validation on all of ds picks, as run_experiment composes it."""
     blocks = fold_blocks(len(ds), folds, seed)
-    scores = [[_fold_score(ds, blocks, f, algo, ctx, float(eta), seed) for f in range(folds)] for eta in grid]
-    return _pick_eta(grid, scores)
+    grid = [float(eta) for eta in grid]
+    scores = [_fold_scores(ds, blocks, f, algo, ctx, grid, seed) for f in range(folds)]
+    return _pick_eta(grid, list(zip(*scores)))
 
 
 def test_cross_validate_single_and_duplicate_entries():
     ds = make_dataset(4, 50, 4, Regime.L2)
     ctx = make_ctx(Regime.L2, moments=dataset_moments(ds))
-    assert cv_pick(ds, "aerr", [0.03], 5, 0, ctx) == 0.03
-    assert cv_pick(ds, "aerr", [0.03, 0.03, 0.03], 5, 0, ctx) == 0.03
+    assert cv_pick(ds, "aerr", [0.03], 5, (0,), ctx) == 0.03
+    assert cv_pick(ds, "aerr", [0.03, 0.03, 0.03], 5, (0,), ctx) == 0.03
     # duplicated entries score identically, fold by fold
-    blocks = fold_blocks(len(ds), 5, 0)
-    scores = [[_fold_score(ds, blocks, f, "aerr", ctx, 0.03, 0) for f in range(5)] for _ in range(3)]
-    assert scores[0] == scores[1] == scores[2]
+    blocks = fold_blocks(len(ds), 5, (0,))
+    for f in range(5):
+        scores = _fold_scores(ds, blocks, f, "aerr", ctx, [0.03, 0.03, 0.03], (0,))
+        assert scores[0] == scores[1] == scores[2]
     assert _pick_eta([0.05, 0.03, 0.03], [[0.2], [0.1], [0.1]]) == 0.03
     for grid in ([0.03], [0.03, 0.03, 0.03]):
         result = run_experiment(small_config(algorithms=["aerr"], prefixes=[50], folds=5, eta_grid=grid, repeats=1))
@@ -208,7 +249,7 @@ def test_cross_validate_matches_manual_enumeration():
     order = stream(seed, _TAG_CV_SPLIT).permutation(len(ds))
     blocks = np.array_split(order, folds)
     scores = []
-    for eta in grid:
+    for j, eta in enumerate(grid):
         per_fold = []
         for f in range(folds):
             val = ds.subset(blocks[f])
@@ -216,10 +257,10 @@ def test_cross_validate_matches_manual_enumeration():
             rng = stream(seed, _TAG_CV_RUN, f)
             result = train_run("aerr", ds.subset(train_idx), ctx, eta, rng)
             per_fold.append(relative_loss(result.predictor, val))
-            assert _fold_score(ds, blocks, f, "aerr", ctx, eta, seed) == per_fold[-1]
+            assert _fold_scores(ds, blocks, f, "aerr", ctx, grid, (seed,))[j] == per_fold[-1]
         scores.append(float(np.mean(per_fold)))
     expected = min(zip(scores, grid))[1]
-    assert cv_pick(ds, "aerr", grid, folds, seed, ctx) == expected
+    assert cv_pick(ds, "aerr", grid, folds, (seed,), ctx) == expected
 
 
 def test_cross_validate_errors():
@@ -232,11 +273,9 @@ def test_cross_validate_errors():
     with pytest.raises(ValueError, match=r"prefixes must be at least folds \(3\) when step sizes are cross-validated"):
         ExperimentConfig.from_dict({**raw, "prefixes": [2, 30]})
     zeros = Dataset(np.ones((12, 2)) * 0.5, np.zeros(12), Regime.L2)
-    blocks = fold_blocks(12, 3, 0)
-    scores = [[_fold_score(zeros, blocks, f, "aerr", make_ctx(Regime.L2, b=1.0), 0.1, 0) for f in range(3)]]
-    assert scores == [[None, None, None]]
-    with pytest.raises(ValueError, match="zero-predictor loss undefined"):
-        _pick_eta([0.1], scores)
+    blocks = fold_blocks(12, 3, (0,))
+    scores = [_fold_scores(zeros, blocks, f, "aerr", make_ctx(Regime.L2, b=1.0), [0.1, 0.2], (0,)) for f in range(3)]
+    assert scores == [[None, None]] * 3
 
 
 def test_config_round_trip_and_errors():
@@ -413,6 +452,40 @@ def test_run_experiment_refuses_a_test_split_of_zero_targets_before_running(monk
     assert tasks == []
 
 
+def sparse_target_config(tmp_path, **overrides):
+    """A 40-row CSV whose targets are 0 but for 6 rows, and a CV config
+    over it whose seed leaves the 10-example prefix all zero targets."""
+    rng = np.random.default_rng(3)
+    x = rng.uniform(-0.5, 0.5, (40, 3))
+    y = np.zeros(40)
+    y[rng.choice(40, 6, replace=False)] = rng.uniform(0.5, 1.0, 6)
+    path = tmp_path / "sparse.csv"
+    path.write_text("".join(",".join(f"{v:.17g}" for v in (*row, label)) + "\n" for row, label in zip(x, y)))
+    raw = {"algorithms": ["aerr", "ogd-full"], "regime": "l2", "prefixes": [10], "k": 2, "data": str(path),
+           "folds": 2, "eta_grid": [0.1, 0.2], "repeats": 1, **overrides}
+    for seed in range(100):
+        config = ExperimentConfig.from_dict({**raw, "seed": seed})
+        with contextlib.suppress(ValueError):  # a test split of only zero targets
+            if not np.any(_materialize(config)[0].y[:10]):
+                return config
+    raise AssertionError("no seed leaves the prefix all zero targets")
+
+
+def test_run_experiment_refuses_a_cv_cell_whose_every_fold_has_only_zero_targets(tmp_path, monkeypatch):
+    """No fold of such a cell can score a step size; the cell is named and
+    refused before any task runs, not after the CV phase."""
+    config = sparse_target_config(tmp_path)
+    tasks = []
+    monkeypatch.setattr("budgetreg.harness._run_task", tasks.append)
+    with pytest.raises(ValueError, match=r"cannot cross-validate aerr at prefix 10: every validation fold "
+                                         r"has only zero targets"):
+        run_experiment(config)
+    assert tasks == []
+    monkeypatch.undo()
+    config.eta_grid = None  # the same cell with the algorithms' own step sizes runs
+    assert len(run_experiment(config).records) == 2
+
+
 def test_config_accepts_two_phase_settings_in_range():
     raw = {"algorithms": ["2p-ddaerr"], "regime": "l2", "prefixes": [50], "k": 2, "dim": 5, "alpha": -1.0}
     for extra in ({"delta": 0.5}, {"epsilon_override": None}, {"epsilon_override": 0}, {"epsilon_override": 0.25},
@@ -502,8 +575,11 @@ def test_final_runs_are_scored_after_every_final_run_has_trained(monkeypatch, et
     assert calls[-2 * finals:] == ["train"] * finals + ["score"] * finals
     if eta_grid is None:
         assert len(calls) == 2 * finals
-    else:  # the CV fold fits come first, each scored on its own validation fold
-        assert calls[:-2 * finals] == ["train", "score"] * (len(calls) // 2 - finals)
+    else:  # the CV fold fits come first, one task per fold: the budgeted algorithms fit the whole
+        # grid in one lockstep pass, the full-information one through train_run per step size
+        fold = {"aerr": ["score"] * 2, "ddaerr": ["score"] * 2, "ogd-full": ["train"] * 2 + ["score"] * 2}
+        assert calls[:-2 * finals] == [call for algo in config.algorithms for _ in config.prefixes
+                                       for _ in range(config.folds) for call in fold[algo]]
 
 
 def test_run_experiment_identical_across_worker_counts_with_a_blas_threaded_test_split():
@@ -578,7 +654,7 @@ class RecordingPool:
 
 @pytest.mark.parametrize("overrides, sizes", [
     ({"repeats": 3}, [3]),
-    ({"repeats": 1, "eta_grid": [0.1, 0.2], "folds": 2}, [4]),  # 4 CV fold fits, then 1 final run
+    ({"repeats": 1, "eta_grid": [0.1, 0.2], "folds": 2}, [2]),  # 2 CV fold tasks (each fits the grid), then 1 final run
     ({"repeats": 1}, []),  # a single task runs in this process
 ])
 def test_run_experiment_pool_never_exceeds_the_task_count(monkeypatch, overrides, sizes):
