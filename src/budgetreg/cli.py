@@ -66,6 +66,13 @@ def _nonpositive_float(text):
     return value
 
 
+def _available_cpus():
+    """The CPUs this process may run on: its affinity mask where the OS has one, else every CPU."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _write_json(path, payload):
     Path(path).write_text(json.dumps(payload, indent=2) + "\n", encoding="ascii")
 
@@ -141,7 +148,7 @@ def _cmd_experiment(args):
     if not isinstance(raw, dict):
         raise ValueError("config must be a JSON object")
     config = ExperimentConfig.from_dict(raw)
-    workers = args.workers if args.workers is not None else (os.cpu_count() or 1)
+    workers = args.workers if args.workers is not None else _available_cpus()
 
     out_dir = Path(args.out_dir)
     if out_dir.exists() and not (args.force and out_dir.is_dir()):
@@ -219,7 +226,7 @@ def build_parser() -> argparse.ArgumentParser:
     exp.add_argument("--force", action="store_true",
                      help="overwrite an existing output directory")
     exp.add_argument("--workers", type=_positive_int, default=None,
-                     help="worker-pool size; default all available cores")
+                     help="worker-pool size; default the CPUs this process may run on")
     exp.set_defaults(func=_cmd_experiment)
     return parser
 

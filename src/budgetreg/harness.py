@@ -471,9 +471,9 @@ def _run_task(task):
     return int(result.attributes_consumed), result.predictor
 
 
-def _score_task(predictor):
-    """A final run's test relative loss."""
-    return relative_loss(predictor, _WORKER["payload"]["test"])
+def _score_task(predictors):
+    """The final runs' test relative losses, in order."""
+    return [relative_loss(predictor, _WORKER["payload"]["test"]) for predictor in predictors]
 
 
 def _map_tasks(pool_exec, workers, fn, tasks):
@@ -491,10 +491,10 @@ def run_experiment(config, workers: int = 1, on_start=None) -> ExperimentResult:
     (paired comparisons).  Step sizes come from one cross-validation per
     (algorithm, prefix) on the unshuffled pool prefix, or from each
     algorithm's own rate when no grid is configured.  CV fold fits, then
-    final training, then final scoring are three phases of tasks for the
-    same workers: scoring waits until every final run has trained, so the
-    test-split products, which threaded BLAS splits across helper threads
-    that keep spinning afterwards, never share the cores with training.
+    final training, are tasks for the same workers; then one task on one
+    worker scores every final run, so the test-split products, which
+    threaded BLAS splits across helper threads, have every core: none runs
+    beside training or beside another worker's product.
     The worker count is an execution detail and never affects the result.
     ``on_start``, when given, is called once every input has been checked,
     just before the first run.
@@ -546,7 +546,7 @@ def run_experiment(config, workers: int = 1, on_start=None) -> ExperimentResult:
             tasks = [(ai, algo, pi, m, etas[(algo, m)], None, r) for ai, algo, pi, m in cells
                      for r in range(config.repeats)]
             attrs, predictors = zip(*_map_tasks(pool_exec, workers, _run_task, tasks))
-            losses = _map_tasks(pool_exec, workers, _score_task, predictors)
+            losses = _map_tasks(pool_exec, workers, _score_task, [predictors])[0]  # one task: one worker
     finally:
         _WORKER.clear()  # a serial run installed its payload in this process
 

@@ -401,6 +401,31 @@ def test_experiment_force_replaces_only_the_previous_runs_curves(tmp_path, capsy
     assert blocker.read_text() == "kept\n"
 
 
+@pytest.mark.parametrize("affinity, cpu_count, workers", [({0, 5}, 64, 2), (None, 64, 64), (None, None, 1)],
+                         ids=["affinity-mask", "no-affinity-call", "no-cpu-count"])
+def test_experiment_default_workers_follow_the_affinity_mask(tmp_path, capsys, monkeypatch, affinity, cpu_count,
+                                                             workers):
+    """A process pinned to 2 of 64 CPUs runs 2 workers, not 64; without
+    os.sched_getaffinity the default is os.cpu_count(), and 1 when that is unknown."""
+    from budgetreg import cli
+
+    def started(config, workers, on_start):
+        on_start()
+        raise ValueError("stopped after the start line")
+
+    if affinity is None:
+        monkeypatch.delattr(cli.os, "sched_getaffinity", raising=False)
+    else:
+        monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: affinity)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: cpu_count)
+    monkeypatch.setattr(cli, "run_experiment", started)
+    config = experiment_config(tmp_path)
+    assert cli.main(["experiment", "--config", str(config), "--out-dir", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.splitlines()[0].endswith(f"cells on {workers} worker(s)")
+    assert err.splitlines()[1] == "error: stopped after the start line"
+
+
 def test_experiment_worker_count_invisible(tmp_path):
     config = experiment_config(tmp_path)
     one, two = tmp_path / "w1", tmp_path / "w2"

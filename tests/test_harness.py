@@ -1,5 +1,7 @@
 import contextlib
 import math
+import multiprocessing
+import os
 import re
 import sys
 
@@ -595,6 +597,32 @@ def test_run_experiment_identical_across_worker_counts_with_a_blas_threaded_test
         assert run.records == runs[0].records
         assert run.curves == runs[0].curves
         assert run.etas == runs[0].etas
+
+
+@pytest.mark.skipif(multiprocessing.get_all_start_methods()[0] != "fork",
+                    reason="the patched relative_loss reaches the workers only when they are forked")
+def test_final_scoring_runs_in_one_worker_process(monkeypatch, tmp_path):
+    """At two workers every final run is scored in one task on one worker,
+    so no two BLAS-threaded test-split products share the cores, and none
+    runs in the calling process (its helper threads would spin on)."""
+    import budgetreg.harness as harness
+
+    config = small_config(algorithms=["aelr", "eg-full"], regime=Regime.LINF, prefixes=[200], dim=200,
+                          repeats=2, seed=17)
+    _, test, _, _ = _materialize(config)
+    assert config.eta_grid is None and len(test) * test.dimension >= 9216
+    log = tmp_path / "scoring-pids"
+
+    def logged(predictor, test_set):
+        with open(log, "a") as out:
+            out.write(f"{os.getpid()}\n")
+        return relative_loss(predictor, test_set)
+
+    monkeypatch.setattr(harness, "relative_loss", logged)  # before the pool forks its workers
+    result = run_experiment(config, workers=2)
+    pids = log.read_text().split()
+    assert len(pids) == len(result.records) == 4
+    assert len(set(pids)) == 1 and pids[0] != str(os.getpid())
 
 
 def test_run_experiment_pooled_cv_matches_fold_scores_across_workers():
