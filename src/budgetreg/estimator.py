@@ -12,10 +12,10 @@ point estimates of a block of examples built before its steps, one
 draw of phi per step, one step rule (fixed eta or AdaGrad), and one
 single-pass loop.  Only the geometry of the update is theirs.
 
-``run_lockstep`` runs R such passes at once, runs that differ only in
-their step size and start: the rows of an (R, d) state share each
-block's uniforms and point estimates, and every per-step numpy call
-serves all R rows.
+``run_lockstep``, internal to ``harness.train_grid``, runs R fixed-step
+passes at once, passes that differ only in their step size and start:
+the rows of an (R, d) state share each block's uniforms and point
+estimates, and every per-step numpy call serves all R rows.
 """
 
 import copy
@@ -35,7 +35,6 @@ from .sampling import (
 
 __all__ = [
     "DELTA_ADA",
-    "LockstepBreak",
     "PassState",
     "SolverConfig",
     "estimate_point",
@@ -43,9 +42,6 @@ __all__ = [
     "draw_step",
     "adagrad_rate",
     "run_pass",
-    "draw_rows",
-    "row_norms",
-    "run_lockstep",
 ]
 
 DELTA_ADA = 1e-8  # stabilizer under the adaptive square root
@@ -98,6 +94,12 @@ class PassState:
     zero_weight_steps: int = 0
     p_fallbacks: int = 0  # improved-p steps that fell back to the standard p
     accum: np.ndarray | None = None  # AdaGrad squared-gradient sums
+
+    def charge(self, w, config):
+        """Average in the pre-update iterate w; charge the full budget, so m steps read m(k+1) values."""
+        self.sum_w += w
+        self.steps += 1
+        self.attributes_consumed += config.n_point + config.n_inner
 
 
 def estimate_point(x, q, draws):
@@ -155,7 +157,7 @@ def draw_step(state, w, x, y, config, inner, regime):
     where phi = -y costs no observation and ``inner`` is left unused;
     zero_weight_steps records how often that happened.
     """
-    state.sum_w += w
+    state.charge(w, config)
     if np.count_nonzero(w):
         if config.root_moments is not None:
             p = improved_inner_product_p(w, config.root_moments, regime)
@@ -166,8 +168,6 @@ def draw_step(state, w, x, y, config, inner, regime):
     else:
         phi = -float(y)
         state.zero_weight_steps += 1
-    state.steps += 1
-    state.attributes_consumed += config.n_point + config.n_inner
     return phi
 
 
@@ -205,10 +205,7 @@ def run_pass(dataset, config, seed, regime, initial_state, step, table=None):
             for x, y in zip(xs[start:stop], ys[start:stop].tolist()):
                 step(state, x, y, config)
     else:
-        rng = stream(seed)
-        if not isinstance(rng.bit_generator, np.random.PCG64):
-            raise ValueError(f"a budgeted pass needs a PCG64 generator, got {type(rng.bit_generator).__name__}")
-        _budgeted_pass(state, dataset.x, dataset.y, config, rng, step, table)
+        _budgeted_pass(state, dataset.x, dataset.y, config, stream(seed), step, table)
     predictor = Predictor(state.sum_w / state.steps, config.b, regime)
     return RunResult(predictor, state.attributes_consumed, state.zero_weight_steps, p_fallbacks=state.p_fallbacks)
 
@@ -227,6 +224,8 @@ def _budgeted_pass(state, xs, ys, config, rng, step, table):
     next example, so the next block lays n_point uniforms per example and
     ends at the first example that can move it.
     """
+    if not isinstance(rng.bit_generator, np.random.PCG64):  # only PCG64's advance steps back one double each
+        raise ValueError(f"a budgeted pass needs a PCG64 generator, got {type(rng.bit_generator).__name__}")
     k, n_inner = config.n_point, config.n_inner
     m = len(ys)
     start, zero_run = 0, False
@@ -273,9 +272,7 @@ def draw_rows(state, w, x, y, config, inner, regime):
     row-wise, so each row's phi has the bits of that run's.  The rows
     must agree on a zero iterate: all of them or none.
     """
-    state.sum_w += w
-    state.steps += 1
-    state.attributes_consumed += config.n_point + config.n_inner
+    state.charge(w, config)
     if config.root_moments is None:
         weights = w * w if regime is Regime.L2 else np.abs(w)
     else:
@@ -321,7 +318,10 @@ def run_lockstep(dataset, configs, seed, regime, initial_state, step, table=None
     """run_pass for R = len(configs) runs in lockstep on the one stream of
     ``seed``; returns their RunResults, bit for bit those of run_pass.
 
-    The configs differ only in eta and initial_w.  Each run's state from
+    Precondition, which harness.train_grid meets by building every config
+    from one RunContext: the configs are fixed-step (not AdaGrad) and
+    differ only in eta and initial_w.  Every row runs with the first
+    config's b, q, draw split and moments, unchecked.  Each run's state from
     ``initial_state`` becomes a row of one state whose arrays (and
     floats) are stacked, with the step sizes in ``state.eta``; ``step``
     updates all rows at once.  A row that draws phi = 0 skips its whole

@@ -24,7 +24,7 @@ from .ingest import Scaler, load_csv
 from .sampling import lasso_optimal_q, ridge_optimal_q, uniform_distribution
 from .solver_lasso import aelr_eta, lasso_eta_known_moments, run_gaelr, run_gaelr_lockstep
 from .solver_ridge import aerr_eta, ridge_eta_known_moments, run_gaerr, run_gaerr_lockstep
-from .two_phase import TwoPhaseConfig, run_two_phase, run_two_phase_lockstep
+from .two_phase import TwoPhaseConfig, run_two_phase, run_two_phase_lockstep, smoothed_q
 
 __all__ = [
     "ALGORITHMS",
@@ -201,14 +201,15 @@ def train_grid(algo_id, train, ctx, etas, key):
     """train_run at each step size of ``etas`` (numbers, as a CV grid
     holds), every run on the stream stream(key).
 
-    The budgeted kinds make all of them in one lockstep pass
-    (estimator.run_lockstep), bit for bit the train_run results; the
+    The fixed-step budgeted kinds make all of them in one lockstep pass
+    (estimator.run_lockstep; its configs, built from ctx, differ only in
+    eta and start), bit for bit the train_run results.  The AdaGrad and
     full-information kinds, and a grid whose rows stop agreeing on a zero
     iterate (LockstepBreak), are run one by one through train_run.
     """
     regime = algorithm_regime(algo_id, ctx.regime)
     spec = ALGORITHMS[algo_id]
-    if spec.budgeted:
+    if spec.budgeted and not spec.adagrad:
         try:
             if spec.kind == "two_phase":
                 m1 = _phase1_size(len(train), ctx.m1_fraction)
@@ -505,6 +506,12 @@ def run_experiment(config, workers: int = 1, on_start=None) -> ExperimentResult:
     pool, test, b, moments = _materialize(config)
     if max(config.prefixes) > len(pool):
         raise ValueError("prefix exceeds the available training examples")
+    eps = config.epsilon_override
+    if eps is not None and any(ALGORITHMS[a].kind == "two_phase" for a in config.algorithms):
+        try:  # A = 0 is the least moment table: a width that overflows it overflows every table
+            smoothed_q(np.zeros(pool.dimension), eps, config.regime)
+        except ValueError as exc:
+            raise ValueError(f"epsilon_override: {exc}") from None
     n_point, n_inner = (1, 1)
     if any(ALGORITHMS[a].budgeted for a in config.algorithms):
         n_point, n_inner = split_budget(config.k + 1, config.budget_split)

@@ -27,8 +27,6 @@ __all__ = [
     "eg_update",
     "gaelr_step",
     "run_gaelr",
-    "gaelr_rows_step",
-    "run_gaelr_lockstep",
     "aelr_eta",
     "lasso_eta_known_moments",
 ]
@@ -84,25 +82,29 @@ def eg_state_from_weights(w, b):
     )
 
 
+def _eg_scale(z_plus, z_minus, at, g, eta):
+    """z+ *= exp(-eta g), z- *= exp(eta g) at ``at``, g clipped at 1/eta of
+    its own coordinate: |eta g| <= 1 up to rounding, so no factor exceeds
+    e (1 + 2^-52), the _GROWTH a z_peak bound allows per update.  (Only an
+    infinite estimate, where 1/eta overflows, escapes the clip; the
+    weights then hold NaN and the next step fails either way.)"""
+    bound = 1.0 / eta
+    step = eta * np.minimum(np.maximum(g, -bound), bound)  # -(eta g) has the bits of (-eta) g
+    z_plus[at] *= np.exp(-step)
+    z_minus[at] *= np.exp(step)
+
+
 def eg_update(state, indices, values, eta):
     """Clipped multiplicative update on the gradient estimate's support.
 
-    ``eta`` is a scalar or one rate per index (AdaGrad); each value is
-    clipped at 1/eta of its own coordinate.  Off-support coordinates are
-    untouched; both z vectors are rescaled by the same factor if an entry
-    overflows the renormalization threshold (the derived weights are
-    invariant to common rescaling).  The clip keeps |eta g| <= 1 up to
-    rounding, so no factor exceeds e (1 + 2^-52) and ``state.z_peak``
-    grows by at most that much per update; the search over all 2d
-    entries runs only when that bound passes the threshold.  (Only an
-    infinite estimate, where 1/eta overflows, escapes the clip; the
-    weights then hold NaN and the next step fails either way.)
+    ``eta`` is a scalar or one rate per index (AdaGrad).  Off-support
+    coordinates are untouched; both z vectors are rescaled by the same
+    factor if an entry overflows the renormalization threshold (the
+    derived weights are invariant to common rescaling).  The search over
+    all 2d entries runs only when ``state.z_peak``, their bound, passes it.
     """
-    bound = 1.0 / eta
-    g = np.minimum(np.maximum(values, -bound), bound)
     z_plus, z_minus = state.z_plus, state.z_minus
-    z_plus[indices] *= np.exp(-eta * g)
-    z_minus[indices] *= np.exp(eta * g)
+    _eg_scale(z_plus, z_minus, indices, values, eta)
     state.z_peak *= _GROWTH
     if state.z_peak > _RENORM_THRESHOLD:
         peak = max(float(z_plus.max()), float(z_minus.max()))
@@ -139,7 +141,7 @@ def run_gaelr(dataset, config, seed, table=None):
 
 
 def gaelr_rows_step(state, x, y, config, indices, values, inner):
-    """gaelr_step for every row of a lockstep state (see run_lockstep):
+    """Fixed-step gaelr_step for every row of a lockstep state (see run_lockstep):
     the rows whose phi is nonzero get eg_update's clipped multiplicative
     update, each with its own z_peak and renormalization."""
     z_plus, z_minus = state.z_plus, state.z_minus
@@ -148,15 +150,7 @@ def gaelr_rows_step(state, x, y, config, indices, values, inner):
     moving = phi.nonzero()[0]
     if moving.size:
         rows = slice(None) if moving.size == len(phi) else moving
-        g = phi[rows, None] * values
-        eta = state.eta[rows, None]
-        if config.adagrad:
-            eta = adagrad_rate(state.accum, (moving[:, None], indices), g, eta)
-        bound = 1.0 / eta
-        g = np.minimum(np.maximum(g, -bound), bound)
-        step = eta * g  # -(eta g) has the bits of (-eta) g
-        z_plus[moving[:, None], indices] *= np.exp(-step)
-        z_minus[moving[:, None], indices] *= np.exp(step)
+        _eg_scale(z_plus, z_minus, (moving[:, None], indices), phi[rows, None] * values, state.eta[rows, None])
         peaks = state.z_peak
         peaks[rows] *= _GROWTH
         if peaks[rows].max() > _RENORM_THRESHOLD:
@@ -172,7 +166,7 @@ def gaelr_rows_step(state, x, y, config, indices, values, inner):
 
 
 def run_gaelr_lockstep(dataset, configs, seed, table=None):
-    """run_gaelr for each of ``configs`` (one per eta and start), in lockstep on one stream (see run_lockstep)."""
+    """run_gaelr for each of ``configs`` in lockstep on one stream (see run_lockstep's precondition)."""
     configs[0].require_q()
     return run_lockstep(dataset, configs, seed, Regime.LINF, EGState.initial, gaelr_rows_step, table)
 

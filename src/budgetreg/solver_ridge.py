@@ -23,8 +23,6 @@ __all__ = [
     "default_initial_w",
     "gaerr_step",
     "run_gaerr",
-    "gaerr_rows_step",
-    "run_gaerr_lockstep",
     "aerr_eta",
     "ridge_eta_known_moments",
 ]
@@ -83,7 +81,7 @@ def run_gaerr(dataset, config, seed, table=None):
 
 
 def gaerr_rows_step(state, x, y, config, indices, values, inner):
-    """gaerr_step for every row of a lockstep state (see run_lockstep):
+    """Fixed-step gaerr_step for every row of a lockstep state (see run_lockstep):
     the rows whose phi is nonzero step and are projected, as l2_step
     steps and projects each run."""
     phi = draw_rows(state, state.w, x, y, config, inner, Regime.L2)
@@ -91,12 +89,7 @@ def gaerr_rows_step(state, x, y, config, indices, values, inner):
     if moving.size:
         rows = slice(None) if moving.size == len(phi) else moving
         w = state.w
-        if config.adagrad:
-            g = phi[rows, None] * values
-            w[moving[:, None], indices] -= adagrad_rate(state.accum, (moving[:, None], indices), g,
-                                                        state.eta[rows, None]) * g
-        else:
-            w[moving[:, None], indices] -= (state.eta[rows] * phi[rows])[:, None] * values
+        w[moving[:, None], indices] -= (state.eta[rows] * phi[rows])[:, None] * values
         norms = row_norms(w[rows])
         over = norms > config.b
         if over.any():
@@ -105,7 +98,7 @@ def gaerr_rows_step(state, x, y, config, indices, values, inner):
 
 
 def run_gaerr_lockstep(dataset, configs, seed, table=None):
-    """run_gaerr for each of ``configs`` (one per eta and start), in lockstep on one stream (see run_lockstep)."""
+    """run_gaerr for each of ``configs`` in lockstep on one stream (see run_lockstep's precondition)."""
     configs[0].require_q()
     return run_lockstep(dataset, configs, seed, Regime.L2, RidgeState.initial, gaerr_rows_step, table)
 

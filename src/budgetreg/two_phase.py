@@ -29,7 +29,6 @@ __all__ = [
     "ridge_eta_two_phase",
     "lasso_eta_two_phase",
     "run_two_phase",
-    "run_two_phase_lockstep",
 ]
 
 
@@ -86,15 +85,20 @@ def smoothed_q(a, eps, regime):
     Ridge weights sqrt(A + 13 eps / 6); lasso uses A + 13 eps / 6 as is.
     The result is mixed with a tiny uniform floor, (1 - d f) q + f, so
     zero-count attributes stay reachable under eps = 0; an all-zero table
-    at eps = 0 gives the uniform distribution.
+    at eps = 0 gives the uniform distribution.  A width whose weights sum
+    past the float range is refused.
     """
     a = np.asarray(a, dtype=float)
     if not 0.0 <= eps < math.inf:
         raise ValueError("negative smoothing width" if eps < 0 else f"smoothing width must be finite, got {eps}")
-    shifted = a + 13.0 * eps / 6.0
+    with np.errstate(over="ignore"):
+        shifted = a + 13.0 * eps / 6.0
+        weights = np.sqrt(shifted) if regime == Regime.L2 else shifted
+        if np.add.reduce(weights) == math.inf:
+            raise ValueError(f"smoothing width {eps!r} overflows: the sampling weights of {a.size} attributes "
+                             f"sum past the float range")
     if not np.any(shifted > 0):
         return uniform_distribution(a.size)
-    weights = np.sqrt(shifted) if regime == Regime.L2 else shifted
     q = build_distribution(weights).probabilities
     return AttributeDistribution((1.0 - a.size * _Q_FLOOR) * q + _Q_FLOOR)
 

@@ -331,6 +331,31 @@ def test_experiment_refuses_json_integers_too_large_for_a_float(tmp_path, capsys
     assert not out.exists()
 
 
+@pytest.mark.parametrize("overrides", [
+    dict(algorithms=["2p-ddaerr"], regime="l2", dim=6, epsilon_override=1e308),
+    dict(algorithms=["2p-ddaelr"], regime="linf", dim=50, k=4, epsilon_override=1e307),
+], ids=["l2-13eps-overflows", "linf-sum-overflows"])
+def test_experiment_refuses_an_epsilon_override_whose_sampling_weights_overflow(tmp_path, capsys, overrides):
+    """Inside the float range, yet 13 eps / 6 (ridge) or the sum of the d
+    smoothed weights (lasso) overflows: refused before any run starts,
+    with no numpy warning."""
+    import warnings
+
+    from budgetreg import cli
+
+    config = experiment_config(tmp_path, eta_grid=None, **overrides)
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["experiment", "--config", str(config), "--out-dir", str(out), "--workers", "1"]) == 1
+    err = capsys.readouterr().err
+    eps = repr(overrides["epsilon_override"])
+    assert err.startswith(f"error: epsilon_override: smoothing width {eps} overflows: the sampling weights of "
+                          f"{overrides['dim']} attributes sum past the float range")
+    assert "running" not in err and "Traceback" not in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("value", [0, 1, 2, 3, True, 12.5, "", [], ["train.csv"], {"path": "train.csv"}])
 def test_experiment_refuses_data_that_is_not_a_csv_path_before_reading(tmp_path, capsys, monkeypatch, value):
     from budgetreg import cli, harness

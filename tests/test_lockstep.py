@@ -1,11 +1,13 @@
 """The lockstep pass that cross-validation fits a step-size grid with.
 
 A CV fold trains every step size of the grid on the same fold data and
-the same stream, so ``train_grid`` runs the budgeted algorithms as R
-rows of one pass.  Each row must be bit for bit the ``train_run`` at its
-step size: the weights, the values read, the zero-iterate steps and the
-improved-p fallbacks.  Rows that stop agreeing on a zero iterate are
-rerun one by one through ``train_run``.
+the same stream, so ``train_grid`` runs the fixed-step budgeted
+algorithms as R rows of one pass (AdaGrad's are fit one by one).  Each
+row must be bit for bit the ``train_run`` at its step size: the weights,
+the values read, the zero-iterate steps and the improved-p fallbacks.
+Rows that stop agreeing on a zero iterate are rerun one by one through
+``train_run``.  The rows kernel is internal to ``train_grid``: no module
+exports it.
 """
 
 import numpy as np
@@ -14,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import budgetreg.harness as harness
-from budgetreg import estimator
+from budgetreg import estimator, solver_lasso, solver_ridge, two_phase
 from budgetreg.core import Dataset, Predictor, Regime, RunResult, l2_norm, stream
 from budgetreg.estimator import LockstepBreak, SolverConfig, run_lockstep
 from budgetreg.harness import ALGORITHMS, RunContext, _fold_scores, dataset_moments, train_grid, train_run
@@ -114,6 +116,45 @@ def test_lasso_rows_that_disagree_on_a_zero_iterate_are_rerun_through_train_run(
     assert not np.any(rows[0].predictor.weights)
     assert_same_runs("aelr", train, ctx, etas, (5, 1))
     assert_same_runs("2p-ddaelr", train, ctx, etas, (5, 1))
+
+
+@pytest.mark.parametrize("bit_generator", [np.random.Philox, np.random.MT19937])
+def test_a_lockstep_grid_refuses_a_generator_other_than_pcg64(bit_generator):
+    """The budgeted pass hands unused uniforms back with PCG64's advance,
+    which other generators count differently (Philox) or lack (MT19937):
+    the lockstep refuses them as a single run does."""
+    rng = np.random.default_rng(0)
+    train = Dataset(rng.uniform(-1.0, 1.0, (20, 4)), rng.uniform(-1.0, 1.0, 20), Regime.LINF)
+    ctx = RunContext(regime=Regime.LINF, b=2.0, n_point=2, n_inner=1)
+    name = bit_generator.__name__
+    with pytest.raises(ValueError, match=f"a budgeted pass needs a PCG64 generator, got {name}$"):
+        train_grid("aelr", train, ctx, [0.01, 0.1], np.random.Generator(bit_generator(1)))
+
+
+@pytest.mark.parametrize("algo", ["adagrad-gaerr", "adagrad-gaelr"])
+def test_adagrad_grids_are_fit_one_by_one_through_train_run(monkeypatch, algo):
+    """The rows kernel serves only the fixed-step learners: a budgeted
+    AdaGrad grid makes one train_run per step size."""
+    regime = ALGORITHMS[algo].regime
+    rng = np.random.default_rng(4)
+    train = Dataset(rng.uniform(-0.5, 0.5, (30, 4)), rng.uniform(-1.0, 1.0, 30), regime)
+    ctx = RunContext(regime=regime, b=2.0, n_point=2, n_inner=1)
+    calls = []
+
+    def recorded(algo_id, train, ctx, eta, seed):
+        calls.append(eta)
+        return train_run(algo_id, train, ctx, eta, seed)
+
+    monkeypatch.setattr(harness, "train_run", recorded)
+    train_grid(algo, train, ctx, [0.5, 2.0], (9,))
+    assert calls == [0.5, 2.0]
+
+
+def test_the_rows_kernel_is_exported_by_no_module():
+    rows_api = {"run_lockstep", "draw_rows", "row_norms", "LockstepBreak", "gaerr_rows_step",
+                "run_gaerr_lockstep", "gaelr_rows_step", "run_gaelr_lockstep", "run_two_phase_lockstep"}
+    for module in (estimator, solver_ridge, solver_lasso, two_phase, harness):
+        assert not rows_api & set(module.__all__), module.__name__
 
 
 @pytest.mark.parametrize("fault, message", [

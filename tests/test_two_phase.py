@@ -1,5 +1,7 @@
 import dataclasses
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -121,6 +123,19 @@ def test_smoothed_q_degenerate():
     for eps in (float("nan"), float("inf")):
         with pytest.raises(ValueError, match="smoothing width must be finite"):
             smoothed_q(np.ones(3), eps, Regime.L2)
+
+
+@pytest.mark.parametrize("regime, d, widest", [(Regime.L2, 6, 1.382840872971012e307),
+                                               (Regime.LINF, 50, 1.6594090475652142e306)])
+def test_smoothed_q_refuses_a_width_whose_weights_overflow(regime, d, widest):
+    """The widest width whose weights sum inside the float range still
+    gives the uniform q; the next float up is refused, naming the width."""
+    np.testing.assert_allclose(smoothed_q(np.zeros(d), widest, regime).probabilities, 1.0 / d)
+    wider = math.nextafter(widest, math.inf)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=re.escape(f"smoothing width {wider!r} overflows: the sampling weights of {d} ")):
+            smoothed_q(np.zeros(d), wider, regime)
 
 
 def test_smoothed_q_floor_lifts_zeros():
