@@ -190,13 +190,7 @@ def run_pass(dataset, config, seed, regime, initial_state, step, table=None):
     when given, gets ``table.add(drawn, x)`` for the point draws of every
     example the pass consumed.
     """
-    if len(dataset) == 0:
-        raise ValueError("empty dataset")
-    if dataset.regime is not None and dataset.regime != regime:
-        raise ValueError(f"solver requires {regime.value.capitalize()}-regime data")
-    d = dataset.dimension
-    config.validate(d)
-    state = initial_state(d, config)
+    state, = _initial_states(dataset, [config], regime, initial_state)
     if config.q is None:
         xs, ys = dataset.x, dataset.y
         # targets are listed a block at a time, not one Python float per example of the pass
@@ -208,6 +202,19 @@ def run_pass(dataset, config, seed, regime, initial_state, step, table=None):
         _budgeted_pass(state, dataset.x, dataset.y, config, stream(seed), step, table)
     predictor = Predictor(state.sum_w / state.steps, config.b, regime)
     return RunResult(predictor, state.attributes_consumed, state.zero_weight_steps, p_fallbacks=state.p_fallbacks)
+
+
+def _initial_states(dataset, configs, regime, initial_state):
+    """The set-up of every pass, one run's or a lockstep's: refuse empty
+    data or data of another regime, validate each config, build its state."""
+    if len(dataset) == 0:
+        raise ValueError("empty dataset")
+    if dataset.regime is not None and dataset.regime != regime:
+        raise ValueError(f"solver requires {regime.value.capitalize()}-regime data")
+    d = dataset.dimension
+    for config in configs:
+        config.validate(d)
+    return [initial_state(d, config) for config in configs]
 
 
 def _budgeted_pass(state, xs, ys, config, rng, step, table):
@@ -329,16 +336,13 @@ def run_lockstep(dataset, configs, seed, regime, initial_state, step, table=None
     which is each run's own draw as long as they agree on which steps
     have a zero iterate; ``step`` raises LockstepBreak where they do not.
     """
-    d = dataset.dimension
-    for config in configs:
-        config.validate(d)
-    runs = [initial_state(d, config) for config in configs]
+    runs = _initial_states(dataset, configs, regime, initial_state)
     state = copy.copy(runs[0])
     for name in (f.name for f in fields(state)):
         if isinstance(getattr(state, name), (np.ndarray, float)):
             setattr(state, name, np.array([getattr(run, name) for run in runs]))
     state.eta = np.array([config.eta for config in configs])
-    state.row_starts = np.arange(0, len(configs) * d, d)[:, None]  # flat index of each row's first entry
+    state.row_starts = np.arange(len(configs))[:, None] * dataset.dimension  # flat index of each row's first entry
     state.p_fallbacks = np.zeros(len(configs), dtype=int)
     config = configs[0]
     _budgeted_pass(state, dataset.x, dataset.y, config, stream(seed), step, table)

@@ -19,12 +19,12 @@ import numpy as np
 from .baselines import offline_erm, online_lasso_full, online_ridge_full
 from .core import Regime, check_b, norm, squared_loss, stream, weight_norm
 from .datagen import generate_dataset, power_law_means, random_target_weights
-from .estimator import LockstepBreak, SolverConfig
+from .estimator import LockstepBreak, SolverConfig, run_lockstep
 from .ingest import Scaler, load_csv
 from .sampling import lasso_optimal_q, ridge_optimal_q, uniform_distribution
-from .solver_lasso import aelr_eta, lasso_eta_known_moments, run_gaelr, run_gaelr_lockstep
-from .solver_ridge import aerr_eta, ridge_eta_known_moments, run_gaerr, run_gaerr_lockstep
-from .two_phase import TwoPhaseConfig, run_two_phase, run_two_phase_lockstep, smoothed_q
+from .solver_lasso import EGState, aelr_eta, gaelr_rows_step, lasso_eta_known_moments, run_gaelr
+from .solver_ridge import RidgeState, aerr_eta, gaerr_rows_step, ridge_eta_known_moments, run_gaerr
+from .two_phase import TwoPhaseConfig, phases, run_two_phase, smoothed_q
 
 __all__ = [
     "ALGORITHMS",
@@ -197,24 +197,34 @@ def _solver_config(algo_id, train, ctx, eta):
                         moments=mom if ctx.improved_p else None)
 
 
+# each regime's fixed-step solver in lockstep rows: its state builder and rows step
+_ROWS = {Regime.L2: (RidgeState.initial, gaerr_rows_step), Regime.LINF: (EGState.initial, gaelr_rows_step)}
+
+
 def train_grid(algo_id, train, ctx, etas, key):
-    """train_run at each step size of ``etas`` (numbers, as a CV grid
-    holds), every run on the stream stream(key).
+    """train_run at each step size of ``etas`` (a non-empty list of
+    numbers, as a CV grid holds), every run on a fresh stream(key).
 
     The fixed-step budgeted kinds make all of them in one lockstep pass
-    (estimator.run_lockstep; its configs, built from ctx, differ only in
-    eta and start), bit for bit the train_run results.  The AdaGrad and
+    (estimator.run_lockstep, per phase for two_phase.phases), bit for bit
+    the train_run results, refusals included.  The AdaGrad and
     full-information kinds, and a grid whose rows stop agreeing on a zero
     iterate (LockstepBreak), are run one by one through train_run.
     """
     regime = algorithm_regime(algo_id, ctx.regime)
     spec = ALGORITHMS[algo_id]
+    if len(etas) == 0:
+        raise ValueError(f"{algo_id}: empty step-size grid, no run to make")
+    if isinstance(key, np.random.Generator):  # one generator is one stream, which the first run would use up
+        raise ValueError("train_grid needs a seed key, not a Generator: every step size starts from the same stream")
     if spec.budgeted and not spec.adagrad:
+        def solve(dataset, configs, rng, table=None):
+            return run_lockstep(dataset, configs, rng, regime, *_ROWS[regime], table)
+
         try:
             if spec.kind == "two_phase":
                 m1 = _phase1_size(len(train), ctx.m1_fraction)
-                return run_two_phase_lockstep(train, TwoPhaseConfig(m1, len(train) - m1, ctx), etas, stream(key))
-            solve = run_gaerr_lockstep if regime == Regime.L2 else run_gaelr_lockstep
+                return phases(train, TwoPhaseConfig(m1, len(train) - m1, ctx), stream(key), etas, solve)
             return solve(train, [_solver_config(algo_id, train, ctx, eta) for eta in etas], stream(key))
         except LockstepBreak:
             pass

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import Regime, check_step_inputs, float_vector
-from .estimator import PassState, adagrad_rate, draw_rows, draw_step, run_lockstep, run_pass
+from .estimator import PassState, adagrad_rate, draw_rows, draw_step, run_pass
 
 __all__ = [
     "EGState",
@@ -163,12 +163,6 @@ def gaelr_rows_step(state, x, y, config, indices, values, inner):
                 peak[big] = 1.0
             peaks[check] = peak
     return state
-
-
-def run_gaelr_lockstep(dataset, configs, seed, table=None):
-    """run_gaelr for each of ``configs`` in lockstep on one stream (see run_lockstep's precondition)."""
-    configs[0].require_q()
-    return run_lockstep(dataset, configs, seed, Regime.LINF, EGState.initial, gaelr_rows_step, table)
 
 
 def aelr_eta(m, k, d, b):

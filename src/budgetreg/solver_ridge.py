@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Regime, check_step_inputs, l2_norm
-from .estimator import PassState, adagrad_rate, draw_rows, draw_step, row_norms, run_lockstep, run_pass
+from .estimator import PassState, adagrad_rate, draw_rows, draw_step, row_norms, run_pass
 
 __all__ = [
     "RidgeState",
@@ -95,12 +95,6 @@ def gaerr_rows_step(state, x, y, config, indices, values, inner):
         if over.any():
             w[moving[over]] *= (config.b / norms[over])[:, None]
     return state
-
-
-def run_gaerr_lockstep(dataset, configs, seed, table=None):
-    """run_gaerr for each of ``configs`` in lockstep on one stream (see run_lockstep's precondition)."""
-    configs[0].require_q()
-    return run_lockstep(dataset, configs, seed, Regime.L2, RidgeState.initial, gaerr_rows_step, table)
 
 
 def aerr_eta(m, k, d, b):

@@ -17,8 +17,8 @@ import numpy as np
 from .core import Regime, RunResult, check_step_inputs, norm, stream
 from .estimator import SolverConfig
 from .sampling import AttributeDistribution, build_distribution, uniform_distribution
-from .solver_lasso import aelr_eta, run_gaelr, run_gaelr_lockstep
-from .solver_ridge import aerr_eta, run_gaerr, run_gaerr_lockstep
+from .solver_lasso import aelr_eta, run_gaelr
+from .solver_ridge import aerr_eta, run_gaerr
 
 __all__ = [
     "MomentTable",
@@ -162,22 +162,14 @@ def run_two_phase(dataset, config, seed):
     def solve(dataset, configs, rng, table=None):
         return [(run_gaerr if ridge else run_gaelr)(dataset, configs[0], rng, table)]
 
-    return _phases(dataset, config, seed, [config.eta], solve)[0]
+    return phases(dataset, config, seed, [config.eta], solve)[0]
 
 
-def run_two_phase_lockstep(dataset, config, etas, seed):
-    """run_two_phase at each step size of ``etas`` (not config.eta), the
-    runs in lockstep on one stream (see estimator.run_lockstep): phase 1
-    runs at each row's eta and its point draws, which the rows share, fill
-    one moment table, so phase 2 shares q and the moments too."""
-    solve = run_gaerr_lockstep if config.ctx.regime == Regime.L2 else run_gaelr_lockstep
-    return _phases(dataset, config, seed, etas, solve)
-
-
-def _phases(dataset, config, seed, etas, solve):
+def phases(dataset, config, seed, etas, solve):
     """The two phases of a run at each of ``etas`` (None: the phase-specific
     rates); ``solve(dataset, configs, rng, table=None)`` runs one pass per
-    config, on one generator, and returns their RunResults."""
+    config, on one generator, and returns their RunResults.  In lockstep
+    (harness.train_grid) the rows share phase 1's point draws: one table."""
     config.validate()
     ctx = config.ctx
     m1, m2, b, k, regime = config.m1, config.m2, ctx.b, ctx.n_point, ctx.regime

@@ -7,8 +7,11 @@ row must be bit for bit the ``train_run`` at its step size: the weights,
 the values read, the zero-iterate steps and the improved-p fallbacks.
 Rows that stop agreeing on a zero iterate are rerun one by one through
 ``train_run``.  The rows kernel is internal to ``train_grid``: no module
-exports it.
+exports it.  ``train_grid`` refuses what ``train_run`` refuses, and an
+empty grid or a Generator key.
 """
+
+import re
 
 import numpy as np
 import pytest
@@ -21,7 +24,7 @@ from budgetreg.core import Dataset, Predictor, Regime, RunResult, l2_norm, strea
 from budgetreg.estimator import LockstepBreak, SolverConfig, run_lockstep
 from budgetreg.harness import ALGORITHMS, RunContext, _fold_scores, dataset_moments, train_grid, train_run
 from budgetreg.sampling import uniform_distribution
-from budgetreg.solver_lasso import _RENORM_THRESHOLD, EGState, gaelr_rows_step, run_gaelr_lockstep
+from budgetreg.solver_lasso import _RENORM_THRESHOLD, EGState, gaelr_rows_step
 
 BUDGETED = sorted(a for a, spec in ALGORITHMS.items() if spec.budgeted)
 
@@ -102,7 +105,7 @@ def test_lasso_rows_that_disagree_on_a_zero_iterate_are_rerun_through_train_run(
     for algo in ("aelr", "ddaelr"):
         configs = [harness._solver_config(algo, train, ctx, eta) for eta in etas]
         with pytest.raises(LockstepBreak):
-            run_gaelr_lockstep(train, configs, stream((5, 1)))
+            run_lockstep(train, configs, stream((5, 1)), Regime.LINF, EGState.initial, gaelr_rows_step)
     reruns = []
 
     def recorded(algo_id, train, ctx, eta, seed):
@@ -126,9 +129,53 @@ def test_a_lockstep_grid_refuses_a_generator_other_than_pcg64(bit_generator):
     rng = np.random.default_rng(0)
     train = Dataset(rng.uniform(-1.0, 1.0, (20, 4)), rng.uniform(-1.0, 1.0, 20), Regime.LINF)
     ctx = RunContext(regime=Regime.LINF, b=2.0, n_point=2, n_inner=1)
+    configs = [harness._solver_config("aelr", train, ctx, eta) for eta in (0.01, 0.1)]
     name = bit_generator.__name__
     with pytest.raises(ValueError, match=f"a budgeted pass needs a PCG64 generator, got {name}$"):
-        train_grid("aelr", train, ctx, [0.01, 0.1], np.random.Generator(bit_generator(1)))
+        run_lockstep(train, configs, np.random.Generator(bit_generator(1)), Regime.LINF, EGState.initial,
+                     gaelr_rows_step)
+
+
+@pytest.mark.parametrize("data", ["other regime", "empty"])
+@pytest.mark.parametrize("algo", ["aerr", "ddaerr", "2p-ddaerr", "aelr", "ddaelr", "2p-ddaelr", "ogd-full"])
+def test_a_grid_refuses_what_train_run_refuses(algo, data):
+    """Data of the other regime, and an empty dataset, are refused by the
+    lockstep with train_run's message, before any step."""
+    regime = ALGORITHMS[algo].regime
+    other = Regime.LINF if regime == Regime.L2 else Regime.L2
+    rng = np.random.default_rng(6)
+    m, data_regime = (0, regime) if data == "empty" else (20, other)
+    train = Dataset(rng.uniform(-0.5, 0.5, (m, 3)), rng.uniform(-1.0, 1.0, m), data_regime)
+    ctx = RunContext(regime=regime, b=2.0, n_point=2, n_inner=1, moments=np.full(3, 0.1))
+    with pytest.raises(ValueError) as single:
+        train_run(algo, train, ctx, 0.1, stream((8,)))
+    with pytest.raises(ValueError, match=f"^{re.escape(str(single.value))}$"):
+        train_grid(algo, train, ctx, [0.1, 0.3], (8,))
+
+
+@pytest.mark.parametrize("algo", sorted(ALGORITHMS))
+def test_an_empty_grid_is_refused_for_every_kind(monkeypatch, algo):
+    regime = ALGORITHMS[algo].regime or Regime.L2
+    rng = np.random.default_rng(7)
+    train = Dataset(rng.uniform(-0.5, 0.5, (20, 3)), rng.uniform(-1.0, 1.0, 20), regime)
+    ctx = RunContext(regime=regime, b=2.0, n_point=2, n_inner=1, moments=dataset_moments(train))
+    monkeypatch.setattr(harness, "train_run", None)  # no run may start
+    with pytest.raises(ValueError, match=f"^{algo}: empty step-size grid, no run to make$"):
+        train_grid(algo, train, ctx, [], (1,))
+
+
+@pytest.mark.parametrize("algo", ["aelr", "2p-ddaelr", "adagrad-gaelr", "eg-full"])
+def test_a_grid_refuses_a_generator_key(algo):
+    """Each step size must start from the same stream, which a Generator,
+    consumed by the first run, is not: it is refused before any draw."""
+    rng = np.random.default_rng(5)
+    train = Dataset(rng.uniform(-1.0, 1.0, (40, 6)), rng.uniform(-1.0, 1.0, 40), Regime.LINF)
+    ctx = RunContext(regime=Regime.LINF, b=2.0, n_point=2, n_inner=1, moments=dataset_moments(train))
+    key = np.random.default_rng(5)
+    before = key.bit_generator.state
+    with pytest.raises(ValueError, match="every step size starts from the same stream"):
+        train_grid(algo, train, ctx, [1e-300, 0.1, 0.3], key)
+    assert key.bit_generator.state == before
 
 
 @pytest.mark.parametrize("algo", ["adagrad-gaerr", "adagrad-gaelr"])
@@ -151,8 +198,8 @@ def test_adagrad_grids_are_fit_one_by_one_through_train_run(monkeypatch, algo):
 
 
 def test_the_rows_kernel_is_exported_by_no_module():
-    rows_api = {"run_lockstep", "draw_rows", "row_norms", "LockstepBreak", "gaerr_rows_step",
-                "run_gaerr_lockstep", "gaelr_rows_step", "run_gaelr_lockstep", "run_two_phase_lockstep"}
+    rows_api = {"run_lockstep", "draw_rows", "row_norms", "LockstepBreak", "gaerr_rows_step", "gaelr_rows_step",
+                "phases"}
     for module in (estimator, solver_ridge, solver_lasso, two_phase, harness):
         assert not rows_api & set(module.__all__), module.__name__
 
