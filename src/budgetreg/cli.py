@@ -155,10 +155,10 @@ def _cmd_experiment(args):
         problem = "is not a directory" if args.force else "exists (use --force to overwrite)"
         raise ValueError(f"output directory {out_dir} {problem}")
 
-    cells = len(config.algorithms) * len(config.prefixes) * config.repeats
+    runs = len(config.algorithms) * len(config.prefixes) * config.repeats
     start = time.time()
-    result = run_experiment(config, workers, on_start=lambda: print(f"running {cells} cells on {workers} worker(s)",
-                                                                   file=sys.stderr))
+    result = run_experiment(config, workers, on_start=lambda pool: print(f"running {runs} runs on {pool} worker(s)",
+                                                                       file=sys.stderr))
     print(f"finished in {time.time() - start:.1f}s", file=sys.stderr)
     out_dir.mkdir(parents=True, exist_ok=True)  # only now: a refused run leaves no directory behind
     for stale in out_dir.glob("curve_*.csv"):  # a previous run's, under --force

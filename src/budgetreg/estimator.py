@@ -13,8 +13,9 @@ draw of phi per step, one step rule (fixed eta or AdaGrad), and one
 single-pass loop.  Only the geometry of the update is theirs.
 
 ``run_lockstep``, internal to ``harness.train_grid``, runs R fixed-step
-passes at once, passes that differ only in their step size and start:
-the rows of an (R, d) state share each block's uniforms and point
+passes at once as the rows of an (R, d) state: the passes of F folds,
+each fold on its own examples and its own stream, at the step sizes and
+starts of its rows.  The rows of a fold share its uniforms and point
 estimates, and every per-step numpy call serves all R rows.
 """
 
@@ -120,15 +121,22 @@ def estimate_point(x, q, draws):
     drawn.sort(axis=1)
     k = drawn.shape[1]
     flat = drawn.ravel()
-    first = np.empty(flat.size, dtype=bool)  # first of a run of equal indices in its row
-    np.not_equal(flat[1:], flat[:-1], out=first[1:])
-    first[::k] = True
-    keep = first.nonzero()[0]
+    keep = _run_starts(drawn).nonzero()[0]
     counts = np.concatenate((keep[1:], [flat.size])) - keep
     indices = flat[keep]
     values = counts * x[keep // k, indices] / (k * q.probabilities[indices])
     bounds = keep.searchsorted(np.arange(0, flat.size + 1, k))
     return drawn, indices, values, bounds
+
+
+def _run_starts(drawn):
+    """For each entry of the sorted rows of ``drawn``, flattened: whether it
+    starts a run of equal indices in its row."""
+    flat = drawn.ravel()
+    first = np.empty(flat.size, dtype=bool)
+    np.not_equal(flat[1:], flat[:-1], out=first[1:])
+    first[::drawn.shape[1]] = True
+    return first
 
 
 def estimate_phi(x, y, w, p, draws):
@@ -199,7 +207,8 @@ def run_pass(dataset, config, seed, regime, initial_state, step, table=None):
             for x, y in zip(xs[start:stop], ys[start:stop].tolist()):
                 step(state, x, y, config)
     else:
-        _budgeted_pass(state, dataset.x, dataset.y, config, stream(seed), step, table)
+        _budgeted_pass(state, dataset.x, dataset.y, None, [config], [stream(seed)], step,
+                       None if table is None else [table])
     predictor = Predictor(state.sum_w / state.steps, config.b, regime)
     return RunResult(predictor, state.attributes_consumed, state.zero_weight_steps, p_fallbacks=state.p_fallbacks)
 
@@ -217,74 +226,119 @@ def _initial_states(dataset, configs, regime, initial_state):
     return [initial_state(d, config) for config in configs]
 
 
-def _budgeted_pass(state, xs, ys, config, rng, step, table):
-    """Steps over xs, drawing each block's uniforms at once.
+class LockstepBreak(Exception):
+    """The rows of a lockstep pass stopped agreeing on which steps have a
+    zero iterate (or on a p that can be built), so they no longer read
+    their streams alike; each run has to be made on its own."""
 
-    Example t reads its n_point point uniforms and then, unless its
-    iterate is zero, its n_inner inner-product uniforms from the stream.
-    A block lays n_point + n_inner uniforms per example, row-major, which
+
+def _budgeted_pass(state, xs, ys, orders, configs, rngs, step, tables, fold_of_row=None):
+    """Steps over the examples of F = len(rngs) folds in lockstep, drawing
+    each block's uniforms at once: fold f reads the examples orders[f] of
+    (xs, ys) in that order (``orders`` None: all of them, F = 1), samples
+    its point estimates by configs[f].q, draws from rngs[f] and, when
+    ``tables`` is given, tables its point draws in tables[f].
+
+    On each stream, example t reads its n_point point uniforms and then,
+    unless its iterate is zero, its n_inner inner-product uniforms.  A
+    block lays n_point + n_inner uniforms per example, row-major, which
     is that order exactly as long as no step has a zero iterate.  A
     zero-iterate step ends its block, and the uniforms the pass did not
-    use are handed back with ``advance``, so the generator ends where a
+    use are handed back with ``advance``, so each generator ends where a
     per-step draw would leave it.  A zero-iterate step that cannot move
     the iterate (y = 0, or every point value is 0) leaves it zero for the
     next example, so the next block lays n_point uniforms per example and
-    ends at the first example that can move it.
+    ends at the first example that can move it.  The folds step together,
+    so they must agree on which steps have a zero iterate (the rows step
+    raises LockstepBreak where they do not) and on which zero steps leave
+    it zero (LockstepBreak here).
+
+    With ``fold_of_row`` None the pass is one run's: step(state, x, y,
+    config, indices, values, inner) takes one example, estimate_point's
+    indices and values for it, and its inner uniforms.  Otherwise row r
+    of the (R, d) state is a run of fold fold_of_row[r]: ``x`` holds the
+    folds' examples (F, d), and y, indices, values and inner one row per
+    state row, ``indices`` the flat state index of each of the row's k
+    sorted point draws, repeats kept, and ``values`` the merged estimate
+    at each, so that a repeat writes its index the same value twice.
     """
-    if not isinstance(rng.bit_generator, np.random.PCG64):  # only PCG64's advance steps back one double each
-        raise ValueError(f"a budgeted pass needs a PCG64 generator, got {type(rng.bit_generator).__name__}")
-    k, n_inner = config.n_point, config.n_inner
-    m = len(ys)
+    for rng in rngs:
+        if not isinstance(rng.bit_generator, np.random.PCG64):  # only PCG64's advance steps back one double each
+            raise ValueError(f"a budgeted pass needs a PCG64 generator, got {type(rng.bit_generator).__name__}")
+    k, n_inner = configs[0].n_point, configs[0].n_inner
+    m = len(ys) if orders is None else orders.shape[1]
+    span = max(1, _BLOCK_ROWS // len(rngs))  # examples of each fold in a block
     start, zero_run = 0, False
     while start < m:
-        stop = min(start + _BLOCK_ROWS, m)
+        stop = min(start + span, m)
         width = k if zero_run else k + n_inner
-        u = rng.random((stop - start) * width).reshape(stop - start, width)
-        x_block, y_block = xs[start:stop], ys[start:stop]
-        drawn, indices, values, bounds = estimate_point(x_block, config.q, u[:, :k])
-        rows = len(u)
-        if zero_run:  # the iterate stays zero up to the first example that can move it
-            moves = np.logical_or.reduceat(values != 0, bounds[:-1]) & (y_block != 0)
-            rows = int(moves.argmax()) + 1 if moves.any() else rows
-        bounds = bounds.tolist()
+        picks = [slice(start, stop)] if orders is None else orders[:, start:stop]
+        xb, yb = [xs[i] for i in picks], [ys[i] for i in picks]
+        u = [rng.random((stop - start) * width).reshape(stop - start, width) for rng in rngs]
+        points = [estimate_point(x, config.q, draws[:, :k]) for x, config, draws in zip(xb, configs, u)]
+        rows = stop - start
+        if zero_run:  # the iterates stay zero up to the first example that can move one
+            movers = np.logical_or.reduce(_movers(points, yb))
+            rows = int(movers.argmax()) + 1 if movers.any() else rows
+        if fold_of_row is None:
+            (_, point_at, point_values, bounds), = points
+            bounds = bounds.tolist()
+            examples = ((x, y, point_at[lo:hi], point_values[lo:hi], inner) for x, y, lo, hi, inner
+                        in zip(xb[0][:rows], yb[0].tolist(), bounds, bounds[1:], u[0][:, k:]))
+        else:  # each row gets its fold's example, draws and uniforms
+            def per_row(arrays):  # (rows, R, ...): state row r's entry from its fold's array
+                return np.array(arrays)[fold_of_row, :rows].swapaxes(0, 1)
+
+            merged = [estimate[np.cumsum(_run_starts(drawn)) - 1].reshape(drawn.shape)
+                      for drawn, _, estimate, _ in points]
+            at = per_row([point[0] for point in points]) + np.arange(len(fold_of_row))[:, None] * xs.shape[1]
+            examples = zip(np.stack(xb, axis=1)[:rows], per_row(yb), at, per_row(merged),
+                           per_row([draws[:, k:] for draws in u]))
         zero_steps = state.zero_weight_steps
-        examples = zip(x_block[:rows], y_block.tolist(), bounds, bounds[1:], u[:, k:])
-        for used, (x, y, lo, hi, inner) in enumerate(examples, start=1):
-            step(state, x, y, config, indices[lo:hi], values[lo:hi], inner)
+        for used, (x, y, indices, values, inner) in enumerate(examples, start=1):
+            step(state, x, y, configs[0], indices, values, inner)
             if state.zero_weight_steps != zero_steps and not zero_run:
                 break
         zero = state.zero_weight_steps != zero_steps
-        unused = (len(u) - used) * width + (n_inner if zero and not zero_run else 0)
+        unused = (stop - start - used) * width + (n_inner if zero and not zero_run else 0)
         if unused:
-            rng.bit_generator.advance(-unused)
-        if table is not None:
-            table.add(drawn[:used], x_block[:used])
+            for rng in rngs:
+                rng.bit_generator.advance(-unused)
+        if tables is not None:
+            for table, x, point in zip(tables, xb, points):
+                table.add(point[0][:used], x[:used])
         start += used
-        zero_run = zero and (y == 0 or not values[lo:hi].any())
+        stuck = {not moves[used - 1] for moves in _movers(points, yb)} if zero else {False}
+        if len(stuck) > 1:  # one fold's iterate stays zero while another's may move
+            raise LockstepBreak
+        zero_run, = stuck
 
 
-class LockstepBreak(Exception):
-    """The rows of a lockstep pass stopped agreeing on which steps have a
-    zero iterate (or on a p that can be built), so they no longer read one
-    stream alike; each run has to be made on its own."""
+def _movers(points, yb):
+    """Per fold, the examples of a block that can move a zero iterate:
+    y != 0 and a nonzero point value."""
+    return [np.logical_or.reduceat(values != 0, bounds[:-1]) & (y != 0)
+            for (_, _, values, bounds), y in zip(points, yb)]
 
 
 def draw_rows(state, w, x, y, config, inner, regime):
     """draw_step for the R runs of a lockstep pass, one row of ``w`` each;
     returns phi, one per row.
 
-    Every row builds its own p from its own iterate (the improved-p
-    fallback is decided per row) and resolves the shared uniforms
-    ``inner`` against it, with the operations of the one-run step applied
-    row-wise, so each row's phi has the bits of that run's.  The rows
-    must agree on a zero iterate: all of them or none.
+    Row r steps on its fold's example, row state.fold_starts[r] // d of
+    ``x`` (F, d), with its own target y[r] and uniforms inner[r].  Every
+    row builds its own p from its own iterate (the improved-p fallback is
+    decided per row) and resolves its uniforms against it, with the
+    operations of the one-run step applied row-wise, so each row's phi
+    has the bits of that run's.  The rows must agree on a zero iterate:
+    all of them or none.
     """
     state.charge(w, config)
-    if config.root_moments is None:
+    if state.root_moments is None:
         weights = w * w if regime is Regime.L2 else np.abs(w)
     else:
         weights = np.abs(w)
-        weights *= config.root_moments
+        weights *= state.root_moments
         if np.count_nonzero(weights) != np.count_nonzero(w):  # some row falls back to the standard p
             fallback = ((weights == 0) & (w != 0)).any(axis=1)
             weights = np.where(fallback[:, None], w * w if regime is Regime.L2 else np.abs(w), weights)
@@ -294,11 +348,11 @@ def draw_rows(state, w, x, y, config, inner, regime):
         if np.count_nonzero(w):
             raise LockstepBreak
         state.zero_weight_steps += 1
-        return np.full(len(w), -float(y))
+        return -y
     p = weights / total
     c = np.add.accumulate(p, axis=1)
     # searchsorted(c, u, side="right") per row and draw: the first entry above u
-    above = c[:, None, :] > inner[:, None]
+    above = c[:, None, :] > inner[:, :, None]
     j = above.argmax(axis=2)
     found = above[:, :, -1]
     if not found.all():  # past a total that rounds below 1: the last index with mass
@@ -306,7 +360,7 @@ def draw_rows(state, w, x, y, config, inner, regime):
             raise LockstepBreak
         j = np.where(found, j, np.count_nonzero(c < c[:, -1:], axis=1)[:, None])
     flat = j + state.row_starts
-    terms = w.take(flat) / p.take(flat) * x.take(j)
+    terms = w.take(flat) / p.take(flat) * x.take(j + state.fold_starts)
     # add.reduce starts at +0.0 and adds fewer than 8 terms left to right (pairwise from 8 on), as estimate_phi
     return np.add.reduce(terms, axis=1) / j.shape[1] - y
 
@@ -321,31 +375,40 @@ def row_norms(w):
     return norms
 
 
-def run_lockstep(dataset, configs, seed, regime, initial_state, step, table=None):
-    """run_pass for R = len(configs) runs in lockstep on the one stream of
-    ``seed``; returns their RunResults, bit for bit those of run_pass.
+def run_lockstep(dataset, configs, seeds, regime, initial_state, step, tables=None, orders=None):
+    """run_pass for the R = len(configs) runs of F = len(seeds) folds in
+    lockstep, fold-major: the R / F runs of fold f train on the examples
+    orders[f] of the dataset (``orders`` None: all of them, F = 1) on the
+    one stream of seeds[f], and tables[f], when given, tables that fold's
+    point draws.  Returns their RunResults, bit for bit those of run_pass.
 
     Precondition, which harness.train_grid meets by building every config
     from one RunContext: the configs are fixed-step (not AdaGrad) and
-    differ only in eta and initial_w.  Every row runs with the first
-    config's b, q, draw split and moments, unchecked.  Each run's state from
-    ``initial_state`` becomes a row of one state whose arrays (and
-    floats) are stacked, with the step sizes in ``state.eta``; ``step``
-    updates all rows at once.  A row that draws phi = 0 skips its whole
-    update.  The rows share each block's uniforms and point estimates,
-    which is each run's own draw as long as they agree on which steps
-    have a zero iterate; ``step`` raises LockstepBreak where they do not.
+    share b and the draw split; the runs of a fold differ only in eta and
+    initial_w, and sample by their fold's first q and moments, unchecked.
+    Each run's state from ``initial_state`` becomes a row of one state
+    whose arrays (and floats) are stacked, with the step sizes in
+    ``state.eta``; ``step`` updates all rows at once.  A row that draws
+    phi = 0 skips its whole update.  The rows of a fold share its
+    uniforms and point estimates, which is each run's own draw as long as
+    they agree on which steps have a zero iterate, and the folds step
+    together: LockstepBreak is raised where the rows do not agree.
     """
     runs = _initial_states(dataset, configs, regime, initial_state)
     state = copy.copy(runs[0])
     for name in (f.name for f in fields(state)):
         if isinstance(getattr(state, name), (np.ndarray, float)):
             setattr(state, name, np.array([getattr(run, name) for run in runs]))
+    per_fold = len(configs) // len(seeds)
+    fold = np.arange(len(configs)) // per_fold
     state.eta = np.array([config.eta for config in configs])
     state.row_starts = np.arange(len(configs))[:, None] * dataset.dimension  # flat index of each row's first entry
+    state.fold_starts = fold[:, None] * dataset.dimension  # flat index of its fold's example in a step's x
+    state.root_moments = None if configs[0].root_moments is None else np.array([c.root_moments for c in configs])
     state.p_fallbacks = np.zeros(len(configs), dtype=int)
+    _budgeted_pass(state, dataset.x, dataset.y, orders, configs[::per_fold], [stream(seed) for seed in seeds],
+                   step, tables, fold)
     config = configs[0]
-    _budgeted_pass(state, dataset.x, dataset.y, config, stream(seed), step, table)
     return [RunResult(Predictor(sum_w / state.steps, config.b, regime), state.attributes_consumed,
                       state.zero_weight_steps, p_fallbacks=int(fallbacks))
             for sum_w, fallbacks in zip(state.sum_w, state.p_fallbacks)]

@@ -12,7 +12,7 @@ import contextlib
 import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -199,64 +199,101 @@ def _solver_config(algo_id, train, ctx, eta):
 
 # each regime's fixed-step solver in lockstep rows: its state builder and rows step
 _ROWS = {Regime.L2: (RidgeState.initial, gaerr_rows_step), Regime.LINF: (EGState.initial, gaelr_rows_step)}
+# the regime whose CV folds share lockstep passes: a lasso pass starts at a zero iterate, and each fold's zero
+# run ends on its own fold's example, where the folds' lockstep would break
+_FOLDS_SHARE_PASSES = Regime.L2
 
 
-def train_grid(algo_id, train, ctx, etas, key):
+def train_grid(algo_id, train, ctx, etas, key, orders=None):
     """train_run at each step size of ``etas`` (a non-empty list of
-    numbers, as a CV grid holds), every run on a fresh stream(key).
+    numbers, as a CV grid holds), every run on a fresh stream(key).  With
+    ``orders``, F index arrays of one length into ``train``, and F keys
+    in ``key``: those runs for each of F folds, fold-major, fold f's on
+    train.subset(orders[f]) and stream(key[f]).
 
     The fixed-step budgeted kinds make all of them in one lockstep pass
     (estimator.run_lockstep, per phase for two_phase.phases), bit for bit
-    the train_run results, refusals included.  The AdaGrad and
-    full-information kinds, and a grid whose rows stop agreeing on a zero
-    iterate (LockstepBreak), are run one by one through train_run.
+    the train_run results, refusals included.  Where the rows of a pass
+    stop agreeing on a zero iterate (LockstepBreak), its folds are fit
+    one pass each, and a lone fold's runs one by one through train_run,
+    as are the AdaGrad and full-information kinds.
     """
     regime = algorithm_regime(algo_id, ctx.regime)
-    spec = ALGORITHMS[algo_id]
     if len(etas) == 0:
         raise ValueError(f"{algo_id}: empty step-size grid, no run to make")
-    if isinstance(key, np.random.Generator):  # one generator is one stream, which the first run would use up
+    keys = [key] if orders is None else list(key)
+    if any(isinstance(k, np.random.Generator) for k in keys):  # one generator is one stream, used up by one run
         raise ValueError("train_grid needs a seed key, not a Generator: every step size starts from the same stream")
-    if spec.budgeted and not spec.adagrad:
-        def solve(dataset, configs, rng, table=None):
-            return run_lockstep(dataset, configs, rng, regime, *_ROWS[regime], table)
+    if orders is not None and len(orders) != len(keys):
+        raise ValueError(f"train_grid needs one key per fold, got {len(keys)} for {len(orders)} folds")
+    return _grid(algo_id, regime, train, ctx, etas, keys, None if orders is None else np.asarray(orders))
 
+
+def _grid(algo_id, regime, train, ctx, etas, keys, orders):
+    """train_grid past its refusals, ``keys`` holding one key per fold;
+    folds are fit together in _FOLDS_SHARE_PASSES only."""
+    spec = ALGORITHMS[algo_id]
+    if spec.budgeted and not spec.adagrad and (len(keys) == 1 or regime is _FOLDS_SHARE_PASSES):
         try:
-            if spec.kind == "two_phase":
-                m1 = _phase1_size(len(train), ctx.m1_fraction)
-                return phases(train, TwoPhaseConfig(m1, len(train) - m1, ctx), stream(key), etas, solve)
-            return solve(train, [_solver_config(algo_id, train, ctx, eta) for eta in etas], stream(key))
+            return _lockstep(algo_id, regime, train, ctx, etas, keys, orders)
         except LockstepBreak:
             pass
-    return [train_run(algo_id, train, ctx, eta, stream(key)) for eta in etas]
+    if len(keys) > 1:
+        return [run for f in range(len(keys)) for run in _grid(algo_id, regime, train, ctx, etas, keys[f:f + 1],
+                                                              orders[f:f + 1])]
+    fold = train if orders is None else train.subset(orders[0])
+    return [train_run(algo_id, fold, ctx, eta, stream(keys[0])) for eta in etas]
 
 
-def _fold_scores(dataset, blocks, f, algorithm, ctx, eta_grid, key):
-    """Validation relative losses of the fold-f runs at every eta of the
-    grid, ``blocks`` being the folds' validation indices, split from the
-    first n >= folds examples by the (key, _TAG_CV_SPLIT) stream alone;
-    None for each when the fold's validation targets are all zero (the
-    fold is skipped).
+def _lockstep(algo_id, regime, train, ctx, etas, keys, orders):
+    """The runs of _grid in one lockstep pass (per phase for two-phase)
+    of a fixed-step budgeted kind; LockstepBreak where its rows break."""
+    def solve(dataset, orders, configs, rngs, tables=None):
+        return run_lockstep(dataset, configs, rngs, regime, *_ROWS[regime], tables, orders)
+
+    if ALGORITHMS[algo_id].kind == "two_phase":
+        m = len(train) if orders is None else orders.shape[1]
+        m1 = _phase1_size(m, ctx.m1_fraction)
+        return phases(train, TwoPhaseConfig(m1, m - m1, ctx), keys, etas, solve, orders)
+    config = _solver_config(algo_id, train, ctx, etas[0])
+    return solve(train, orders, [replace(config, eta=eta) for _ in keys for eta in etas], keys)
+
+
+def _fold_scores(dataset, blocks, folds, algorithm, ctx, eta_grid, key):
+    """Validation relative losses of each fold f of ``folds`` at every eta
+    of the grid, ``blocks`` being the folds' validation indices, split
+    from the first n >= folds examples by the (key, _TAG_CV_SPLIT) stream
+    alone; None for each when the fold's validation targets are all zero
+    (the fold is skipped).
 
     Fold data and fold run streams depend only on (key, fold), never on
-    eta, so the whole grid is one train_grid call and duplicated grid
-    entries score identically.  Each fit is checked as it is made: it must
-    read exactly its budget, and its predictor must be valid.
+    eta, so the grids of the folds of one training length are one
+    train_grid call and duplicated grid entries score identically.  Each
+    fit is checked in its task: it must read exactly its budget, and its
+    predictor must be valid.
     """
-    val = dataset.subset(blocks[f])
-    if not np.any(val.y != 0):
-        return [None] * len(eta_grid)
-    train = dataset.subset(np.concatenate([b for g, b in enumerate(blocks) if g != f]))
-    results = train_grid(algorithm, train, ctx, eta_grid, (*key, _TAG_CV_RUN, f))
-    per_example = ctx.n_point + ctx.n_inner if ALGORITHMS[algorithm].budgeted else train.dimension
-    for eta, result in zip(eta_grid, results):
-        try:
-            if result.attributes_consumed != len(train) * per_example:
-                raise ValueError(f"read {result.attributes_consumed} values, expected {len(train) * per_example}")
-            result.predictor.validate()
-        except ValueError as exc:
-            raise ValueError(f"{algorithm} at eta {eta}, fold {f}: {exc}") from None
-    return [relative_loss(result.predictor, val) for result in results]
+    scores = {f: [None] * len(eta_grid) for f in folds}
+    by_length = {}
+    for f in folds:
+        if np.any(dataset.y[blocks[f]] != 0):
+            order = np.concatenate([b for g, b in enumerate(blocks) if g != f])
+            by_length.setdefault(len(order), []).append((f, order))
+    per_example = ctx.n_point + ctx.n_inner if ALGORITHMS[algorithm].budgeted else dataset.dimension
+    for m, group in by_length.items():
+        results = iter(train_grid(algorithm, dataset, ctx, eta_grid, [(*key, _TAG_CV_RUN, f) for f, _ in group],
+                                  np.array([order for _, order in group])))
+        for f, _ in group:
+            fits = [next(results) for _ in eta_grid]
+            for eta, result in zip(eta_grid, fits):
+                try:
+                    if result.attributes_consumed != m * per_example:
+                        raise ValueError(f"read {result.attributes_consumed} values, expected {m * per_example}")
+                    result.predictor.validate()
+                except ValueError as exc:
+                    raise ValueError(f"{algorithm} at eta {eta}, fold {f}: {exc}") from None
+            val = dataset.subset(blocks[f])
+            scores[f] = [relative_loss(result.predictor, val) for result in fits]
+    return [scores[f] for f in folds]
 
 
 def _pick_eta(eta_grid, scores):
@@ -466,14 +503,15 @@ def _init_worker(payload):
 
 
 def _run_task(task):
-    """A CV fold's scores over the whole grid when ``fold`` is set, else a
-    final run's (attributes consumed, predictor), scored later by ``_score_task``."""
-    algo_index, algo_id, prefix_index, m, eta, fold, repeat = task
+    """The scores of a chunk of CV folds over the whole grid, one list per
+    fold, when ``folds`` is set, else a final run's (attributes consumed,
+    predictor), scored later by ``_score_task``."""
+    algo_index, algo_id, prefix_index, m, eta, folds, repeat = task
     payload = _WORKER["payload"]
     pool, ctx, seed = payload["pool"], payload["ctx"], payload["seed"]
-    if fold is not None:
+    if folds is not None:
         blocks = payload["cv_blocks"][algo_index, prefix_index]
-        return _fold_scores(pool, blocks, fold, algo_id, ctx, payload["eta_grid"],
+        return _fold_scores(pool, blocks, folds, algo_id, ctx, payload["eta_grid"],
                             (seed, _TAG_CV, algo_index, prefix_index))
     order = stream(seed, _TAG_SHUFFLE, repeat).permutation(len(pool))
     train = pool.subset(order[:m])
@@ -501,14 +539,16 @@ def run_experiment(config, workers: int = 1, on_start=None) -> ExperimentResult:
     algorithms and all prefixes see nested slices of the same ordering
     (paired comparisons).  Step sizes come from one cross-validation per
     (algorithm, prefix) on the unshuffled pool prefix, or from each
-    algorithm's own rate when no grid is configured.  CV fold fits, then
-    final training, are tasks for the same workers; then one task on one
+    algorithm's own rate when no grid is configured.  CV fits, a chunk of
+    a cell's folds per task, then final training, are tasks for the same
+    workers; then one task on one
     worker scores every final run, so the test-split products, which
     threaded BLAS splits across helper threads, have every core: none runs
     beside training or beside another worker's product.
     The worker count is an execution detail and never affects the result.
-    ``on_start``, when given, is called once every input has been checked,
-    just before the first run.
+    ``on_start``, when given, is called with the pool size (the worker
+    count, capped at the most tasks a stage has) once every input has
+    been checked, just before the first run.
     """
     config.validate()
     if workers < 1:
@@ -534,7 +574,11 @@ def run_experiment(config, workers: int = 1, on_start=None) -> ExperimentResult:
     cells = [(ai, algo, pi, m) for ai, algo in enumerate(config.algorithms)
              for pi, m in enumerate(config.prefixes)]
     cv_cells = [c for c in cells if config.eta_grid is not None and ALGORITHMS[c[1]].kind != "erm"]
-    cv_tasks = [(ai, algo, pi, m, None, f, None) for ai, algo, pi, m in cv_cells for f in range(config.folds)]
+    # a CV task fits a chunk of a cell's folds: one chunk per worker where folds of one training length
+    # share a lockstep pass, else one fold
+    per_cell = min(workers, config.folds) if config.regime is _FOLDS_SHARE_PASSES else config.folds
+    chunks = [tuple(c.tolist()) for c in np.array_split(np.arange(config.folds), per_cell)]
+    cv_tasks = [(ai, algo, pi, m, None, chunk, None) for ai, algo, pi, m in cv_cells for chunk in chunks]
     # a forked pool starts all its workers at the first task, however few the tasks
     workers = min(workers, max(len(cv_tasks), len(cells) * config.repeats))
 
@@ -546,7 +590,7 @@ def run_experiment(config, workers: int = 1, on_start=None) -> ExperimentResult:
             raise ValueError(f"cannot cross-validate {algo} at prefix {m}: every validation fold has only "
                              f"zero targets, so no step size can be scored")
     if on_start is not None:
-        on_start()
+        on_start(workers)
     eta_grid = None if config.eta_grid is None else [float(eta) for eta in config.eta_grid]
     payload = {"pool": pool, "test": test, "ctx": ctx, "seed": config.seed, "cv_blocks": cv_blocks,
                "eta_grid": eta_grid}
@@ -556,7 +600,7 @@ def run_experiment(config, workers: int = 1, on_start=None) -> ExperimentResult:
         with pool_exec:
             if workers == 1:
                 _init_worker(payload)
-            scores = iter(_map_tasks(pool_exec, workers, _run_task, cv_tasks))
+            scores = iter([fold for chunk in _map_tasks(pool_exec, workers, _run_task, cv_tasks) for fold in chunk])
             etas = {(algo, m): None for _, algo, _, m in cells}
             for _, algo, _, m in cv_cells:
                 etas[(algo, m)] = _pick_eta(eta_grid, list(zip(*(next(scores) for _ in range(config.folds)))))

@@ -114,7 +114,7 @@ class Scaler:
         if self.regime == Regime.L2:
             self.factors = np.array([np.sqrt((x * x).sum(axis=1)).max()])
         else:
-            col_max = np.abs(x).max(axis=0)
+            col_max = _abs_max(x, axis=0)
             self.factors = np.where(col_max > 0, col_max, 1.0)
         return self
 
@@ -127,12 +127,18 @@ class Scaler:
         if self.regime == Regime.L2:
             scale = np.sqrt((x * x).sum(axis=1))
         else:
-            scale = np.abs(x).max(axis=1)
+            scale = _abs_max(x, axis=1)
         outside = scale > 1.0
         if np.any(outside):
             self.clipped += int(outside.sum())
             x[outside] /= scale[outside, None]
         return Dataset(x, dataset.y.copy(), self.regime)
+
+
+def _abs_max(x, axis):
+    """max |x| along ``axis`` without an np.abs(x) copy of the table: the
+    same values, NaN included (a zero maximum may come out as -0.0)."""
+    return np.maximum(x.max(axis=axis), -x.min(axis=axis))
 
 
 def normalize(dataset, regime):

@@ -141,16 +141,19 @@ def run_gaelr(dataset, config, seed, table=None):
 
 
 def gaelr_rows_step(state, x, y, config, indices, values, inner):
-    """Fixed-step gaelr_step for every row of a lockstep state (see run_lockstep):
-    the rows whose phi is nonzero get eg_update's clipped multiplicative
-    update, each with its own z_peak and renormalization."""
+    """Fixed-step gaelr_step for every row of a lockstep state (see run_lockstep),
+    each on its own example: the rows whose phi is nonzero get
+    eg_update's clipped multiplicative update on their point estimate
+    (``values`` at the flat state indices ``indices``, one row each),
+    each with its own z_peak and renormalization."""
     z_plus, z_minus = state.z_plus, state.z_minus
     scale = config.b / (np.add.reduce(z_plus, axis=1) + np.add.reduce(z_minus, axis=1))
     phi = draw_rows(state, (z_plus - z_minus) * scale[:, None], x, y, config, inner, Regime.LINF)
     moving = phi.nonzero()[0]
     if moving.size:
         rows = slice(None) if moving.size == len(phi) else moving
-        _eg_scale(z_plus, z_minus, (moving[:, None], indices), phi[rows, None] * values, state.eta[rows, None])
+        _eg_scale(z_plus.reshape(-1), z_minus.reshape(-1), indices[rows], phi[rows, None] * values[rows],
+                  state.eta[rows, None])
         peaks = state.z_peak
         peaks[rows] *= _GROWTH
         if peaks[rows].max() > _RENORM_THRESHOLD:

@@ -81,15 +81,17 @@ def run_gaerr(dataset, config, seed, table=None):
 
 
 def gaerr_rows_step(state, x, y, config, indices, values, inner):
-    """Fixed-step gaerr_step for every row of a lockstep state (see run_lockstep):
-    the rows whose phi is nonzero step and are projected, as l2_step
-    steps and projects each run."""
+    """Fixed-step gaerr_step for every row of a lockstep state (see run_lockstep),
+    each on its own example: the rows whose phi is nonzero step along
+    their point estimate (``values`` at the flat state indices
+    ``indices``, one row each) and are projected, as l2_step steps and
+    projects each run."""
     phi = draw_rows(state, state.w, x, y, config, inner, Regime.L2)
     moving = phi.nonzero()[0]
     if moving.size:
         rows = slice(None) if moving.size == len(phi) else moving
         w = state.w
-        w[moving[:, None], indices] -= (state.eta[rows] * phi[rows])[:, None] * values
+        w.reshape(-1)[indices[rows]] -= (state.eta[rows] * phi[rows])[:, None] * values[rows]
         norms = row_norms(w[rows])
         over = norms > config.b
         if over.any():

@@ -157,58 +157,68 @@ def run_two_phase(dataset, config, seed):
     epsilon_override only reshapes the sampling distribution; step sizes
     always use the theoretical width.
     """
-    ridge = config.ctx.regime == Regime.L2
+    run = run_gaerr if config.ctx.regime == Regime.L2 else run_gaelr
 
-    def solve(dataset, configs, rng, table=None):
-        return [(run_gaerr if ridge else run_gaelr)(dataset, configs[0], rng, table)]
+    def solve(dataset, orders, configs, rngs, tables=None):
+        return [run(dataset.subset(orders[0]), configs[0], rngs[0], None if tables is None else tables[0])]
 
-    return phases(dataset, config, seed, [config.eta], solve)[0]
+    return phases(dataset, config, [seed], [config.eta], solve)[0]
 
 
-def phases(dataset, config, seed, etas, solve):
-    """The two phases of a run at each of ``etas`` (None: the phase-specific
-    rates); ``solve(dataset, configs, rng, table=None)`` runs one pass per
-    config, on one generator, and returns their RunResults.  In lockstep
-    (harness.train_grid) the rows share phase 1's point draws: one table."""
+def phases(dataset, config, seeds, etas, solve, orders=None):
+    """The two phases of the runs at each of ``etas`` (None: the
+    phase-specific rates) on each of F = len(seeds) folds, fold-major:
+    fold f trains on the examples orders[f] of the dataset (``orders``
+    None: all of them, F = 1) on the one stream of seeds[f], with its own
+    moment table, q and moments.  ``solve(dataset, orders, configs, rngs,
+    tables=None)`` runs one pass per config, fold f's on the examples
+    orders[f] and the generator rngs[f], and returns their RunResults.  In
+    lockstep (harness.train_grid) the rows of a fold share its phase-1
+    point draws: one table per fold."""
     config.validate()
     ctx = config.ctx
     m1, m2, b, k, regime = config.m1, config.m2, ctx.b, ctx.n_point, ctx.regime
     ridge = regime == Regime.L2
-    if m1 + m2 > len(dataset):
+    orders = np.arange(len(dataset))[None] if orders is None else orders
+    if m1 + m2 > orders.shape[1]:
         raise ValueError("phase sizes exceed the dataset")
     d = dataset.dimension
-    rng = stream(seed)
+    rngs = [stream(seed) for seed in seeds]
 
     q1 = uniform_distribution(d)
     cfg1 = [SolverConfig(b=b, eta=(aerr_eta if ridge else aelr_eta)(m1, k, d, b) if eta is None else eta,
-                         q=q1, n_point=k, n_inner=ctx.n_inner) for eta in etas]
-    table = MomentTable(d)
-    phase1 = solve(dataset.subset(np.arange(m1)), cfg1, rng, table)
-    a = table.A
+                         q=q1, n_point=k, n_inner=ctx.n_inner) for _ in rngs for eta in etas]
+    tables = [MomentTable(d) for _ in rngs]
+    phase1 = solve(dataset, orders[:, :m1], cfg1, rngs, tables)
 
-    # the table holds the k point draws of each phase-1 example
+    # each table holds the k point draws of each phase-1 example of its fold
     eps = epsilon(d, ctx.delta, k, m1, regime)
     eps_for_q = eps if ctx.epsilon_override is None else ctx.epsilon_override
-    q2 = smoothed_q(a, eps_for_q, regime)
-
-    half_norm = estimate_half_norm(a, eps) if ridge else None
-    eta2 = [eta if eta is not None else
-            (ridge_eta_two_phase(m2, k, d, half_norm, eps) if ridge else lasso_eta_two_phase(m2, k, d, a, b, eps))
-            for eta in etas]
-    cfg2 = [SolverConfig(b=b, eta=eta, q=q2, n_point=k, n_inner=ctx.n_inner,
-                         moments=a if ctx.improved_p else None,
-                         initial_w=run.predictor.weights if np.any(run.predictor.weights != 0) else None)
-            for eta, run in zip(eta2, phase1)]
-    phase2 = solve(dataset.subset(np.arange(m1, m1 + m2)), cfg2, rng)
+    folds, cfg2 = [], []
+    for f, table in enumerate(tables):
+        a = table.A
+        q2 = smoothed_q(a, eps_for_q, regime)
+        half_norm = estimate_half_norm(a, eps) if ridge else None
+        folds.append((table, q2, half_norm))
+        for e, eta in enumerate(etas):
+            if eta is None:
+                eta = (ridge_eta_two_phase(m2, k, d, half_norm, eps) if ridge
+                       else lasso_eta_two_phase(m2, k, d, a, b, eps))
+            w1 = phase1[f * len(etas) + e].predictor.weights
+            cfg2.append(SolverConfig(b=b, eta=eta, q=q2, n_point=k, n_inner=ctx.n_inner,
+                                     moments=a if ctx.improved_p else None,
+                                     initial_w=w1 if np.any(w1 != 0) else None))
+    phase2 = solve(dataset, orders[:, m1:m1 + m2], cfg2, rngs)
 
     results = []
-    for eta, first, second in zip(eta2, phase1, phase2):
+    for row, (config2, first, second) in enumerate(zip(cfg2, phase1, phase2)):
+        table, q2, half_norm = folds[row // len(etas)]
         diagnostics = {
             "m1": m1,
             "m2": m2,
             "epsilon": eps,
             "epsilon_for_q": eps_for_q,
-            "eta": eta,
+            "eta": config2.eta,
             "phase1_budget": first.attributes_consumed,
             "phase2_budget": second.attributes_consumed,
             "moment_table": table,

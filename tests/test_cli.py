@@ -435,7 +435,7 @@ def test_experiment_default_workers_follow_the_affinity_mask(tmp_path, capsys, m
     from budgetreg import cli
 
     def started(config, workers, on_start):
-        on_start()
+        on_start(workers)
         raise ValueError("stopped after the start line")
 
     if affinity is None:
@@ -447,8 +447,18 @@ def test_experiment_default_workers_follow_the_affinity_mask(tmp_path, capsys, m
     config = experiment_config(tmp_path)
     assert cli.main(["experiment", "--config", str(config), "--out-dir", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err
-    assert err.splitlines()[0].endswith(f"cells on {workers} worker(s)")
+    assert err.splitlines()[0].endswith(f"runs on {workers} worker(s)")
     assert err.splitlines()[1] == "error: stopped after the start line"
+
+
+def test_experiment_start_line_counts_runs_and_the_pool_it_uses(tmp_path):
+    """The start line counts runs (algorithms x prefixes x repeats) and
+    names the pool run_experiment uses: 3 final runs and no grid cap
+    --workers 8 at 3."""
+    config = experiment_config(tmp_path, algorithms=["aerr"], prefixes=[20], repeats=3, eta_grid=None)
+    proc = run_cli("experiment", "--config", config, "--out-dir", tmp_path / "out", "--workers", 8)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.splitlines()[0] == "running 3 runs on 3 worker(s)"
 
 
 def test_experiment_worker_count_invisible(tmp_path):

@@ -220,7 +220,7 @@ def cv_pick(ds, algo, grid, folds, seed, ctx):
     """The step size k-fold validation on all of ds picks, as run_experiment composes it."""
     blocks = fold_blocks(len(ds), folds, seed)
     grid = [float(eta) for eta in grid]
-    scores = [_fold_scores(ds, blocks, f, algo, ctx, grid, seed) for f in range(folds)]
+    scores = _fold_scores(ds, blocks, range(folds), algo, ctx, grid, seed)
     return _pick_eta(grid, list(zip(*scores)))
 
 
@@ -232,7 +232,7 @@ def test_cross_validate_single_and_duplicate_entries():
     # duplicated entries score identically, fold by fold
     blocks = fold_blocks(len(ds), 5, (0,))
     for f in range(5):
-        scores = _fold_scores(ds, blocks, f, "aerr", ctx, [0.03, 0.03, 0.03], (0,))
+        scores, = _fold_scores(ds, blocks, [f], "aerr", ctx, [0.03, 0.03, 0.03], (0,))
         assert scores[0] == scores[1] == scores[2]
     assert _pick_eta([0.05, 0.03, 0.03], [[0.2], [0.1], [0.1]]) == 0.03
     for grid in ([0.03], [0.03, 0.03, 0.03]):
@@ -259,7 +259,7 @@ def test_cross_validate_matches_manual_enumeration():
             rng = stream(seed, _TAG_CV_RUN, f)
             result = train_run("aerr", ds.subset(train_idx), ctx, eta, rng)
             per_fold.append(relative_loss(result.predictor, val))
-            assert _fold_scores(ds, blocks, f, "aerr", ctx, grid, (seed,))[j] == per_fold[-1]
+            assert _fold_scores(ds, blocks, [f], "aerr", ctx, grid, (seed,))[0][j] == per_fold[-1]
         scores.append(float(np.mean(per_fold)))
     expected = min(zip(scores, grid))[1]
     assert cv_pick(ds, "aerr", grid, folds, (seed,), ctx) == expected
@@ -276,7 +276,7 @@ def test_cross_validate_errors():
         ExperimentConfig.from_dict({**raw, "prefixes": [2, 30]})
     zeros = Dataset(np.ones((12, 2)) * 0.5, np.zeros(12), Regime.L2)
     blocks = fold_blocks(12, 3, (0,))
-    scores = [_fold_scores(zeros, blocks, f, "aerr", make_ctx(Regime.L2, b=1.0), [0.1, 0.2], (0,)) for f in range(3)]
+    scores = _fold_scores(zeros, blocks, range(3), "aerr", make_ctx(Regime.L2, b=1.0), [0.1, 0.2], (0,))
     assert scores == [[None, None]] * 3
 
 
@@ -577,11 +577,12 @@ def test_final_runs_are_scored_after_every_final_run_has_trained(monkeypatch, et
     assert calls[-2 * finals:] == ["train"] * finals + ["score"] * finals
     if eta_grid is None:
         assert len(calls) == 2 * finals
-    else:  # the CV fold fits come first, one task per fold: the budgeted algorithms fit the whole
-        # grid in one lockstep pass, the full-information one through train_run per step size
-        fold = {"aerr": ["score"] * 2, "ddaerr": ["score"] * 2, "ogd-full": ["train"] * 2 + ["score"] * 2}
+    else:  # the CV fits come first, one task per cell at one worker (its folds have one training
+        # length): the budgeted algorithms fit every fold's grid in one lockstep pass, the
+        # full-information one through train_run per fold and step size; then each fold is scored
+        fits = {"aerr": [], "ddaerr": [], "ogd-full": ["train"] * 2 * config.folds}
         assert calls[:-2 * finals] == [call for algo in config.algorithms for _ in config.prefixes
-                                       for _ in range(config.folds) for call in fold[algo]]
+                                       for call in fits[algo] + ["score"] * 2 * config.folds]
 
 
 def test_run_experiment_identical_across_worker_counts_with_a_blas_threaded_test_split():

@@ -257,6 +257,30 @@ def test_scaler_zero_column_kept():
     np.testing.assert_allclose(out.x, [[1.0, 0.0], [0.5, 0.0]])
 
 
+def test_scaler_linf_max_matches_the_abs_table_bit_for_bit():
+    """fit and transform take max |x| without an np.abs copy of the table:
+    the factors and rows match the abs-based formulas bit for bit, with
+    negative maxima, NaN, and -0.0 and +0.0 columns (factor 1)."""
+    rng = np.random.default_rng(5)
+    x = rng.uniform(-3.0, 3.0, (40, 6))
+    x[:, 1] = -np.abs(x[:, 1])
+    x[:, 2] = np.where(rng.random(40) < 0.5, -0.0, 0.0)
+    x[:, 3] = -0.0
+    x[7, 4] = np.nan
+    ds = Dataset(x, np.zeros(40))
+    scaler = Scaler(Regime.LINF).fit(ds)
+    col_max = np.abs(x).max(axis=0)
+    assert scaler.factors.tobytes() == np.where(col_max > 0, col_max, 1.0).tobytes()
+    assert list(scaler.factors[2:4]) == [1.0, 1.0]
+    test = Dataset(rng.uniform(-9.0, 9.0, (30, 6)), np.zeros(30))
+    out = scaler.transform(test)
+    expected = test.x / scaler.factors
+    scale = np.abs(expected).max(axis=1)
+    expected[scale > 1.0] /= scale[scale > 1.0, None]
+    assert out.x.tobytes() == expected.tobytes()
+    assert scaler.clipped == int((scale > 1.0).sum()) > 0
+
+
 def test_scaler_clips_out_of_ball_test_rows():
     train = Dataset(np.array([[0.5, 0.0], [0.0, 0.5]]), np.zeros(2))
     scaler = Scaler(Regime.L2).fit(train)
