@@ -8,9 +8,11 @@ covers the support of w.  All randomness is injected as uniform draws in
 [0, 1), so callers control determinism.
 
 The ridge and lasso solvers share everything here: one config, the
-point estimates of a block of examples built before its steps, one
-draw of phi per step, one step rule (fixed eta or AdaGrad), and one
-single-pass loop.  Only the geometry of the update is theirs.
+point estimates of a block of examples built before its steps (k sorted
+draws per example, repeats kept, each with its merged value: the one
+layout both the one-run step and the rows step read), one draw of phi
+per step, one step rule (fixed eta or AdaGrad), and one single-pass
+loop.  Only the geometry of the update is theirs.
 
 ``run_lockstep``, internal to ``harness.train_grid``, runs R fixed-step
 passes at once as the rows of an (R, d) state: the passes of F folds,
@@ -108,35 +110,27 @@ def estimate_point(x, q, draws):
 
     Row r of ``x`` (r, d) gets (1/k) sum_s x[r, i_s] e_{i_s} / q_{i_s}
     over the k indices i_s ~ q that row r of ``draws`` (r, k) resolves
-    to.  Repeated draws merge by summation: count * x / (k q) at the
-    sorted distinct indices (a count of 1 leaves x exact).  Each draw
-    observes one attribute value; observing a zero still consumes budget.
+    to.  Repeated draws merge by summation: count * x / (k q) at each
+    draw of an index (a count of 1 leaves x exact).  Each draw observes
+    one attribute value; observing a zero still consumes budget.
     Unbiasedness needs q_i > 0 wherever x_i != 0.
 
-    Returns (drawn, indices, values, bounds): ``drawn`` holds each row's
-    k drawn indices, sorted, and row r's estimate is
-    indices[bounds[r]:bounds[r + 1]] with its values at the same slice.
+    Returns (drawn, values), both (r, k): row r's k drawn indices, sorted,
+    repeats kept, and the merged estimate at each, so that equal draws
+    carry the same value and a fancy-indexed update such as w[drawn[r]]
+    -= values[r] writes each coordinate once.
     """
     drawn = sample_index(q, draws)
     drawn.sort(axis=1)
     k = drawn.shape[1]
     flat = drawn.ravel()
-    keep = _run_starts(drawn).nonzero()[0]
-    counts = np.concatenate((keep[1:], [flat.size])) - keep
-    indices = flat[keep]
-    values = counts * x[keep // k, indices] / (k * q.probabilities[indices])
-    bounds = keep.searchsorted(np.arange(0, flat.size + 1, k))
-    return drawn, indices, values, bounds
-
-
-def _run_starts(drawn):
-    """For each entry of the sorted rows of ``drawn``, flattened: whether it
-    starts a run of equal indices in its row."""
-    flat = drawn.ravel()
-    first = np.empty(flat.size, dtype=bool)
-    np.not_equal(flat[1:], flat[:-1], out=first[1:])
-    first[::drawn.shape[1]] = True
-    return first
+    starts = np.empty(flat.size, dtype=bool)  # where a run of equal indices starts in its row
+    np.not_equal(flat[1:], flat[:-1], out=starts[1:])
+    starts[::k] = True
+    keep = starts.nonzero()[0]
+    runs = np.concatenate((keep[1:], [flat.size])) - keep
+    counts = runs.repeat(runs).reshape(drawn.shape)  # each draw's count: the length of its run
+    return drawn, counts * x[np.arange(len(drawn))[:, None], drawn] / (k * q.probabilities[drawn])
 
 
 def estimate_phi(x, y, w, p, draws):
@@ -235,7 +229,7 @@ class LockstepBreak(Exception):
 def _budgeted_pass(state, xs, ys, orders, configs, rngs, step, tables, fold_of_row=None):
     """Steps over the examples of F = len(rngs) folds in lockstep, drawing
     each block's uniforms at once: fold f reads the examples orders[f] of
-    (xs, ys) in that order (``orders`` None: all of them, F = 1), samples
+    (xs, ys) in that order (``orders`` None: all of them, one run), samples
     its point estimates by configs[f].q, draws from rngs[f] and, when
     ``tables`` is given, tables its point draws in tables[f].
 
@@ -253,14 +247,15 @@ def _budgeted_pass(state, xs, ys, orders, configs, rngs, step, tables, fold_of_r
     raises LockstepBreak where they do not) and on which zero steps leave
     it zero (LockstepBreak here).
 
-    With ``fold_of_row`` None the pass is one run's: step(state, x, y,
-    config, indices, values, inner) takes one example, estimate_point's
-    indices and values for it, and its inner uniforms.  Otherwise row r
-    of the (R, d) state is a run of fold fold_of_row[r]: ``x`` holds the
-    folds' examples (F, d), and y, indices, values and inner one row per
-    state row, ``indices`` the flat state index of each of the row's k
-    sorted point draws, repeats kept, and ``values`` the merged estimate
-    at each, so that a repeat writes its index the same value twice.
+    Both branches read estimate_point's (drawn, values) layout: k sorted
+    draws per example, repeats kept, each with the merged estimate, so a
+    repeat writes its index the same value twice.  With ``fold_of_row``
+    None the pass is one run's: step(state, x, y, config, indices,
+    values, inner) takes one example, its drawn indices and values, and
+    its inner uniforms.  Otherwise row r of the (R, d) state is a run of
+    fold fold_of_row[r]: ``x`` holds the folds' examples (F, d), and y,
+    indices, values and inner one row per state row, ``indices`` its
+    fold's draws offset to flat state indices.
     """
     for rng in rngs:
         if not isinstance(rng.bit_generator, np.random.PCG64):  # only PCG64's advance steps back one double each
@@ -276,24 +271,22 @@ def _budgeted_pass(state, xs, ys, orders, configs, rngs, step, tables, fold_of_r
         xb, yb = [xs[i] for i in picks], [ys[i] for i in picks]
         u = [rng.random((stop - start) * width).reshape(stop - start, width) for rng in rngs]
         points = [estimate_point(x, config.q, draws[:, :k]) for x, config, draws in zip(xb, configs, u)]
+        # per fold, the examples that can move a zero iterate: y != 0 and a nonzero point value
+        movers = [(values != 0).any(axis=1) & (y != 0) for (_, values), y in zip(points, yb)]
         rows = stop - start
         if zero_run:  # the iterates stay zero up to the first example that can move one
-            movers = np.logical_or.reduce(_movers(points, yb))
-            rows = int(movers.argmax()) + 1 if movers.any() else rows
+            first = np.logical_or.reduce(movers)
+            rows = int(first.argmax()) + 1 if first.any() else rows
         if fold_of_row is None:
-            (_, point_at, point_values, bounds), = points
-            bounds = bounds.tolist()
-            examples = ((x, y, point_at[lo:hi], point_values[lo:hi], inner) for x, y, lo, hi, inner
-                        in zip(xb[0][:rows], yb[0].tolist(), bounds, bounds[1:], u[0][:, k:]))
+            (drawn, values), = points
+            examples = zip(xb[0][:rows], yb[0].tolist(), drawn, values, u[0][:, k:])
         else:  # each row gets its fold's example, draws and uniforms
             def per_row(arrays):  # (rows, R, ...): state row r's entry from its fold's array
                 return np.array(arrays)[fold_of_row, :rows].swapaxes(0, 1)
 
-            merged = [estimate[np.cumsum(_run_starts(drawn)) - 1].reshape(drawn.shape)
-                      for drawn, _, estimate, _ in points]
-            at = per_row([point[0] for point in points]) + np.arange(len(fold_of_row))[:, None] * xs.shape[1]
-            examples = zip(np.stack(xb, axis=1)[:rows], per_row(yb), at, per_row(merged),
-                           per_row([draws[:, k:] for draws in u]))
+            drawn, values = zip(*points)
+            examples = zip(np.stack(xb, axis=1)[:rows], per_row(yb), per_row(drawn) + state.row_starts,
+                           per_row(values), per_row([draws[:, k:] for draws in u]))
         zero_steps = state.zero_weight_steps
         for used, (x, y, indices, values, inner) in enumerate(examples, start=1):
             step(state, x, y, configs[0], indices, values, inner)
@@ -305,20 +298,13 @@ def _budgeted_pass(state, xs, ys, orders, configs, rngs, step, tables, fold_of_r
             for rng in rngs:
                 rng.bit_generator.advance(-unused)
         if tables is not None:
-            for table, x, point in zip(tables, xb, points):
-                table.add(point[0][:used], x[:used])
+            for table, x, (drawn, _) in zip(tables, xb, points):
+                table.add(drawn[:used], x[:used])
         start += used
-        stuck = {not moves[used - 1] for moves in _movers(points, yb)} if zero else {False}
+        stuck = {not moves[used - 1] for moves in movers} if zero else {False}
         if len(stuck) > 1:  # one fold's iterate stays zero while another's may move
             raise LockstepBreak
         zero_run, = stuck
-
-
-def _movers(points, yb):
-    """Per fold, the examples of a block that can move a zero iterate:
-    y != 0 and a nonzero point value."""
-    return [np.logical_or.reduceat(values != 0, bounds[:-1]) & (y != 0)
-            for (_, _, values, bounds), y in zip(points, yb)]
 
 
 def draw_rows(state, w, x, y, config, inner, regime):
@@ -375,12 +361,13 @@ def row_norms(w):
     return norms
 
 
-def run_lockstep(dataset, configs, seeds, regime, initial_state, step, tables=None, orders=None):
+def run_lockstep(dataset, orders, configs, seeds, regime, initial_state, step, tables=None):
     """run_pass for the R = len(configs) runs of F = len(seeds) folds in
     lockstep, fold-major: the R / F runs of fold f train on the examples
-    orders[f] of the dataset (``orders`` None: all of them, F = 1) on the
-    one stream of seeds[f], and tables[f], when given, tables that fold's
-    point draws.  Returns their RunResults, bit for bit those of run_pass.
+    orders[f] of the dataset, an (F, m) index array, on the one stream of
+    seeds[f], and tables[f], when given, tables that fold's point draws.
+    Returns their RunResults, bit for bit those of run_pass on
+    dataset.subset(orders[f]).
 
     Precondition, which harness.train_grid meets by building every config
     from one RunContext: the configs are fixed-step (not AdaGrad) and
@@ -390,9 +377,10 @@ def run_lockstep(dataset, configs, seeds, regime, initial_state, step, tables=No
     whose arrays (and floats) are stacked, with the step sizes in
     ``state.eta``; ``step`` updates all rows at once.  A row that draws
     phi = 0 skips its whole update.  The rows of a fold share its
-    uniforms and point estimates, which is each run's own draw as long as
-    they agree on which steps have a zero iterate, and the folds step
-    together: LockstepBreak is raised where the rows do not agree.
+    uniforms and point estimates (estimate_point's layout, as in the one
+    run's pass), which is each run's own draw as long as they agree on
+    which steps have a zero iterate, and the folds step together:
+    LockstepBreak is raised where the rows do not agree.
     """
     runs = _initial_states(dataset, configs, regime, initial_state)
     state = copy.copy(runs[0])

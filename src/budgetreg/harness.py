@@ -199,60 +199,53 @@ def _solver_config(algo_id, train, ctx, eta):
 
 # each regime's fixed-step solver in lockstep rows: its state builder and rows step
 _ROWS = {Regime.L2: (RidgeState.initial, gaerr_rows_step), Regime.LINF: (EGState.initial, gaelr_rows_step)}
-# the regime whose CV folds share lockstep passes: a lasso pass starts at a zero iterate, and each fold's zero
-# run ends on its own fold's example, where the folds' lockstep would break
-_FOLDS_SHARE_PASSES = Regime.L2
 
 
-def train_grid(algo_id, train, ctx, etas, key, orders=None):
+def train_grid(algo_id, train, ctx, etas, keys, orders):
     """train_run at each step size of ``etas`` (a non-empty list of
-    numbers, as a CV grid holds), every run on a fresh stream(key).  With
-    ``orders``, F index arrays of one length into ``train``, and F keys
-    in ``key``: those runs for each of F folds, fold-major, fold f's on
-    train.subset(orders[f]) and stream(key[f]).
+    positive, finite numbers, as a CV grid holds) on each of F folds,
+    fold-major: fold f's runs train on train.subset(orders[f]), each on a
+    fresh stream(keys[f]), ``orders`` holding F index arrays of one length.
 
     The fixed-step budgeted kinds make all of them in one lockstep pass
     (estimator.run_lockstep, per phase for two_phase.phases), bit for bit
-    the train_run results, refusals included.  Where the rows of a pass
-    stop agreeing on a zero iterate (LockstepBreak), its folds are fit
-    one pass each, and a lone fold's runs one by one through train_run,
-    as are the AdaGrad and full-information kinds.
+    the train_run results, refusals included.  The AdaGrad and
+    full-information kinds, and every fold of a pass whose rows stop
+    agreeing on a zero iterate (LockstepBreak), make each run through
+    train_run.  Which folds share a call is the caller's to choose.
     """
     regime = algorithm_regime(algo_id, ctx.regime)
     if len(etas) == 0:
         raise ValueError(f"{algo_id}: empty step-size grid, no run to make")
-    keys = [key] if orders is None else list(key)
+    if not all(_of_kind(eta, (int, float)) and 0 < eta <= sys.float_info.max for eta in etas):
+        raise ValueError(f"{algo_id}: step sizes must be positive, finite numbers, got {list(etas)!r}")
     if any(isinstance(k, np.random.Generator) for k in keys):  # one generator is one stream, used up by one run
         raise ValueError("train_grid needs a seed key, not a Generator: every step size starts from the same stream")
-    if orders is not None and len(orders) != len(keys):
+    if len(orders) != len(keys) or not keys:
         raise ValueError(f"train_grid needs one key per fold, got {len(keys)} for {len(orders)} folds")
-    return _grid(algo_id, regime, train, ctx, etas, keys, None if orders is None else np.asarray(orders))
-
-
-def _grid(algo_id, regime, train, ctx, etas, keys, orders):
-    """train_grid past its refusals, ``keys`` holding one key per fold;
-    folds are fit together in _FOLDS_SHARE_PASSES only."""
+    lengths = sorted({len(order) for order in orders})
+    if len(lengths) > 1:
+        raise ValueError(f"train_grid needs fold orders of one length, got {lengths}")
+    orders = np.asarray(orders)
     spec = ALGORITHMS[algo_id]
-    if spec.budgeted and not spec.adagrad and (len(keys) == 1 or regime is _FOLDS_SHARE_PASSES):
+    if spec.budgeted and not spec.adagrad:
         try:
             return _lockstep(algo_id, regime, train, ctx, etas, keys, orders)
         except LockstepBreak:
             pass
-    if len(keys) > 1:
-        return [run for f in range(len(keys)) for run in _grid(algo_id, regime, train, ctx, etas, keys[f:f + 1],
-                                                              orders[f:f + 1])]
-    fold = train if orders is None else train.subset(orders[0])
-    return [train_run(algo_id, fold, ctx, eta, stream(keys[0])) for eta in etas]
+    folds = [(key, train.subset(order)) for key, order in zip(keys, orders)]
+    return [train_run(algo_id, fold, ctx, eta, stream(key)) for key, fold in folds for eta in etas]
 
 
 def _lockstep(algo_id, regime, train, ctx, etas, keys, orders):
-    """The runs of _grid in one lockstep pass (per phase for two-phase)
-    of a fixed-step budgeted kind; LockstepBreak where its rows break."""
+    """The runs of train_grid in one lockstep pass (per phase for
+    two-phase) of a fixed-step budgeted kind; LockstepBreak where its
+    rows break."""
     def solve(dataset, orders, configs, rngs, tables=None):
-        return run_lockstep(dataset, configs, rngs, regime, *_ROWS[regime], tables, orders)
+        return run_lockstep(dataset, orders, configs, rngs, regime, *_ROWS[regime], tables)
 
     if ALGORITHMS[algo_id].kind == "two_phase":
-        m = len(train) if orders is None else orders.shape[1]
+        m = orders.shape[1]
         m1 = _phase1_size(m, ctx.m1_fraction)
         return phases(train, TwoPhaseConfig(m1, m - m1, ctx), keys, etas, solve, orders)
     config = _solver_config(algo_id, train, ctx, etas[0])
@@ -574,11 +567,12 @@ def run_experiment(config, workers: int = 1, on_start=None) -> ExperimentResult:
     cells = [(ai, algo, pi, m) for ai, algo in enumerate(config.algorithms)
              for pi, m in enumerate(config.prefixes)]
     cv_cells = [c for c in cells if config.eta_grid is not None and ALGORITHMS[c[1]].kind != "erm"]
-    # a CV task fits a chunk of a cell's folds: one chunk per worker where folds of one training length
-    # share a lockstep pass, else one fold
-    per_cell = min(workers, config.folds) if config.regime is _FOLDS_SHARE_PASSES else config.folds
-    chunks = [tuple(c.tolist()) for c in np.array_split(np.arange(config.folds), per_cell)]
-    cv_tasks = [(ai, algo, pi, m, None, chunk, None) for ai, algo, pi, m in cv_cells for chunk in chunks]
+    # a CV task fits a chunk of a cell's folds, those of one training length in one train_grid pass: one
+    # chunk per worker in ridge, one fold in lasso, whose passes start at a zero iterate that each fold's
+    # zero run leaves on its own fold's example, where a shared pass would break
+    per_cell = min(workers, config.folds) if config.regime == Regime.L2 else config.folds
+    cv_tasks = [(ai, algo, pi, m, None, tuple(chunk.tolist()), None) for ai, algo, pi, m in cv_cells
+                for chunk in np.array_split(np.arange(config.folds), per_cell)]
     # a forked pool starts all its workers at the first task, however few the tasks
     workers = min(workers, max(len(cv_tasks), len(cells) * config.repeats))
 

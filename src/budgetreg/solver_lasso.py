@@ -123,7 +123,8 @@ def gaelr_step(state, x, y, config, indices, values, inner):
     the inner-product distribution), charges the budget and draws phi
     from the uniforms ``inner``; this step applies the clipped
     multiplicative update to phi x~, with x~ the point estimate
-    (``values`` at ``indices``).
+    (``values`` at the k sorted draws ``indices``; a repeated draw
+    scales its coordinate once, as both entries assign the same value).
     """
     w = eg_weights(state, config.b)
     phi = draw_step(state, w, x, y, config, inner, Regime.LINF)
@@ -144,8 +145,8 @@ def gaelr_rows_step(state, x, y, config, indices, values, inner):
     """Fixed-step gaelr_step for every row of a lockstep state (see run_lockstep),
     each on its own example: the rows whose phi is nonzero get
     eg_update's clipped multiplicative update on their point estimate
-    (``values`` at the flat state indices ``indices``, one row each),
-    each with its own z_peak and renormalization."""
+    (``values`` at the flat state indices ``indices``, one row each, in
+    gaelr_step's layout), each with its own z_peak and renormalization."""
     z_plus, z_minus = state.z_plus, state.z_minus
     scale = config.b / (np.add.reduce(z_plus, axis=1) + np.add.reduce(z_minus, axis=1))
     phi = draw_rows(state, (z_plus - z_minus) * scale[:, None], x, y, config, inner, Regime.LINF)

@@ -65,8 +65,9 @@ def gaerr_step(state, x, y, config, indices, values, inner):
 
     draw_step averages the pre-update iterate, charges the budget and
     draws phi from the uniforms ``inner``; l2_step moves along -phi x~,
-    with x~ the point estimate (``values`` at ``indices``), and projects
-    back onto the L2 ball of radius b.
+    with x~ the point estimate (``values`` at the k sorted draws
+    ``indices``; a repeated draw writes its coordinate the same value
+    twice), and projects back onto the L2 ball of radius b.
     """
     phi = draw_step(state, state.w, x, y, config, inner, Regime.L2)
     if phi != 0.0:
@@ -84,8 +85,8 @@ def gaerr_rows_step(state, x, y, config, indices, values, inner):
     """Fixed-step gaerr_step for every row of a lockstep state (see run_lockstep),
     each on its own example: the rows whose phi is nonzero step along
     their point estimate (``values`` at the flat state indices
-    ``indices``, one row each) and are projected, as l2_step steps and
-    projects each run."""
+    ``indices``, one row each, in gaerr_step's layout) and are projected,
+    as l2_step steps and projects each run."""
     phi = draw_rows(state, state.w, x, y, config, inner, Regime.L2)
     moving = phi.nonzero()[0]
     if moving.size:

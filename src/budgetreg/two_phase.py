@@ -162,15 +162,15 @@ def run_two_phase(dataset, config, seed):
     def solve(dataset, orders, configs, rngs, tables=None):
         return [run(dataset.subset(orders[0]), configs[0], rngs[0], None if tables is None else tables[0])]
 
-    return phases(dataset, config, [seed], [config.eta], solve)[0]
+    return phases(dataset, config, [seed], [config.eta], solve, np.arange(len(dataset))[None])[0]
 
 
-def phases(dataset, config, seeds, etas, solve, orders=None):
+def phases(dataset, config, seeds, etas, solve, orders):
     """The two phases of the runs at each of ``etas`` (None: the
     phase-specific rates) on each of F = len(seeds) folds, fold-major:
-    fold f trains on the examples orders[f] of the dataset (``orders``
-    None: all of them, F = 1) on the one stream of seeds[f], with its own
-    moment table, q and moments.  ``solve(dataset, orders, configs, rngs,
+    fold f trains on the examples orders[f] of the dataset, an (F, m)
+    index array, on the one stream of seeds[f], with its own moment
+    table, q and moments.  ``solve(dataset, orders, configs, rngs,
     tables=None)`` runs one pass per config, fold f's on the examples
     orders[f] and the generator rngs[f], and returns their RunResults.  In
     lockstep (harness.train_grid) the rows of a fold share its phase-1
@@ -179,7 +179,6 @@ def phases(dataset, config, seeds, etas, solve, orders=None):
     ctx = config.ctx
     m1, m2, b, k, regime = config.m1, config.m2, ctx.b, ctx.n_point, ctx.regime
     ridge = regime == Regime.L2
-    orders = np.arange(len(dataset))[None] if orders is None else orders
     if m1 + m2 > orders.shape[1]:
         raise ValueError("phase sizes exceed the dataset")
     d = dataset.dimension

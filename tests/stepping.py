@@ -18,17 +18,20 @@ def stream_step(step, state, x, y, config, rng):
     back to the generator, as run_pass does.
     """
     u = rng.random(config.n_point + config.n_inner)
-    _, indices, values, _ = estimate_point(x[None], config.q, u[None, :config.n_point])
+    drawn, values = estimate_point(x[None], config.q, u[None, :config.n_point])
     zero_steps = state.zero_weight_steps
-    step(state, x, y, config, indices, values, u[config.n_point:])
+    step(state, x, y, config, drawn[0], values[0], u[config.n_point:])
     if state.zero_weight_steps != zero_steps:
         rng.bit_generator.advance(-config.n_inner)
     return state
 
 
 def dense(block, d):
-    """The (rows, d) dense form of an estimate_point block."""
-    _, indices, values, bounds = block
-    out = np.zeros((len(bounds) - 1, d))
-    out[np.repeat(np.arange(len(bounds) - 1), np.diff(bounds)), indices] = values
+    """The (rows, d) dense form of an estimate_point block, whose equal
+    draws must carry bit-identical values (each is the merged estimate)."""
+    drawn, values = block
+    repeat = drawn[:, 1:] == drawn[:, :-1]
+    assert values[:, 1:][repeat].tobytes() == values[:, :-1][repeat].tobytes()
+    out = np.zeros((len(drawn), d))
+    np.put_along_axis(out, drawn, values, axis=1)
     return out

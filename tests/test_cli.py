@@ -451,6 +451,25 @@ def test_experiment_default_workers_follow_the_affinity_mask(tmp_path, capsys, m
     assert err.splitlines()[1] == "error: stopped after the start line"
 
 
+@pytest.mark.parametrize("overrides", [dict(eta_grid=None), dict(algorithms=["erm"], eta_grid=[0.05, 0.1])],
+                         ids=["no-grid", "erm-only"])
+def test_experiment_with_nothing_to_cross_validate_reads_no_folds(tmp_path, overrides):
+    """With no grid, or a grid for erm alone, no step size is
+    cross-validated and nothing reads ``folds``: 10^12 folds build no fold
+    chunks (numpy could not allocate them) and give folds 10's records."""
+    from budgetreg import cli
+
+    outs = []
+    for folds in (10, 10**12):
+        config = experiment_config(tmp_path, prefixes=[20], repeats=2, folds=folds, **{"algorithms": ["aerr"],
+                                                                                       **overrides})
+        outs.append(tmp_path / f"folds{folds}")
+        assert cli.main(["experiment", "--config", str(config), "--out-dir", str(outs[-1]), "--workers", "1"]) == 0
+    assert (outs[0] / "records.csv").read_bytes() == (outs[1] / "records.csv").read_bytes()
+    summaries = [json.loads((out / "summary.json").read_text()) for out in outs]
+    assert summaries[0]["selected_etas"] == summaries[1]["selected_etas"]
+
+
 def test_experiment_start_line_counts_runs_and_the_pool_it_uses(tmp_path):
     """The start line counts runs (algorithms x prefixes x repeats) and
     names the pool run_experiment uses: 3 final runs and no grid cap

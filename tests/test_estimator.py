@@ -79,56 +79,52 @@ def enumerate_gradient(x, y, w, q, k, n_inner=1):
 
 def test_estimate_point_single_attribute():
     q = build_distribution([1.0])
-    drawn, indices, values, bounds = block = estimate_point(np.array([[0.5]]), q, np.array([[0.1, 0.5, 0.9]]))
+    drawn, values = block = estimate_point(np.array([[0.5]]), q, np.array([[0.1, 0.5, 0.9]]))
     np.testing.assert_array_equal(drawn, [[0, 0, 0]])
-    np.testing.assert_array_equal(indices, [0])
-    np.testing.assert_array_equal(bounds, [0, 1])
-    np.testing.assert_allclose(values, [0.5])
+    np.testing.assert_allclose(values, [[0.5, 0.5, 0.5]])
     np.testing.assert_allclose(dense(block, 1), [[0.5]])
 
 
 def test_estimate_point_degenerate_q():
     q = build_distribution([1.0, 0.0])
-    _, indices, values, _ = estimate_point(np.array([[0.3, 0.0]]), q, np.array([[0.7]]))
-    np.testing.assert_array_equal(indices, [0])
-    np.testing.assert_allclose(values, [0.3])
+    drawn, values = estimate_point(np.array([[0.3, 0.0]]), q, np.array([[0.7]]))
+    np.testing.assert_array_equal(drawn, [[0]])
+    np.testing.assert_allclose(values, [[0.3]])
 
 
 def test_estimate_point_merges_duplicates():
-    """Rows with and without repeated draws in one block: each row's
-    estimate sits at its own slice, duplicates merged, the raw draws kept
-    sorted in ``drawn``."""
+    """Rows with and without repeated draws in one block: each row keeps
+    its draws sorted, repeats included, and every draw of an index
+    carries the merged estimate count * x / (k q)."""
     q = uniform_distribution(2)
     x = np.array([[1.0, 2.0], [3.0, 5.0], [7.0, 11.0]])
     draws = np.array([[0.1, 0.2, 0.9], [0.9, 0.1, 0.6], [0.7, 0.8, 0.6]])
-    drawn, indices, values, bounds = estimate_point(x, q, draws)
+    drawn, values = estimate_point(x, q, draws)
     np.testing.assert_array_equal(drawn, [[0, 0, 1], [0, 1, 1], [1, 1, 1]])
-    np.testing.assert_array_equal(bounds, [0, 2, 4, 5])
-    np.testing.assert_array_equal(indices, [0, 1, 0, 1, 1])
-    np.testing.assert_allclose(values, [4 / 3, 4 / 3, 2.0, 20 / 3, 22.0])
+    np.testing.assert_allclose(values, [[4 / 3, 4 / 3, 4 / 3], [2.0, 20 / 3, 20 / 3], [22.0, 22.0, 22.0]])
 
 
 def test_estimate_point_matches_unique_formula_enumeration():
     """Every index tuple of k <= 4 draws over d = 4, all in one block per k
-    and each alone in a block of one row: the merge gives the sorted
-    distinct indices and counts * x / (k q) of np.unique, bit for bit."""
+    and each alone in a block of one row: each row holds its draws sorted
+    and, at every draw of an index, counts * x / (k q) of np.unique, bit
+    for bit, so equal draws carry bit-identical values."""
     x = np.array([0.3, -1.7, 1.0 / 3.0, 2.9e-3])
     q = build_distribution([1.0, 3.0, 7.0, 11.0])
     for k in range(1, 5):
         combos = list(itertools.product(range(4), repeat=k))
         draws = np.array([[draw_for(q, i) for i in combo] for combo in combos])
         rows = np.tile(x, (len(combos), 1)) * np.arange(1, len(combos) + 1)[:, None]
-        drawn, indices, values, bounds = estimate_point(rows, q, draws)
+        drawn, values = estimate_point(rows, q, draws)
+        assert drawn.dtype == np.intp and drawn.shape == values.shape == (len(combos), k)
         for r, combo in enumerate(combos):
             idx = np.array(combo, dtype=np.intp)
             uniq, counts = np.unique(idx, return_counts=True)
-            expected = counts * rows[r][uniq] / (k * q.probabilities[uniq])
-            lo, hi = bounds[r], bounds[r + 1]
+            expected = np.repeat(counts * rows[r][uniq] / (k * q.probabilities[uniq]), counts)
             assert drawn[r].tobytes() == np.sort(idx).tobytes(), combo
-            assert indices.dtype == uniq.dtype and indices[lo:hi].tobytes() == uniq.tobytes(), combo
-            assert values[lo:hi].tobytes() == expected.tobytes(), combo
-            _, alone_idx, alone_values, _ = estimate_point(rows[r:r + 1], q, draws[r:r + 1])
-            assert alone_idx.tobytes() == uniq.tobytes() and alone_values.tobytes() == expected.tobytes(), combo
+            assert values[r].tobytes() == expected.tobytes(), combo
+            alone_drawn, alone_values = estimate_point(rows[r:r + 1], q, draws[r:r + 1])
+            assert alone_drawn.tobytes() == drawn[r].tobytes() and alone_values.tobytes() == expected.tobytes(), combo
 
 
 def test_estimate_point_draws_past_the_top_of_the_table():
@@ -138,13 +134,12 @@ def test_estimate_point_draws_past_the_top_of_the_table():
     assert q.cumulative[-1] <= BELOW_ONE < 1.0
     x = np.arange(1.0, 19.0).reshape(3, 6)
     draws = np.array([[BELOW_ONE, 0.0], [BELOW_ONE, BELOW_ONE], [0.5, 0.99]])
-    drawn, indices, values, bounds = estimate_point(x, q, draws)
+    drawn, values = estimate_point(x, q, draws)
     np.testing.assert_array_equal(drawn, [[0, 5], [5, 5], [3, 5]])
-    np.testing.assert_array_equal(bounds, [0, 2, 3, 5])
-    np.testing.assert_array_equal(indices, [0, 5, 5, 3, 5])
-    np.testing.assert_array_equal(values, [1.0 / (2 * q.probabilities[0]), 6.0 / (2 * q.probabilities[5]),
-                                           2 * 12.0 / (2 * q.probabilities[5]), 16.0 / (2 * q.probabilities[3]),
-                                           18.0 / (2 * q.probabilities[5])])
+    merged = 2 * 12.0 / (2 * q.probabilities[5])
+    np.testing.assert_array_equal(values, [[1.0 / (2 * q.probabilities[0]), 6.0 / (2 * q.probabilities[5])],
+                                           [merged, merged],
+                                           [16.0 / (2 * q.probabilities[3]), 18.0 / (2 * q.probabilities[5])]])
 
 
 def test_estimate_point_unbiased_enumeration():

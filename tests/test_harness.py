@@ -158,7 +158,7 @@ def test_ridge_runs_at_the_top_of_the_b_range_keep_a_nonzero_iterate(b):
     ds = make_dataset(10, 50, 4, Regime.L2)
     ctx = make_ctx(Regime.L2, b=b, n_point=2, n_inner=2, moments=dataset_moments(ds))
     for algo in ("aerr", "ddaerr", "2p-ddaerr"):
-        rows = train_grid(algo, ds, ctx, [0.4, 0.05], (5,))
+        rows = train_grid(algo, ds, ctx, [0.4, 0.05], [(5,)], [np.arange(len(ds))])
         for eta, row in zip([0.4, 0.05], rows):
             one = train_run(algo, ds, ctx, eta, stream(5))
             assert one.zero_weight_steps == 0, (algo, eta)

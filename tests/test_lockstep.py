@@ -4,17 +4,19 @@ A CV fold trains every step size of the grid on the same fold data and
 the same stream, so ``train_grid`` runs the fixed-step budgeted
 algorithms as R rows of one pass (AdaGrad's are fit one by one).  Given
 several folds of one training length, each with its own examples and
-stream, it runs them as the (fold, step size) rows of one pass in ridge;
-a lasso pass starts at a zero iterate that each fold leaves on its own
-example, so lasso folds are fit one pass each.  Each row must be bit for
-bit the ``train_run`` of its fold at its step size: the weights, the
-values read, the zero-iterate steps and the improved-p fallbacks.  Rows
-that stop agreeing on a zero iterate are rerun fold by fold, then one by
-one through ``train_run``.  The rows kernel is internal to
-``train_grid``: no module exports it.  ``train_grid`` refuses what
-``train_run`` refuses, and an empty grid or a Generator key.
+stream, it runs them as the (fold, step size) rows of one pass.  A lasso
+pass starts at a zero iterate that each fold leaves on its own example,
+so ``run_experiment`` gives a lasso CV task one fold.  Each row must be
+bit for bit the ``train_run`` of its fold at its step size: the weights,
+the values read, the zero-iterate steps and the improved-p fallbacks.
+Where rows stop agreeing on a zero iterate, every run is made through
+``train_run``.  The rows kernel is internal to ``train_grid``: no module
+exports it.  ``train_grid`` refuses what ``train_run`` refuses, and an
+empty grid, a step size that is not a positive finite number, fold
+orders of unequal lengths or a Generator key.
 """
 
+import math
 import re
 
 import numpy as np
@@ -26,16 +28,22 @@ import budgetreg.harness as harness
 from budgetreg import estimator, solver_lasso, solver_ridge, two_phase
 from budgetreg.core import Dataset, Predictor, Regime, RunResult, l2_norm, stream
 from budgetreg.estimator import LockstepBreak, SolverConfig, run_lockstep
-from budgetreg.harness import ALGORITHMS, RunContext, _fold_scores, _lockstep, dataset_moments, train_grid, train_run
+from budgetreg.harness import (ALGORITHMS, ExperimentConfig, RunContext, _fold_scores, dataset_moments, run_experiment,
+                               train_grid, train_run)
 from budgetreg.sampling import uniform_distribution
 from budgetreg.solver_lasso import _RENORM_THRESHOLD, EGState, gaelr_rows_step
 
 BUDGETED = sorted(a for a, spec in ALGORITHMS.items() if spec.budgeted)
 
 
+def one_fold(algo, train, ctx, etas, key):
+    """train_grid on one fold that trains on all of ``train``, in order."""
+    return train_grid(algo, train, ctx, etas, [key], [np.arange(len(train))])
+
+
 def assert_same_runs(algo, train, ctx, etas, key):
     """train_grid's result at each eta is train_run's at that eta, bit for bit."""
-    rows = train_grid(algo, train, ctx, etas, key)
+    rows = one_fold(algo, train, ctx, etas, key)
     assert len(rows) == len(etas)
     for eta, row in zip(etas, rows):
         one = train_run(algo, train, ctx, eta, stream(key))
@@ -85,11 +93,9 @@ def test_fold_rows_match_each_folds_train_run_bit_for_bit(data):
     """Every budgeted algorithm cross-validated over 2 to 5 folds of a
     prefix the fold count does not divide, so that the folds have two
     training lengths, each one train_grid call with its folds' orders and
-    keys; sparse rows, zero targets and a grid that may hold 1e-300.  Each
-    (fold, eta) row is train_run on that fold's training set and stream,
-    bit for bit.  The lockstep of a length's folds is also run directly,
-    lasso's included (train_grid fits lasso folds one by one): its rows
-    match too, unless it breaks off."""
+    keys, lasso's included; sparse rows, zero targets and a grid that may
+    hold 1e-300.  Each (fold, eta) row is train_run on that fold's
+    training set and stream, bit for bit."""
     algo = data.draw(st.sampled_from(BUDGETED))
     spec = ALGORITHMS[algo]
     folds = data.draw(st.integers(2, 5))
@@ -119,21 +125,15 @@ def test_fold_rows_match_each_folds_train_run_bit_for_bit(data):
     for length in {len(order) for order in orders}:
         group = [f for f in range(folds) if len(orders[f]) == length]
         keys, group_orders = [(3, f) for f in group], np.array([orders[f] for f in group])
-        fits = [train_grid(algo, pool, ctx, etas, keys, group_orders)]
-        if not spec.adagrad:
-            try:
-                fits.append(_lockstep(algo, spec.regime, pool, ctx, etas, keys, group_orders))
-            except LockstepBreak:
-                pass
-        for rows in fits:
-            assert len(rows) == len(group) * len(etas)
-            for i, f in enumerate(group):
-                train = pool.subset(orders[f])
-                for eta, row in zip(etas, rows[i * len(etas):]):
-                    one = train_run(algo, train, ctx, eta, stream(keys[i]))
-                    assert row.predictor.weights.tobytes() == one.predictor.weights.tobytes(), (algo, f, eta)
-                    assert (row.attributes_consumed, row.zero_weight_steps, row.p_fallbacks) == (
-                        one.attributes_consumed, one.zero_weight_steps, one.p_fallbacks), (algo, f, eta)
+        rows = train_grid(algo, pool, ctx, etas, keys, group_orders)
+        assert len(rows) == len(group) * len(etas)
+        for i, f in enumerate(group):
+            train = pool.subset(orders[f])
+            for eta, row in zip(etas, rows[i * len(etas):]):
+                one = train_run(algo, train, ctx, eta, stream(keys[i]))
+                assert row.predictor.weights.tobytes() == one.predictor.weights.tobytes(), (algo, f, eta)
+                assert (row.attributes_consumed, row.zero_weight_steps, row.p_fallbacks) == (
+                    one.attributes_consumed, one.zero_weight_steps, one.p_fallbacks), (algo, f, eta)
 
 
 def test_folds_share_a_pass_through_agreeing_zero_runs_and_break_off_where_they_differ():
@@ -148,7 +148,7 @@ def test_folds_share_a_pass_through_agreeing_zero_runs_and_break_off_where_they_
 
     def grouped(orders):
         configs = [harness._solver_config("aelr", pool, ctx, 1e-300) for _ in keys]
-        return run_lockstep(pool, configs, keys, Regime.LINF, EGState.initial, gaelr_rows_step, None, orders)
+        return run_lockstep(pool, orders, configs, keys, Regime.LINF, EGState.initial, gaelr_rows_step)
 
     agree = np.array([[0, 0, 1, 2], [0, 0, 2, 1]])
     for order, key, row in zip(agree, keys, grouped(agree)):
@@ -160,25 +160,24 @@ def test_folds_share_a_pass_through_agreeing_zero_runs_and_break_off_where_they_
         grouped(np.array([[0, 0, 1, 2], [0, 1, 1, 2]]))
 
 
-@pytest.mark.parametrize("algo, passes", [("aerr", [3]), ("2p-ddaerr", [3, 3]), ("aelr", [1, 1, 1]),
-                                          ("ddaelr", [1, 1, 1]), ("2p-ddaelr", [1] * 6)])
-def test_a_ridge_cell_shares_one_pass_and_a_lasso_cell_is_fit_fold_by_fold(monkeypatch, algo, passes):
-    """The folds of a CV task with one training length: a ridge cell's are
-    the rows of one lockstep pass (per phase for two-phase), a lasso
-    cell's one pass per fold, the same scores either way."""
-    regime = ALGORITHMS[algo].regime
+@pytest.mark.parametrize("algo, passes", [("aerr", [3]), ("2p-ddaerr", [3, 3])])
+def test_a_ridge_cell_shares_one_pass(monkeypatch, algo, passes):
+    """The folds of a CV task with one training length are the rows of one
+    lockstep pass (per phase for two-phase), with the scores of each fold
+    fit alone."""
     rng = np.random.default_rng(3)
     x = rng.uniform(-1.0, 1.0, (24, 5)) * (rng.random((24, 5)) < 0.5)
-    pool = Dataset(x / np.maximum(np.linalg.norm(x, axis=1, keepdims=True), 1.0), rng.uniform(-1.0, 1.0, 24), regime)
-    ctx = RunContext(regime=regime, b=2.0, n_point=2, n_inner=2, moments=dataset_moments(pool))
+    pool = Dataset(x / np.maximum(np.linalg.norm(x, axis=1, keepdims=True), 1.0), rng.uniform(-1.0, 1.0, 24),
+                   Regime.L2)
+    ctx = RunContext(regime=Regime.L2, b=2.0, n_point=2, n_inner=2, moments=dataset_moments(pool))
     blocks = np.array_split(rng.permutation(24), 3)
     grid = [0.01, 0.1, 0.5]
     alone = [_fold_scores(pool, blocks, [f], algo, ctx, grid, (4,))[0] for f in range(3)]
     seen = []
 
-    def recorded(dataset, configs, seeds, *args):
+    def recorded(dataset, orders, configs, seeds, *args):
         seen.append(len(seeds))
-        return run_lockstep(dataset, configs, seeds, *args)
+        return run_lockstep(dataset, orders, configs, seeds, *args)
 
     monkeypatch.setattr(harness, "run_lockstep", recorded)
     assert _fold_scores(pool, blocks, range(3), algo, ctx, grid, (4,)) == alone
@@ -200,9 +199,9 @@ def test_each_fit_of_a_grouped_fold_task_is_checked(monkeypatch, fault, message)
     real = harness.train_grid
     calls = []
 
-    def faulty(algo_id, train, ctx, etas, key, orders=None):
-        calls.append(len(key))
-        results = real(algo_id, train, ctx, etas, key, orders)
+    def faulty(algo_id, train, ctx, etas, keys, orders):
+        calls.append(len(keys))
+        results = real(algo_id, train, ctx, etas, keys, orders)
         bad = results[-1]
         if fault == "budget":
             results[-1] = RunResult(bad.predictor, bad.attributes_consumed + 1)
@@ -231,7 +230,7 @@ def test_lockstep_rows_renormalize_eg_one_by_one():
         gaelr_rows_step(state, *args)
         renormalized.append((before > _RENORM_THRESHOLD / 10) & (state.z_peak == 1.0))
 
-    run_lockstep(train, configs, [stream(3)], Regime.LINF, EGState.initial, recording_step)
+    run_lockstep(train, np.arange(m)[None], configs, [stream(3)], Regime.LINF, EGState.initial, recording_step)
     assert list(np.any(renormalized, axis=0)) == [True, False, True, False]
     ctx = RunContext(regime=Regime.LINF, b=0.1, n_point=1, n_inner=1)
     assert_same_runs("aelr", train, ctx, etas, (3,))
@@ -248,7 +247,8 @@ def test_lasso_rows_that_disagree_on_a_zero_iterate_are_rerun_through_train_run(
     for algo in ("aelr", "ddaelr"):
         configs = [harness._solver_config(algo, train, ctx, eta) for eta in etas]
         with pytest.raises(LockstepBreak):
-            run_lockstep(train, configs, [stream((5, 1))], Regime.LINF, EGState.initial, gaelr_rows_step)
+            run_lockstep(train, np.arange(30)[None], configs, [stream((5, 1))], Regime.LINF, EGState.initial,
+                         gaelr_rows_step)
     reruns = []
 
     def recorded(algo_id, train, ctx, eta, seed):
@@ -256,7 +256,7 @@ def test_lasso_rows_that_disagree_on_a_zero_iterate_are_rerun_through_train_run(
         return train_run(algo_id, train, ctx, eta, seed)
 
     monkeypatch.setattr(harness, "train_run", recorded)
-    rows = train_grid("aelr", train, ctx, etas, (5, 1))
+    rows = one_fold("aelr", train, ctx, etas, (5, 1))
     assert reruns == [("aelr", 1e-300), ("aelr", 0.1)]
     monkeypatch.undo()
     assert not np.any(rows[0].predictor.weights)
@@ -275,8 +275,8 @@ def test_a_lockstep_grid_refuses_a_generator_other_than_pcg64(bit_generator):
     configs = [harness._solver_config("aelr", train, ctx, eta) for eta in (0.01, 0.1)]
     name = bit_generator.__name__
     with pytest.raises(ValueError, match=f"a budgeted pass needs a PCG64 generator, got {name}$"):
-        run_lockstep(train, configs, [np.random.Generator(bit_generator(1))], Regime.LINF, EGState.initial,
-                     gaelr_rows_step)
+        run_lockstep(train, np.arange(20)[None], configs, [np.random.Generator(bit_generator(1))], Regime.LINF,
+                     EGState.initial, gaelr_rows_step)
 
 
 @pytest.mark.parametrize("data", ["other regime", "empty"])
@@ -293,7 +293,7 @@ def test_a_grid_refuses_what_train_run_refuses(algo, data):
     with pytest.raises(ValueError) as single:
         train_run(algo, train, ctx, 0.1, stream((8,)))
     with pytest.raises(ValueError, match=f"^{re.escape(str(single.value))}$"):
-        train_grid(algo, train, ctx, [0.1, 0.3], (8,))
+        one_fold(algo, train, ctx, [0.1, 0.3], (8,))
 
 
 @pytest.mark.parametrize("algo", sorted(ALGORITHMS))
@@ -304,7 +304,111 @@ def test_an_empty_grid_is_refused_for_every_kind(monkeypatch, algo):
     ctx = RunContext(regime=regime, b=2.0, n_point=2, n_inner=1, moments=dataset_moments(train))
     monkeypatch.setattr(harness, "train_run", None)  # no run may start
     with pytest.raises(ValueError, match=f"^{algo}: empty step-size grid, no run to make$"):
-        train_grid(algo, train, ctx, [], (1,))
+        one_fold(algo, train, ctx, [], (1,))
+
+
+@pytest.mark.parametrize("etas", [[None, 0.1], [0.1, 0.0], [-0.1], [math.inf], [math.nan], [True], ["0.1"]],
+                         ids=["none", "zero", "negative", "inf", "nan", "bool", "str"])
+@pytest.mark.parametrize("algo", sorted(ALGORITHMS))
+def test_a_grid_refuses_a_step_size_that_is_not_a_positive_finite_number(monkeypatch, algo, etas):
+    """Every kind refuses it with one message, before any run."""
+    regime = ALGORITHMS[algo].regime or Regime.L2
+    rng = np.random.default_rng(7)
+    train = Dataset(rng.uniform(-0.5, 0.5, (20, 3)), rng.uniform(-1.0, 1.0, 20), regime)
+    ctx = RunContext(regime=regime, b=2.0, n_point=2, n_inner=1, moments=dataset_moments(train))
+    monkeypatch.setattr(harness, "train_run", None)  # no run may start
+    monkeypatch.setattr(harness, "run_lockstep", None)
+    message = f"^{algo}: step sizes must be positive, finite numbers, got {re.escape(repr(etas))}$"
+    with pytest.raises(ValueError, match=message):
+        one_fold(algo, train, ctx, etas, (1,))
+
+
+@pytest.mark.parametrize("algo", sorted(ALGORITHMS))
+def test_a_grid_refuses_fold_orders_of_unequal_lengths(monkeypatch, algo):
+    """Folds of one call share a pass, so they train on as many examples:
+    orders of lengths 10 and 11 are refused, and so is a call with no
+    fold, with one message each for every kind, before any run."""
+    regime = ALGORITHMS[algo].regime or Regime.L2
+    rng = np.random.default_rng(7)
+    train = Dataset(rng.uniform(-0.5, 0.5, (20, 3)), rng.uniform(-1.0, 1.0, 20), regime)
+    ctx = RunContext(regime=regime, b=2.0, n_point=2, n_inner=1, moments=dataset_moments(train))
+    monkeypatch.setattr(harness, "train_run", None)
+    monkeypatch.setattr(harness, "run_lockstep", None)
+    with pytest.raises(ValueError, match=r"^train_grid needs fold orders of one length, got \[10, 11\]$"):
+        train_grid(algo, train, ctx, [0.1, 0.3], [(1,), (2,)], [np.arange(10), np.arange(11)])
+    with pytest.raises(ValueError, match=r"^train_grid needs one key per fold, got 0 for 0 folds$"):
+        train_grid(algo, train, ctx, [0.1, 0.3], [], [])
+
+
+@pytest.mark.parametrize("algo", ["aerr", "2p-ddaerr"])
+def test_a_ridge_chunk_whose_lockstep_breaks_is_fit_through_train_run(monkeypatch, algo):
+    """Three folds of two training lengths (16, 17, 17): where the
+    lockstep breaks, each length's train_grid makes every (fold, eta) run
+    through train_run, fold-major, one call each, bit for bit the runs
+    of each fold on its own."""
+    rng = np.random.default_rng(8)
+    x = rng.uniform(-1.0, 1.0, (25, 5))
+    pool = Dataset(x / np.maximum(np.linalg.norm(x, axis=1, keepdims=True), 1.0), rng.uniform(-1.0, 1.0, 25),
+                   Regime.L2)
+    ctx = RunContext(regime=Regime.L2, b=2.0, n_point=2, n_inner=2, moments=dataset_moments(pool))
+    blocks = np.array_split(rng.permutation(25), 3)
+    grid = [0.01, 0.1, 0.5]
+    fits, calls = [], []
+
+    def broken(*args):
+        raise LockstepBreak
+
+    def recorded_run(algo_id, train, ctx, eta, seed):
+        calls.append((len(train), eta))
+        return train_run(algo_id, train, ctx, eta, seed)
+
+    real_grid = harness.train_grid
+
+    def recorded_grid(*args):
+        fits.extend(real_grid(*args))
+        return fits[len(fits) - len(args[3]) * len(args[4]):]
+
+    monkeypatch.setattr(harness, "run_lockstep", broken)
+    monkeypatch.setattr(harness, "train_run", recorded_run)
+    monkeypatch.setattr(harness, "train_grid", recorded_grid)
+    _fold_scores(pool, blocks, (0, 1, 2), algo, ctx, grid, (4,))
+    lengths = [25 - len(block) for block in blocks]
+    assert lengths == [16, 17, 17]
+    assert calls == [(m, eta) for m in lengths for eta in grid]
+    for f, block in enumerate(blocks):
+        train = pool.subset(np.concatenate([b for g, b in enumerate(blocks) if g != f]))
+        for eta, fit in zip(grid, fits[f * len(grid):]):
+            one = train_run(algo, train, ctx, eta, stream((4, harness._TAG_CV_RUN, f)))
+            assert fit.predictor.weights.tobytes() == one.predictor.weights.tobytes(), (f, eta)
+            assert (fit.attributes_consumed, fit.zero_weight_steps, fit.p_fallbacks) == (
+                one.attributes_consumed, one.zero_weight_steps, one.p_fallbacks), (f, eta)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_lasso_cv_task_holds_one_fold_and_a_ridge_cell_one_chunk_per_worker(monkeypatch, workers):
+    """run_experiment's chunking is where lasso folds are kept apart: each
+    lasso CV task fits one fold, while a ridge cell's folds are split into
+    min(workers, folds) chunks; every fold of every cell is in one task."""
+    tasks = []
+    real = harness._map_tasks
+
+    def recorded(pool_exec, workers, fn, batch):
+        tasks.extend(task for task in batch if fn is harness._run_task and task[5] is not None)
+        return real(pool_exec, workers, fn, batch)
+
+    monkeypatch.setattr(harness, "_map_tasks", recorded)
+    for regime, algos in ((Regime.L2, ["aerr", "2p-ddaerr"]), (Regime.LINF, ["aelr", "ddaelr", "2p-ddaelr"])):
+        tasks.clear()
+        run_experiment(ExperimentConfig(algorithms=algos, regime=regime, prefixes=[20, 30], k=2, dim=4, alpha=-1.0,
+                                        repeats=1, folds=3, eta_grid=[0.05, 0.3], seed=2), workers=workers)
+        cells = {}
+        for _, algo, _, m, _, chunk, _ in tasks:
+            cells.setdefault((algo, m), []).append(chunk)
+        assert sorted(cells) == sorted((algo, m) for algo in algos for m in (20, 30))
+        for chunks in cells.values():
+            assert [f for chunk in chunks for f in chunk] == [0, 1, 2]
+            assert [len(chunk) for chunk in chunks] == ([1, 1, 1] if regime == Regime.LINF
+                                                        else [3] if workers == 1 else [2, 1])
 
 
 @pytest.mark.parametrize("algo", ["aelr", "2p-ddaelr", "adagrad-gaelr", "eg-full"])
@@ -317,7 +421,7 @@ def test_a_grid_refuses_a_generator_key(algo):
     key = np.random.default_rng(5)
     before = key.bit_generator.state
     with pytest.raises(ValueError, match="every step size starts from the same stream"):
-        train_grid(algo, train, ctx, [1e-300, 0.1, 0.3], key)
+        one_fold(algo, train, ctx, [1e-300, 0.1, 0.3], key)
     assert key.bit_generator.state == before
 
 
@@ -336,7 +440,7 @@ def test_adagrad_grids_are_fit_one_by_one_through_train_run(monkeypatch, algo):
         return train_run(algo_id, train, ctx, eta, seed)
 
     monkeypatch.setattr(harness, "train_run", recorded)
-    train_grid(algo, train, ctx, [0.5, 2.0], (9,))
+    one_fold(algo, train, ctx, [0.5, 2.0], (9,))
     assert calls == [0.5, 2.0]
 
 
@@ -360,8 +464,8 @@ def test_each_cv_fit_is_checked_in_its_fold_task(monkeypatch, fault, message):
     blocks = np.array_split(np.arange(9), 3)
     real = harness.train_grid
 
-    def faulty(algo_id, train, ctx, etas, key, orders=None):
-        results = real(algo_id, train, ctx, etas, key, orders)
+    def faulty(algo_id, train, ctx, etas, keys, orders):
+        results = real(algo_id, train, ctx, etas, keys, orders)
         bad = results[-1]
         if fault == "budget":
             results[-1] = RunResult(bad.predictor, bad.attributes_consumed + 1)

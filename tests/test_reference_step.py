@@ -144,6 +144,9 @@ def ref_gaerr_step(state, x, y, config, rng, ref_q, point_estimate=None):
         else:
             w[est.indices] -= config.eta * phi * est.values
         nrm = math.sqrt(float(np.dot(w, w)))
+        if nrm == math.inf:  # the square overflows (||w|| > 1.34e154): scale by max|w| first
+            top = float(np.abs(w).max())
+            nrm = top * math.sqrt(float(np.dot(w / top, w / top)))
         if nrm > config.b:
             w *= config.b / nrm
     return state
@@ -296,6 +299,8 @@ def example_case(regime, d, m, *, b=1.0, eta=0.5, n_point=2, n_inner=1, moments=
 @example(example_case(Regime.LINF, 4, 6, b=1e102, initial_w=np.array([9.9e101, 0.0, 0.0, 0.0]),
                       draws=(0.6, 0.9, 0.4, 0.7)))
 @example(example_case(Regime.LINF, 1, 12, b=6e99, eta=50.0, initial_w=np.zeros(1)))
+# a ridge step whose squared norm overflows: projected onto the ball, not scaled to zero
+@example(example_case(Regime.L2, 2, 6, b=6e99, eta=50.0, n_point=1, draws=(0.75, 0.0), x_value=1.0))
 # z- (then z+) of coordinate 1 grows past the threshold while the other shrinks
 @example(example_case(Regime.LINF, 2, 4, b=1.5e100, eta=50.0, n_point=1, initial_w=np.array([0.7e100, 0.0]),
                       draws=(0.75,), x_value=0.5))
@@ -316,17 +321,19 @@ def test_lean_step_matches_reference_step(case):
     live, ref = initial(d, config), initial(d, config)
     live_rng, ref_rng = CycledDraws(draws), CycledDraws(draws)
     for t in range(len(y)):
-        drawn, indices, values, _ = estimate_point(x[t][None], config.q, live_rng.random(config.n_point)[None])
-        live_est = SparseEstimate(indices, values, d)
+        drawn, values = estimate_point(x[t][None], config.q, live_rng.random(config.n_point)[None])
+        drawn, values = drawn[0], values[0]
         ref_est = None
         if external:  # the point draws shared with a moment table, as the two-phase warm start makes them
             ref_idx = ref_sample_index(ref_q, ref_rng.random(config.n_point))
             ref_est = ref_estimate_from_indices(x[t], ref_q, ref_idx)
-            assert same_bits(live_est.indices, ref_est.indices) and same_bits(live_est.values, ref_est.values)
-            assert same_bits(drawn[0], np.sort(ref_idx))
+            assert same_bits(drawn, np.sort(ref_idx))
+            # each draw, repeats included, carries the reference's merged value at its index
+            distinct = np.cumsum(np.r_[True, drawn[1:] != drawn[:-1]]) - 1
+            assert same_bits(drawn, ref_est.indices[distinct]) and same_bits(values, ref_est.values[distinct])
         inner = live_rng.random(config.n_inner)
         zero_steps = live.zero_weight_steps
-        _, live_error = outcome(lambda: step(live, x[t], float(y[t]), config, indices, values, inner))
+        _, live_error = outcome(lambda: step(live, x[t], float(y[t]), config, drawn, values, inner))
         if live.zero_weight_steps != zero_steps:
             live_rng.advance(-config.n_inner)
         _, ref_error = outcome(lambda: ref_step(ref, x[t], float(y[t]), config, ref_rng, ref_q, ref_est))

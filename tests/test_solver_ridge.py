@@ -150,7 +150,9 @@ def test_adagrad_step_matches_reference_update():
         stream_step(gaerr_step, state, ds.x[t], float(ds.y[t]), config, rng_s)
         assert np.linalg.norm(state.w) <= b + 1e-9
 
-        _, indices, values, _ = estimate_point(ds.x[t][None], q, rng_r.random(k)[None])
+        drawn, values = estimate_point(ds.x[t][None], q, rng_r.random(k)[None])
+        indices, first = np.unique(drawn[0], return_index=True)  # the reference updates each coordinate once
+        values = values[0][first]
         p = inner_product_p(w, Regime.L2)
         j = sample_index(p, rng_r.random(2))
         phi = float(np.mean(w[j] / p.probabilities[j] * ds.x[t][j]) - ds.y[t])
