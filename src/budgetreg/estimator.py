@@ -18,7 +18,8 @@ loop.  Only the geometry of the update is theirs.
 passes at once as the rows of an (R, d) state: the passes of F folds,
 each fold on its own examples and its own stream, at the step sizes and
 starts of its rows.  The rows of a fold share its uniforms and point
-estimates, and every per-step numpy call serves all R rows.
+estimates, laid by the fold's own zero runs, and every per-step numpy
+call serves all R rows; a row that leaves its fold's layout breaks off.
 """
 
 import copy
@@ -89,7 +90,7 @@ class SolverConfig:
 
 @dataclass(kw_only=True)
 class PassState:
-    """The counters every pass keeps; a solver's state adds its iterate."""
+    """The counters every pass keeps; a solver's state adds its iterate and zero_entries()."""
 
     sum_w: np.ndarray
     steps: int = 0
@@ -220,32 +221,25 @@ def _initial_states(dataset, configs, regime, initial_state):
     return [initial_state(d, config) for config in configs]
 
 
-class LockstepBreak(Exception):
-    """The rows of a lockstep pass stopped agreeing on which steps have a
-    zero iterate (or on a p that can be built), so they no longer read
-    their streams alike; each run has to be made on its own."""
-
-
 def _budgeted_pass(state, xs, ys, orders, configs, rngs, step, tables, fold_of_row=None):
     """Steps over the examples of F = len(rngs) folds in lockstep, drawing
-    each block's uniforms at once: fold f reads the examples orders[f] of
+    a block of uniforms at once: fold f reads the examples orders[f] of
     (xs, ys) in that order (``orders`` None: all of them, one run), samples
     its point estimates by configs[f].q, draws from rngs[f] and, when
     ``tables`` is given, tables its point draws in tables[f].
 
     On each stream, example t reads its n_point point uniforms and then,
-    unless its iterate is zero, its n_inner inner-product uniforms.  A
-    block lays n_point + n_inner uniforms per example, row-major, which
-    is that order exactly as long as no step has a zero iterate.  A
-    zero-iterate step ends its block, and the uniforms the pass did not
-    use are handed back with ``advance``, so each generator ends where a
-    per-step draw would leave it.  A zero-iterate step that cannot move
-    the iterate (y = 0, or every point value is 0) leaves it zero for the
-    next example, so the next block lays n_point uniforms per example and
-    ends at the first example that can move it.  The folds step together,
-    so they must agree on which steps have a zero iterate (the rows step
-    raises LockstepBreak where they do not) and on which zero steps leave
-    it zero (LockstepBreak here).
+    unless its iterate is zero, its n_inner inner-product uniforms.  Each
+    fold lays its blocks by its own rows' state: n_point + n_inner uniforms
+    per example, row-major, while they are nonzero, and n_point in a zero
+    run, where a zero iterate stays zero up to the first example that can
+    move it (y != 0 and a nonzero point value); a pass whose rows start at
+    a zero iterate (state.zero_entries()) starts in one.  The folds step until
+    the first example where a fold's layout changes (a zero-iterate step
+    out of a zero run, or a zero run's first mover) or a block runs out.
+    A fold keeps the rest of its block while its layout holds; else it
+    hands the uniforms it did not use back with ``advance``, so its
+    generator ends where a per-step draw would leave it.
 
     Both branches read estimate_point's (drawn, values) layout: k sorted
     draws per example, repeats kept, each with the merged estimate, so a
@@ -255,7 +249,9 @@ def _budgeted_pass(state, xs, ys, orders, configs, rngs, step, tables, fold_of_r
     its inner uniforms.  Otherwise row r of the (R, d) state is a run of
     fold fold_of_row[r]: ``x`` holds the folds' examples (F, d), and y,
     indices, values and inner one row per state row, ``indices`` its
-    fold's draws offset to flat state indices.
+    fold's draws offset to flat state indices.  Either step rebinds
+    state.zero_weight_steps (an int, or an (F, R / F) array by fold) when
+    a fold steps at a zero iterate.
     """
     for rng in rngs:
         if not isinstance(rng.bit_generator, np.random.PCG64):  # only PCG64's advance steps back one double each
@@ -263,48 +259,58 @@ def _budgeted_pass(state, xs, ys, orders, configs, rngs, step, tables, fold_of_r
     k, n_inner = configs[0].n_point, configs[0].n_inner
     m = len(ys) if orders is None else orders.shape[1]
     span = max(1, _BLOCK_ROWS // len(rngs))  # examples of each fold in a block
-    start, zero_run = 0, False
-    while start < m:
+
+    def by_fold(rows):  # per fold, whether any of its rows is set
+        return np.reshape(rows, (len(rngs), -1)).any(axis=1).tolist()
+
+    def lay(f):  # fold f's next block from example start on, in its layout: x, y, point draws and values, inner, movers
         stop = min(start + span, m)
-        width = k if zero_run else k + n_inner
-        picks = [slice(start, stop)] if orders is None else orders[:, start:stop]
-        xb, yb = [xs[i] for i in picks], [ys[i] for i in picks]
-        u = [rng.random((stop - start) * width).reshape(stop - start, width) for rng in rngs]
-        points = [estimate_point(x, config.q, draws[:, :k]) for x, config, draws in zip(xb, configs, u)]
-        # per fold, the examples that can move a zero iterate: y != 0 and a nonzero point value
-        movers = [(values != 0).any(axis=1) & (y != 0) for (_, values), y in zip(points, yb)]
-        rows = stop - start
-        if zero_run:  # the iterates stay zero up to the first example that can move one
-            first = np.logical_or.reduce(movers)
+        pick = slice(start, stop) if orders is None else orders[f, start:stop]
+        x, y, width = xs[pick], ys[pick], k if zero_run[f] else k + n_inner
+        u = rngs[f].random((stop - start) * width).reshape(stop - start, width)
+        drawn, values = estimate_point(x, configs[f].q, u[:, :k])
+        inner = u[:, k:] if width > k else np.zeros((stop - start, n_inner))  # zeros, which a zero run does not read
+        # movers: the examples that can move a zero iterate, y != 0 and a nonzero point value
+        return [x, y, drawn, values, inner, (values != 0).any(axis=1) & (y != 0)]
+
+    start, zero_run = 0, state.zero_entries().reshape(len(rngs), -1).all(axis=1).tolist()
+    blocks = [None] * len(rngs)
+    while start < m:
+        blocks = [lay(f) if block is None else block for f, block in enumerate(blocks)]
+        rows = min([len(block[0]) for block in blocks])
+        if any(zero_run):
+            first = np.logical_or.reduce([block[5][:rows] for block, z in zip(blocks, zero_run) if z])
             rows = int(first.argmax()) + 1 if first.any() else rows
         if fold_of_row is None:
-            (drawn, values), = points
-            examples = zip(xb[0][:rows], yb[0].tolist(), drawn, values, u[0][:, k:])
+            x, y, drawn, values, inner, _ = blocks[0]
+            examples = zip(x[:rows], y[:rows].tolist(), drawn, values, inner)
         else:  # each row gets its fold's example, draws and uniforms
-            def per_row(arrays):  # (rows, R, ...): state row r's entry from its fold's array
-                return np.array(arrays)[fold_of_row, :rows].swapaxes(0, 1)
+            def per_row(i):  # (rows, R, ...): state row r's entry from its fold's array
+                return np.array([block[i][:rows] for block in blocks])[fold_of_row].swapaxes(0, 1)
 
-            drawn, values = zip(*points)
-            examples = zip(np.stack(xb, axis=1)[:rows], per_row(yb), per_row(drawn) + state.row_starts,
-                           per_row(values), per_row([draws[:, k:] for draws in u]))
-        zero_steps = state.zero_weight_steps
+            examples = zip(np.stack([block[0][:rows] for block in blocks], axis=1), per_row(1),
+                           per_row(2) + state.row_starts, per_row(3), per_row(4))
+        counts = zero_steps = state.zero_weight_steps
+        zero = [False] * len(rngs)  # per fold, a zero-iterate step out of a zero run, which reads no inner uniforms
         for used, (x, y, indices, values, inner) in enumerate(examples, start=1):
             step(state, x, y, configs[0], indices, values, inner)
-            if state.zero_weight_steps != zero_steps and not zero_run:
-                break
-        zero = state.zero_weight_steps != zero_steps
-        unused = (stop - start - used) * width + (n_inner if zero and not zero_run else 0)
-        if unused:
-            for rng in rngs:
-                rng.bit_generator.advance(-unused)
-        if tables is not None:
-            for table, x, (drawn, _) in zip(tables, xb, points):
-                table.add(drawn[:used], x[:used])
+            if state.zero_weight_steps is not zero_steps:  # rebound: some fold stepped at a zero iterate
+                zero_steps = state.zero_weight_steps
+                zero = [stepped and not run for stepped, run in zip(by_fold(zero_steps - counts), zero_run)]
+                if any(zero):  # that fold's layout changed
+                    break
+        last = [block[5][used - 1] for block in blocks]  # whether each fold's last example was a mover
+        for f, block in enumerate(blocks):
+            if tables is not None:
+                tables[f].add(block[2][:used], block[0][:used])
+            left = len(block[0]) - used
+            blocks[f] = [part[used:] for part in block] if left else None
+            if zero[f] or zero_run[f] and last[f]:  # the rest of its block is laid out wrong: hand it back
+                rngs[f].bit_generator.advance(-left * (k if zero_run[f] else k + n_inner) - (n_inner if zero[f] else 0))
+                blocks[f] = None
         start += used
-        stuck = {not moves[used - 1] for moves in movers} if zero else {False}
-        if len(stuck) > 1:  # one fold's iterate stays zero while another's may move
-            raise LockstepBreak
-        zero_run, = stuck
+        # a zero step that cannot move the iterate leaves it zero for the next example
+        zero_run = [(run or skipped) and not moves for run, skipped, moves in zip(zero_run, zero, last)]
 
 
 def draw_rows(state, w, x, y, config, inner, regime):
@@ -316,8 +322,12 @@ def draw_rows(state, w, x, y, config, inner, regime):
     row builds its own p from its own iterate (the improved-p fallback is
     decided per row) and resolves its uniforms against it, with the
     operations of the one-run step applied row-wise, so each row's phi
-    has the bits of that run's.  The rows must agree on a zero iterate:
-    all of them or none.
+    has the bits of that run's.  A fold whose live rows all have a zero
+    iterate takes the zero-iterate step, phi = -y, and counts it per row.
+    A row that can no longer follow its fold's stream is marked in
+    state.broken and frozen at phi = 0: a zero row in a fold that also has
+    nonzero live rows, or a row whose p total underflows or overflows
+    (which the one-run p refuses or rescales).
     """
     state.charge(w, config)
     if state.root_moments is None:
@@ -329,12 +339,19 @@ def draw_rows(state, w, x, y, config, inner, regime):
             fallback = ((weights == 0) & (w != 0)).any(axis=1)
             weights = np.where(fallback[:, None], w * w if regime is Regime.L2 else np.abs(w), weights)
             state.p_fallbacks += fallback
+    if state.broken is not None:
+        weights[state.broken.ravel()] = 1.0  # a frozen row draws from the uniform p; its phi is discarded
     total = np.add.reduce(weights, axis=1, keepdims=True)
-    if not total.min() > 0.0:  # a zero iterate; or a zero or NaN total, which the one-run p refuses
-        if np.count_nonzero(w):
-            raise LockstepBreak
-        state.zero_weight_steps += 1
-        return -y
+    if not total.min() > 0.0:  # a live row at a zero iterate, or with a zero or NaN total
+        shape = state.zero_weight_steps.shape
+        idle = ~(total > 0.0).reshape(shape)
+        zero = idle & ~w.any(axis=1).reshape(shape)
+        drawing = ~idle if state.broken is None else ~idle & ~state.broken  # the live rows that have a p
+        stepped = zero & ~drawing.any(axis=1, keepdims=True)
+        _freeze(state, idle & ~stepped)
+        state.zero_weight_steps = state.zero_weight_steps + stepped  # rebound, which tells the pass
+        weights[idle.ravel()] = 1.0  # a zero row's terms are then 0, so its phi is -y
+        total = np.add.reduce(weights, axis=1, keepdims=True)
     p = weights / total
     c = np.add.accumulate(p, axis=1)
     # searchsorted(c, u, side="right") per row and draw: the first entry above u
@@ -342,13 +359,23 @@ def draw_rows(state, w, x, y, config, inner, regime):
     j = above.argmax(axis=2)
     found = above[:, :, -1]
     if not found.all():  # past a total that rounds below 1: the last index with mass
-        if not c[:, -1].min() > 0.5:  # an infinite total, which the one-run p rescales or refuses
-            raise LockstepBreak
+        # an infinite total, which the one-run p rescales or refuses; p = 1 keeps the discarded phi finite
+        p[_freeze(state, ~(c[:, -1] > 0.5))] = 1.0
         j = np.where(found, j, np.count_nonzero(c < c[:, -1:], axis=1)[:, None])
     flat = j + state.row_starts
     terms = w.take(flat) / p.take(flat) * x.take(j + state.fold_starts)
     # add.reduce starts at +0.0 and adds fewer than 8 terms left to right (pairwise from 8 on), as estimate_phi
-    return np.add.reduce(terms, axis=1) / j.shape[1] - y
+    phi = np.add.reduce(terms, axis=1) / j.shape[1] - y
+    if state.broken is not None:
+        phi[state.broken.ravel()] = 0.0
+    return phi
+
+
+def _freeze(state, rows):  # mark rows (one flag per row) broken in a lockstep state; returns them
+    if rows.any():  # state.broken stays None, which skips the masking, while every row is live
+        marked = rows.reshape(state.zero_weight_steps.shape)
+        state.broken = marked if state.broken is None else state.broken | marked
+    return rows
 
 
 def row_norms(w):
@@ -356,8 +383,9 @@ def row_norms(w):
     dots each row as np.dot does, and older numpy dots row by row."""
     square = np.vecdot(w, w) if _VECDOT else np.array([np.dot(row, row) for row in w])
     norms = np.sqrt(square)
-    for i in np.flatnonzero(square == math.inf):
-        norms[i] = l2_norm(w[i])
+    if square.max() == math.inf:  # l2_norm scales the rows whose squared norm overflows
+        for i in np.flatnonzero(square == math.inf):
+            norms[i] = l2_norm(w[i])
     return norms
 
 
@@ -378,9 +406,11 @@ def run_lockstep(dataset, orders, configs, seeds, regime, initial_state, step, t
     ``state.eta``; ``step`` updates all rows at once.  A row that draws
     phi = 0 skips its whole update.  The rows of a fold share its
     uniforms and point estimates (estimate_point's layout, as in the one
-    run's pass), which is each run's own draw as long as they agree on
-    which steps have a zero iterate, and the folds step together:
-    LockstepBreak is raised where the rows do not agree.
+    run's pass), which is each run's own draw as long as it agrees with
+    the fold's live rows on which steps have a zero iterate; the folds
+    step together, each on its own layout.  A row that leaves its fold's
+    layout, or whose p the rows cannot build, is broken (see draw_rows):
+    its result is None, for the caller to make on its own.
     """
     runs = _initial_states(dataset, configs, regime, initial_state)
     state = copy.copy(runs[0])
@@ -394,9 +424,12 @@ def run_lockstep(dataset, orders, configs, seeds, regime, initial_state, step, t
     state.fold_starts = fold[:, None] * dataset.dimension  # flat index of its fold's example in a step's x
     state.root_moments = None if configs[0].root_moments is None else np.array([c.root_moments for c in configs])
     state.p_fallbacks = np.zeros(len(configs), dtype=int)
+    state.zero_weight_steps = np.zeros((len(seeds), per_fold), dtype=int)  # per row, by fold
+    state.broken = None  # the same shape once a row breaks
     _budgeted_pass(state, dataset.x, dataset.y, orders, configs[::per_fold], [stream(seed) for seed in seeds],
                    step, tables, fold)
-    config = configs[0]
-    return [RunResult(Predictor(sum_w / state.steps, config.b, regime), state.attributes_consumed,
-                      state.zero_weight_steps, p_fallbacks=int(fallbacks))
-            for sum_w, fallbacks in zip(state.sum_w, state.p_fallbacks)]
+    broken = np.zeros(len(configs), dtype=bool) if state.broken is None else state.broken.flat
+    return [None if lost else RunResult(Predictor(sum_w / state.steps, configs[0].b, regime), state.attributes_consumed,
+                                        int(zero_steps), p_fallbacks=int(fallbacks))
+            for sum_w, zero_steps, fallbacks, lost in zip(state.sum_w, state.zero_weight_steps.flat, state.p_fallbacks,
+                                                          broken)]

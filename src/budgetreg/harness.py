@@ -9,6 +9,7 @@ function of the configuration regardless of worker-pool size.
 from __future__ import annotations
 
 import contextlib
+import functools
 import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -19,7 +20,7 @@ import numpy as np
 from .baselines import offline_erm, online_lasso_full, online_ridge_full
 from .core import Regime, check_b, norm, squared_loss, stream, weight_norm
 from .datagen import generate_dataset, power_law_means, random_target_weights
-from .estimator import LockstepBreak, SolverConfig, run_lockstep
+from .estimator import SolverConfig, run_lockstep
 from .ingest import Scaler, load_csv
 from .sampling import lasso_optimal_q, ridge_optimal_q, uniform_distribution
 from .solver_lasso import EGState, aelr_eta, gaelr_rows_step, lasso_eta_known_moments, run_gaelr
@@ -209,10 +210,10 @@ def train_grid(algo_id, train, ctx, etas, keys, orders):
 
     The fixed-step budgeted kinds make all of them in one lockstep pass
     (estimator.run_lockstep, per phase for two_phase.phases), bit for bit
-    the train_run results, refusals included.  The AdaGrad and
-    full-information kinds, and every fold of a pass whose rows stop
-    agreeing on a zero iterate (LockstepBreak), make each run through
-    train_run.  Which folds share a call is the caller's to choose.
+    the train_run results, refusals included; a (fold, eta) run whose row
+    breaks off the lockstep is made alone through train_run.  The AdaGrad
+    and full-information kinds make each run through train_run.  Which
+    folds share a call is the caller's to choose.
     """
     regime = algorithm_regime(algo_id, ctx.regime)
     if len(etas) == 0:
@@ -228,19 +229,16 @@ def train_grid(algo_id, train, ctx, etas, keys, orders):
         raise ValueError(f"train_grid needs fold orders of one length, got {lengths}")
     orders = np.asarray(orders)
     spec = ALGORITHMS[algo_id]
-    if spec.budgeted and not spec.adagrad:
-        try:
-            return _lockstep(algo_id, regime, train, ctx, etas, keys, orders)
-        except LockstepBreak:
-            pass
-    folds = [(key, train.subset(order)) for key, order in zip(keys, orders)]
-    return [train_run(algo_id, fold, ctx, eta, stream(key)) for key, fold in folds for eta in etas]
+    runs = ([None] * (len(keys) * len(etas)) if not spec.budgeted or spec.adagrad
+            else _lockstep(algo_id, regime, train, ctx, etas, keys, orders))
+    fold = functools.cache(lambda f: train.subset(orders[f]))  # one training copy per fold that needs one
+    return [train_run(algo_id, fold(i // len(etas)), ctx, etas[i % len(etas)], stream(keys[i // len(etas)]))
+            if run is None else run for i, run in enumerate(runs)]
 
 
 def _lockstep(algo_id, regime, train, ctx, etas, keys, orders):
     """The runs of train_grid in one lockstep pass (per phase for
-    two-phase) of a fixed-step budgeted kind; LockstepBreak where its
-    rows break."""
+    two-phase) of a fixed-step budgeted kind; None for a broken row."""
     def solve(dataset, orders, configs, rngs, tables=None):
         return run_lockstep(dataset, orders, configs, rngs, regime, *_ROWS[regime], tables)
 
@@ -567,10 +565,8 @@ def run_experiment(config, workers: int = 1, on_start=None) -> ExperimentResult:
     cells = [(ai, algo, pi, m) for ai, algo in enumerate(config.algorithms)
              for pi, m in enumerate(config.prefixes)]
     cv_cells = [c for c in cells if config.eta_grid is not None and ALGORITHMS[c[1]].kind != "erm"]
-    # a CV task fits a chunk of a cell's folds, those of one training length in one train_grid pass: one
-    # chunk per worker in ridge, one fold in lasso, whose passes start at a zero iterate that each fold's
-    # zero run leaves on its own fold's example, where a shared pass would break
-    per_cell = min(workers, config.folds) if config.regime == Regime.L2 else config.folds
+    # a CV task fits a chunk of a cell's folds, those of one training length in one train_grid pass
+    per_cell = min(workers, config.folds)
     cv_tasks = [(ai, algo, pi, m, None, tuple(chunk.tolist()), None) for ai, algo, pi, m in cv_cells
                 for chunk in np.array_split(np.arange(config.folds), per_cell)]
     # a forked pool starts all its workers at the first task, however few the tasks

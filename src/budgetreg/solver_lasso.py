@@ -52,6 +52,9 @@ class EGState(PassState):
             state.accum = np.zeros(d)
         return state
 
+    def zero_entries(self):  # where the iterate is zero: w_i = 0 exactly where z+_i = z-_i
+        return self.z_plus == self.z_minus
+
 
 def eg_weights(state, b):
     """w = (z+ - z-) * b / (||z+||_1 + ||z-||_1); z entries are positive."""

@@ -43,6 +43,9 @@ class RidgeState(PassState):
         w0 = default_initial_w(d, config.b) if w0 is None else np.asarray(w0, dtype=float).copy()
         return cls(w=w0, sum_w=np.zeros(d), accum=np.zeros(d) if config.adagrad else None)
 
+    def zero_entries(self):  # where the iterate is zero
+        return self.w == 0
+
 
 def l2_step(state, indices, phi, values, config):
     """Step along -phi * values at ``indices``, then project onto the L2 ball of radius b."""

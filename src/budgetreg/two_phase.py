@@ -174,7 +174,8 @@ def phases(dataset, config, seeds, etas, solve, orders):
     tables=None)`` runs one pass per config, fold f's on the examples
     orders[f] and the generator rngs[f], and returns their RunResults.  In
     lockstep (harness.train_grid) the rows of a fold share its phase-1
-    point draws: one table per fold."""
+    point draws: one table per fold.  A run whose row breaks off the
+    lockstep (None) in either phase is None, to be made whole on its own."""
     config.validate()
     ctx = config.ctx
     m1, m2, b, k, regime = config.m1, config.m2, ctx.b, ctx.n_point, ctx.regime
@@ -203,14 +204,18 @@ def phases(dataset, config, seeds, etas, solve, orders):
             if eta is None:
                 eta = (ridge_eta_two_phase(m2, k, d, half_norm, eps) if ridge
                        else lasso_eta_two_phase(m2, k, d, a, b, eps))
-            w1 = phase1[f * len(etas) + e].predictor.weights
+            first = phase1[f * len(etas) + e]
+            w1 = None if first is None else first.predictor.weights
             cfg2.append(SolverConfig(b=b, eta=eta, q=q2, n_point=k, n_inner=ctx.n_inner,
                                      moments=a if ctx.improved_p else None,
-                                     initial_w=w1 if np.any(w1 != 0) else None))
+                                     initial_w=w1 if w1 is not None and np.any(w1 != 0) else None))
     phase2 = solve(dataset, orders[:, m1:m1 + m2], cfg2, rngs)
 
     results = []
     for row, (config2, first, second) in enumerate(zip(cfg2, phase1, phase2)):
+        if first is None or second is None:
+            results.append(None)
+            continue
         table, q2, half_norm = folds[row // len(etas)]
         diagnostics = {
             "m1": m1,

@@ -4,16 +4,19 @@ A CV fold trains every step size of the grid on the same fold data and
 the same stream, so ``train_grid`` runs the fixed-step budgeted
 algorithms as R rows of one pass (AdaGrad's are fit one by one).  Given
 several folds of one training length, each with its own examples and
-stream, it runs them as the (fold, step size) rows of one pass.  A lasso
-pass starts at a zero iterate that each fold leaves on its own example,
-so ``run_experiment`` gives a lasso CV task one fold.  Each row must be
-bit for bit the ``train_run`` of its fold at its step size: the weights,
-the values read, the zero-iterate steps and the improved-p fallbacks.
-Where rows stop agreeing on a zero iterate, every run is made through
-``train_run``.  The rows kernel is internal to ``train_grid``: no module
-exports it.  ``train_grid`` refuses what ``train_run`` refuses, and an
-empty grid, a step size that is not a positive finite number, fold
-orders of unequal lengths or a Generator key.
+stream, it runs them as the (fold, step size) rows of one pass, and
+``run_experiment`` splits every CV cell into one chunk of folds per
+worker.  Each fold lays its own stream by its own rows' zero iterate:
+lasso passes start in a zero run that each fold leaves at its own
+example.  Each row must be bit for bit the ``train_run`` of its fold at
+its step size: the weights, the values read, the zero-iterate steps and
+the improved-p fallbacks.  A row that leaves its fold's layout (a zero
+iterate beside moving rows) or whose p the rows cannot build is broken
+off, and that (fold, step size) run alone is made through ``train_run``.
+The rows kernel is internal to ``train_grid``: no module exports it.
+``train_grid`` refuses what ``train_run`` refuses, and an empty grid, a
+step size that is not a positive finite number, fold orders of unequal
+lengths or a Generator key.
 """
 
 import math
@@ -27,7 +30,7 @@ from hypothesis import strategies as st
 import budgetreg.harness as harness
 from budgetreg import estimator, solver_lasso, solver_ridge, two_phase
 from budgetreg.core import Dataset, Predictor, Regime, RunResult, l2_norm, stream
-from budgetreg.estimator import LockstepBreak, SolverConfig, run_lockstep
+from budgetreg.estimator import SolverConfig, run_lockstep
 from budgetreg.harness import (ALGORITHMS, ExperimentConfig, RunContext, _fold_scores, dataset_moments, run_experiment,
                                train_grid, train_run)
 from budgetreg.sampling import uniform_distribution
@@ -61,7 +64,8 @@ def test_lockstep_rows_match_train_run_bit_for_bit(data):
     with zero columns (zero moments: the improved p falls back), zero
     targets and sparse rows (phi = 0 steps, zero-iterate runs), short and
     long inner sums, and a grid that may repeat an entry or hold 1e-300
-    (where lasso rows stop agreeing on a zero iterate and are rerun)."""
+    (where a lasso row keeps a zero iterate beside moving rows and is
+    rerun alone)."""
     algo = data.draw(st.sampled_from(BUDGETED))
     regime = ALGORITHMS[algo].regime
     d, m = data.draw(st.integers(1, 40)), data.draw(st.integers(2, 60))
@@ -136,28 +140,24 @@ def test_fold_rows_match_each_folds_train_run_bit_for_bit(data):
                     one.attributes_consumed, one.zero_weight_steps, one.p_fallbacks), (algo, f, eta)
 
 
-def test_folds_share_a_pass_through_agreeing_zero_runs_and_break_off_where_they_differ():
+def test_folds_share_a_pass_through_zero_runs_that_end_at_different_examples():
     """At eta = 1e-300 a lasso iterate stays zero, and a fold's stream lays
     n_point uniforms per example while its examples cannot move the
     iterate (x = 0 here), n_point + n_inner from the first that can.
-    Folds whose examples agree on that share one pass, each fold bit for
-    bit its train_run; folds that differ break the pass off."""
+    Folds share one pass whether their zero runs end at the same example
+    or not, each on its own layout, each fold bit for bit its train_run."""
     pool = Dataset(np.array([[0.0], [1.0], [0.5]]), np.array([1.0, 1.0, -1.0]), Regime.LINF)
     ctx = RunContext(regime=Regime.LINF, b=1.0, n_point=1, n_inner=2)
     keys = [(1,), (2,)]
-
-    def grouped(orders):
+    # first both folds can first move at their third example, then fold 1 at its second and fold 0 at its third
+    for orders in (np.array([[0, 0, 1, 2], [0, 0, 2, 1]]), np.array([[0, 0, 1, 2], [0, 1, 1, 2]])):
         configs = [harness._solver_config("aelr", pool, ctx, 1e-300) for _ in keys]
-        return run_lockstep(pool, orders, configs, keys, Regime.LINF, EGState.initial, gaelr_rows_step)
-
-    agree = np.array([[0, 0, 1, 2], [0, 0, 2, 1]])
-    for order, key, row in zip(agree, keys, grouped(agree)):
-        one = train_run("aelr", pool.subset(order), ctx, 1e-300, stream(key))
-        assert row.predictor.weights.tobytes() == one.predictor.weights.tobytes()
-        assert (row.attributes_consumed, row.zero_weight_steps) == (one.attributes_consumed, one.zero_weight_steps) == (
-            12, 4)
-    with pytest.raises(LockstepBreak):  # fold 1 can move at its second example, fold 0 at its third
-        grouped(np.array([[0, 0, 1, 2], [0, 1, 1, 2]]))
+        rows = run_lockstep(pool, orders, configs, keys, Regime.LINF, EGState.initial, gaelr_rows_step)
+        for order, key, row in zip(orders, keys, rows):
+            one = train_run("aelr", pool.subset(order), ctx, 1e-300, stream(key))
+            assert row.predictor.weights.tobytes() == one.predictor.weights.tobytes()
+            assert (row.attributes_consumed, row.zero_weight_steps) == (
+                one.attributes_consumed, one.zero_weight_steps) == (12, 4)
 
 
 @pytest.mark.parametrize("algo, passes", [("aerr", [3]), ("2p-ddaerr", [3, 3])])
@@ -236,19 +236,20 @@ def test_lockstep_rows_renormalize_eg_one_by_one():
     assert_same_runs("aelr", train, ctx, etas, (3,))
 
 
-def test_lasso_rows_that_disagree_on_a_zero_iterate_are_rerun_through_train_run(monkeypatch):
+def test_only_the_lasso_row_that_keeps_a_zero_iterate_is_rerun_through_train_run(monkeypatch):
     """At eta = 1e-300, exp(+-eta g) rounds to 1: that row keeps its zero
-    iterate while the other moves, so the lockstep breaks off and each
-    step size is rerun on its own, on the same stream key."""
+    iterate while the other moves, so it breaks off the lockstep (None)
+    and is rerun on its own, on the same stream key; the other row keeps
+    its lockstep result."""
     rng = np.random.default_rng(0)
     train = Dataset(rng.uniform(-1.0, 1.0, (30, 4)), rng.uniform(-1.0, 1.0, 30), Regime.LINF)
     ctx = RunContext(regime=Regime.LINF, b=2.0, n_point=2, n_inner=1, moments=dataset_moments(train))
     etas = [1e-300, 0.1]
     for algo in ("aelr", "ddaelr"):
         configs = [harness._solver_config(algo, train, ctx, eta) for eta in etas]
-        with pytest.raises(LockstepBreak):
-            run_lockstep(train, np.arange(30)[None], configs, [stream((5, 1))], Regime.LINF, EGState.initial,
-                         gaelr_rows_step)
+        rows = run_lockstep(train, np.arange(30)[None], configs, [stream((5, 1))], Regime.LINF, EGState.initial,
+                            gaelr_rows_step)
+        assert rows[0] is None and rows[1] is not None
     reruns = []
 
     def recorded(algo_id, train, ctx, eta, seed):
@@ -256,12 +257,71 @@ def test_lasso_rows_that_disagree_on_a_zero_iterate_are_rerun_through_train_run(
         return train_run(algo_id, train, ctx, eta, seed)
 
     monkeypatch.setattr(harness, "train_run", recorded)
-    rows = one_fold("aelr", train, ctx, etas, (5, 1))
-    assert reruns == [("aelr", 1e-300), ("aelr", 0.1)]
+    for algo in ("aelr", "ddaelr", "2p-ddaelr"):
+        rows = one_fold(algo, train, ctx, etas, (5, 1))
+        assert not np.any(rows[0].predictor.weights)
+    assert reruns == [("aelr", 1e-300), ("ddaelr", 1e-300), ("2p-ddaelr", 1e-300)]
     monkeypatch.undo()
-    assert not np.any(rows[0].predictor.weights)
-    assert_same_runs("aelr", train, ctx, etas, (5, 1))
-    assert_same_runs("2p-ddaelr", train, ctx, etas, (5, 1))
+    for algo in ("aelr", "ddaelr", "2p-ddaelr"):
+        assert_same_runs(algo, train, ctx, etas, (5, 1))
+
+
+def test_a_two_phase_lasso_row_broken_in_phase_1_is_refit_whole(monkeypatch):
+    """Two 2p-ddaelr folds at [1e-300, 0.05, 0.3]: the 1e-300 row of each
+    fold breaks in phase 1, so phase 2 returns None for it and train_grid
+    refits that (fold, eta) run, both phases, through train_run; the
+    other rows of its fold keep the lockstep through both phases."""
+    rng = np.random.default_rng(6)
+    pool = Dataset(rng.uniform(-1.0, 1.0, (41, 5)), rng.uniform(-1.0, 1.0, 41), Regime.LINF)
+    ctx = RunContext(regime=Regime.LINF, b=2.0, n_point=2, n_inner=2, moments=dataset_moments(pool))
+    etas, keys = [1e-300, 0.05, 0.3], [(6, 0), (6, 1)]
+    orders = np.array([rng.permutation(41)[:30] for _ in keys])
+    passes, reruns = [], []
+
+    def recorded_pass(dataset, orders, configs, seeds, *args):
+        rows = run_lockstep(dataset, orders, configs, seeds, *args)
+        passes.append([row is not None for row in rows])
+        return rows
+
+    def recorded_run(algo_id, train, ctx, eta, seed):
+        reruns.append((len(train), eta))
+        return train_run(algo_id, train, ctx, eta, seed)
+
+    monkeypatch.setattr(harness, "run_lockstep", recorded_pass)
+    monkeypatch.setattr(harness, "train_run", recorded_run)
+    rows = train_grid("2p-ddaelr", pool, ctx, etas, keys, orders)
+    monkeypatch.undo()
+    assert passes == [[False, True, True] * 2] * 2  # phase 1, then phase 2 from the default start
+    assert reruns == [(30, 1e-300)] * 2
+    for f, key in enumerate(keys):
+        train = pool.subset(orders[f])
+        for eta, row in zip(etas, rows[f * len(etas):]):
+            one = train_run("2p-ddaelr", train, ctx, eta, stream(key))
+            assert row.predictor.weights.tobytes() == one.predictor.weights.tobytes(), (f, eta)
+            assert (row.attributes_consumed, row.zero_weight_steps, row.p_fallbacks, row.info["phase1_budget"]) == (
+                one.attributes_consumed, one.zero_weight_steps, one.p_fallbacks, one.info["phase1_budget"]), (f, eta)
+
+
+def test_the_cv_of_a_grid_holding_1e_300_reruns_only_its_1e_300_rows():
+    """CI's linf config (three folds of 20, grid [1e-300, 0.01, 0.3]): each
+    lasso kind makes one CV train_run per fold, for its 1e-300 row, and
+    eg-full, a full-information kind, one per (fold, eta)."""
+    config = ExperimentConfig.from_dict(
+        {"algorithms": ["aelr", "ddaelr", "2p-ddaelr", "eg-full"], "regime": "linf", "prefixes": [30], "k": 4,
+         "dim": 8, "alpha": -1.0, "repeats": 2, "folds": 3, "eta_grid": [1e-300, 0.01, 0.3], "seed": 2})
+    calls = []
+    real = harness.train_run
+
+    def recorded(algo_id, train, ctx, eta, seed):
+        if len(train) == 20:  # a CV fold's training set; the final runs train on 30
+            calls.append((algo_id, eta))
+        return real(algo_id, train, ctx, eta, seed)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(harness, "train_run", recorded)
+        run_experiment(config)
+    lasso = [("aelr", 1e-300)] * 3 + [("ddaelr", 1e-300)] * 3 + [("2p-ddaelr", 1e-300)] * 3
+    assert calls == lasso + [("eg-full", eta) for _ in range(3) for eta in config.eta_grid]
 
 
 @pytest.mark.parametrize("bit_generator", [np.random.Philox, np.random.MT19937])
@@ -342,10 +402,10 @@ def test_a_grid_refuses_fold_orders_of_unequal_lengths(monkeypatch, algo):
 
 @pytest.mark.parametrize("algo", ["aerr", "2p-ddaerr"])
 def test_a_ridge_chunk_whose_lockstep_breaks_is_fit_through_train_run(monkeypatch, algo):
-    """Three folds of two training lengths (16, 17, 17): where the
-    lockstep breaks, each length's train_grid makes every (fold, eta) run
-    through train_run, fold-major, one call each, bit for bit the runs
-    of each fold on its own."""
+    """Three folds of two training lengths (16, 17, 17): where every row
+    of the lockstep breaks (None), each length's train_grid makes every
+    (fold, eta) run through train_run, fold-major, one call each, bit for
+    bit the runs of each fold on its own."""
     rng = np.random.default_rng(8)
     x = rng.uniform(-1.0, 1.0, (25, 5))
     pool = Dataset(x / np.maximum(np.linalg.norm(x, axis=1, keepdims=True), 1.0), rng.uniform(-1.0, 1.0, 25),
@@ -355,8 +415,8 @@ def test_a_ridge_chunk_whose_lockstep_breaks_is_fit_through_train_run(monkeypatc
     grid = [0.01, 0.1, 0.5]
     fits, calls = [], []
 
-    def broken(*args):
-        raise LockstepBreak
+    def broken(dataset, orders, configs, *args):
+        return [None] * len(configs)
 
     def recorded_run(algo_id, train, ctx, eta, seed):
         calls.append((len(train), eta))
@@ -384,11 +444,11 @@ def test_a_ridge_chunk_whose_lockstep_breaks_is_fit_through_train_run(monkeypatc
                 one.attributes_consumed, one.zero_weight_steps, one.p_fallbacks), (f, eta)
 
 
-@pytest.mark.parametrize("workers", [1, 2])
-def test_a_lasso_cv_task_holds_one_fold_and_a_ridge_cell_one_chunk_per_worker(monkeypatch, workers):
-    """run_experiment's chunking is where lasso folds are kept apart: each
-    lasso CV task fits one fold, while a ridge cell's folds are split into
-    min(workers, folds) chunks; every fold of every cell is in one task."""
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_every_cv_cell_is_split_into_one_chunk_of_folds_per_worker(monkeypatch, workers):
+    """run_experiment splits the folds of every CV cell, ridge and lasso
+    alike, into min(workers, folds) chunks, one task each; every fold of
+    every cell is in one task."""
     tasks = []
     real = harness._map_tasks
 
@@ -407,8 +467,7 @@ def test_a_lasso_cv_task_holds_one_fold_and_a_ridge_cell_one_chunk_per_worker(mo
         assert sorted(cells) == sorted((algo, m) for algo in algos for m in (20, 30))
         for chunks in cells.values():
             assert [f for chunk in chunks for f in chunk] == [0, 1, 2]
-            assert [len(chunk) for chunk in chunks] == ([1, 1, 1] if regime == Regime.LINF
-                                                        else [3] if workers == 1 else [2, 1])
+            assert [len(chunk) for chunk in chunks] == {1: [3], 2: [2, 1], 3: [1, 1, 1]}[workers]
 
 
 @pytest.mark.parametrize("algo", ["aelr", "2p-ddaelr", "adagrad-gaelr", "eg-full"])
@@ -445,8 +504,7 @@ def test_adagrad_grids_are_fit_one_by_one_through_train_run(monkeypatch, algo):
 
 
 def test_the_rows_kernel_is_exported_by_no_module():
-    rows_api = {"run_lockstep", "draw_rows", "row_norms", "LockstepBreak", "gaerr_rows_step", "gaelr_rows_step",
-                "phases"}
+    rows_api = {"run_lockstep", "draw_rows", "row_norms", "gaerr_rows_step", "gaelr_rows_step", "phases"}
     for module in (estimator, solver_ridge, solver_lasso, two_phase, harness):
         assert not rows_api & set(module.__all__), module.__name__
 
