@@ -8,11 +8,10 @@ function of the configuration regardless of worker-pool size.
 
 from __future__ import annotations
 
-import contextlib
 import functools
 import math
 import sys
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import Future, ProcessPoolExecutor
 from dataclasses import MISSING, dataclass, field, fields, replace
 
 import numpy as np
@@ -495,20 +494,22 @@ def _init_worker(payload):
 
 def _run_task(task):
     """The scores of a chunk of CV folds over the whole grid, one list per
-    fold, when ``folds`` is set, else a final run's (attributes consumed,
-    predictor), scored later by ``_score_task``."""
-    algo_index, algo_id, prefix_index, m, eta, folds, repeat = task
+    fold, when ``folds`` is set, else the (attributes consumed, predictor)
+    of each final run of a chunk of repeats, scored later by ``_score_task``."""
+    algo_index, algo_id, prefix_index, m, eta, folds, repeats = task
     payload = _WORKER["payload"]
     pool, ctx, seed = payload["pool"], payload["ctx"], payload["seed"]
     if folds is not None:
         blocks = payload["cv_blocks"][algo_index, prefix_index]
         return _fold_scores(pool, blocks, folds, algo_id, ctx, payload["eta_grid"],
                             (seed, _TAG_CV, algo_index, prefix_index))
-    order = stream(seed, _TAG_SHUFFLE, repeat).permutation(len(pool))
-    train = pool.subset(order[:m])
-    rng = stream(seed, _TAG_RUN, algo_index, prefix_index, repeat)
-    result = train_run(algo_id, train, ctx, eta, rng)
-    return int(result.attributes_consumed), result.predictor
+    runs = []
+    for repeat in repeats:
+        order = stream(seed, _TAG_SHUFFLE, repeat).permutation(len(pool))
+        train = pool.subset(order[:m])
+        result = train_run(algo_id, train, ctx, eta, stream(seed, _TAG_RUN, algo_index, prefix_index, repeat))
+        runs.append((int(result.attributes_consumed), result.predictor))
+    return runs
 
 
 def _score_task(predictors):
@@ -516,11 +517,10 @@ def _score_task(predictors):
     return [relative_loss(predictor, _WORKER["payload"]["test"]) for predictor in predictors]
 
 
-def _map_tasks(pool_exec, workers, fn, tasks):
-    """Run ``fn`` over the tasks in order, in the worker pool when there is one."""
-    if workers == 1:
-        return [fn(t) for t in tasks]
-    return list(pool_exec.map(fn, tasks, chunksize=max(1, len(tasks) // (4 * workers))))
+def _chunks(n, parts):
+    """range(n) cut into ``parts`` consecutive ranges, the first n % parts of them one longer."""
+    size, extra = divmod(n, parts)
+    return [range(i * size + min(i, extra), (i + 1) * size + min(i + 1, extra)) for i in range(parts)]
 
 
 def run_experiment(config, workers: int = 1, on_start=None) -> ExperimentResult:
@@ -530,12 +530,17 @@ def run_experiment(config, workers: int = 1, on_start=None) -> ExperimentResult:
     algorithms and all prefixes see nested slices of the same ordering
     (paired comparisons).  Step sizes come from one cross-validation per
     (algorithm, prefix) on the unshuffled pool prefix, or from each
-    algorithm's own rate when no grid is configured.  CV fits, a chunk of
-    a cell's folds per task, then final training, are tasks for the same
-    workers; then one task on one
-    worker scores every final run, so the test-split products, which
-    threaded BLAS splits across helper threads, have every core: none runs
-    beside training or beside another worker's product.
+    algorithm's own rate when no grid is configured.  Every CV task (a
+    cell's folds; a chunk of them when there are fewer CV cells than
+    workers) is submitted at once; then, cell by cell, the cell's step size
+    is picked from its fold scores and its final runs are submitted as
+    min(repeats, workers) chunks of repeats, so idle workers train the
+    cells already decided while CV goes on.  Once every final run is back,
+    one task on one worker scores them all, so the test-split products,
+    which threaded BLAS splits across helper threads, have every core: none
+    runs beside training or beside another worker's product.  With one
+    worker each task runs in this process as it is submitted.  A failed
+    task cancels the queued ones and its error is raised.
     The worker count is an execution detail and never affects the result.
     ``on_start``, when given, is called with the pool size (the worker
     count, capped at the most tasks a stage has) once every input has
@@ -565,10 +570,11 @@ def run_experiment(config, workers: int = 1, on_start=None) -> ExperimentResult:
     cells = [(ai, algo, pi, m) for ai, algo in enumerate(config.algorithms)
              for pi, m in enumerate(config.prefixes)]
     cv_cells = [c for c in cells if config.eta_grid is not None and ALGORITHMS[c[1]].kind != "erm"]
-    # a CV task fits a chunk of a cell's folds, those of one training length in one train_grid pass
-    per_cell = min(workers, config.folds)
-    cv_tasks = [(ai, algo, pi, m, None, tuple(chunk.tolist()), None) for ai, algo, pi, m in cv_cells
-                for chunk in np.array_split(np.arange(config.folds), per_cell)]
+    # a CV task fits a cell's folds, those of one training length in one train_grid pass; a cell's
+    # folds are split only so that fewer CV cells than workers still give every worker a task
+    per_cell = min(config.folds, -(-workers // max(1, len(cv_cells))))
+    cv_tasks = [(ai, algo, pi, m, None, chunk, None) for ai, algo, pi, m in cv_cells
+                for chunk in _chunks(config.folds, per_cell)]
     # a forked pool starts all its workers at the first task, however few the tasks
     workers = min(workers, max(len(cv_tasks), len(cells) * config.repeats))
 
@@ -585,27 +591,36 @@ def run_experiment(config, workers: int = 1, on_start=None) -> ExperimentResult:
     payload = {"pool": pool, "test": test, "ctx": ctx, "seed": config.seed, "cv_blocks": cv_blocks,
                "eta_grid": eta_grid}
     pool_exec = (ProcessPoolExecutor(max_workers=workers, initializer=_init_worker, initargs=(payload,))
-                 if workers > 1 else contextlib.nullcontext())
+                 if workers > 1 else None)
+
+    def submit(fn, task):
+        if pool_exec is not None:
+            return pool_exec.submit(fn, task)
+        done = Future()  # one worker: the task runs here, now
+        done.set_result(fn(task))
+        return done
+
     try:
-        with pool_exec:
-            if workers == 1:
-                _init_worker(payload)
-            scores = iter([fold for chunk in _map_tasks(pool_exec, workers, _run_task, cv_tasks) for fold in chunk])
-            etas = {(algo, m): None for _, algo, _, m in cells}
-            for _, algo, _, m in cv_cells:
-                etas[(algo, m)] = _pick_eta(eta_grid, list(zip(*(next(scores) for _ in range(config.folds)))))
-            tasks = [(ai, algo, pi, m, etas[(algo, m)], None, r) for ai, algo, pi, m in cells
-                     for r in range(config.repeats)]
-            attrs, predictors = zip(*_map_tasks(pool_exec, workers, _run_task, tasks))
-            losses = _map_tasks(pool_exec, workers, _score_task, [predictors])[0]  # one task: one worker
+        if pool_exec is None:
+            _init_worker(payload)
+        cv = {}
+        for task in cv_tasks:
+            cv.setdefault(task[:4], []).append(submit(_run_task, task))
+        etas, finals = {}, []
+        for ai, algo, pi, m in cells:
+            scores = [fold for chunk in cv.get((ai, algo, pi, m), ()) for fold in chunk.result()]
+            eta = etas[(algo, m)] = _pick_eta(eta_grid, list(zip(*scores))) if scores else None
+            finals += [submit(_run_task, (ai, algo, pi, m, eta, None, chunk))
+                       for chunk in _chunks(config.repeats, min(config.repeats, workers))]
+        attrs, predictors = zip(*(run for chunk in finals for run in chunk.result()))
+        losses = submit(_score_task, predictors).result()  # one task: one worker
     finally:
+        if pool_exec is not None:
+            pool_exec.shutdown(cancel_futures=True)  # after a failed task, run none of those queued
         _WORKER.clear()  # a serial run installed its payload in this process
 
-    records = [
-        RunRecord(algorithm=task[1], seed=task[6], m=task[3],
-                  attributes_observed=a, test_relative_loss=rel)
-        for task, a, rel in zip(tasks, attrs, losses)
-    ]
+    runs = [(algo, r, m) for _, algo, _, m in cells for r in range(config.repeats)]
+    records = [RunRecord(*run, a, rel) for run, a, rel in zip(runs, attrs, losses)]
     # tasks run cell by cell in (algorithm, prefix) order, repeats innermost
     curves = {}
     for ai, algo in enumerate(config.algorithms):

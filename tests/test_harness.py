@@ -4,12 +4,15 @@ import multiprocessing
 import os
 import re
 import sys
+import time
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import budgetreg.harness as harness
 from budgetreg import baselines, solver_lasso, solver_ridge
 from budgetreg.core import B_RANGE, BALL_TOL, Dataset, Regime, stream, weight_norm
 from budgetreg.datagen import generate_dataset, power_law_means, random_target_weights
@@ -559,8 +562,6 @@ def test_run_experiment_deterministic_across_workers():
 def test_final_runs_are_scored_after_every_final_run_has_trained(monkeypatch, eta_grid):
     """Final runs train in one phase and are scored in the next, so no test-split
     product runs while another final run trains."""
-    import budgetreg.harness as harness
-
     calls = []
 
     def logged(kind, fn):
@@ -606,8 +607,6 @@ def test_final_scoring_runs_in_one_worker_process(monkeypatch, tmp_path):
     """At two workers every final run is scored in one task on one worker,
     so no two BLAS-threaded test-split products share the cores, and none
     runs in the calling process (its helper threads would spin on)."""
-    import budgetreg.harness as harness
-
     config = small_config(algorithms=["aelr", "eg-full"], regime=Regime.LINF, prefixes=[200], dim=200,
                           repeats=2, seed=17)
     _, test, _, _ = _materialize(config)
@@ -663,7 +662,8 @@ def test_serial_run_experiment_leaves_no_worker_payload(monkeypatch):
 
 
 class RecordingPool:
-    """Stands in for ProcessPoolExecutor: records its size and runs the tasks in this process."""
+    """Stands in for ProcessPoolExecutor: records its size and runs each task
+    in this process as it is submitted, into a finished future."""
 
     sizes = []
 
@@ -671,14 +671,13 @@ class RecordingPool:
         self.sizes.append(max_workers)
         initializer(*initargs)
 
-    def __enter__(self):
-        return self
+    def submit(self, fn, task):
+        future = Future()
+        future.set_result(fn(task))
+        return future
 
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, tasks, chunksize=1):
-        return map(fn, tasks)
+    def shutdown(self, wait=True, cancel_futures=False):
+        pass
 
 
 @pytest.mark.parametrize("overrides, sizes", [
@@ -695,6 +694,83 @@ def test_run_experiment_pool_never_exceeds_the_task_count(monkeypatch, overrides
     assert RecordingPool.sizes == sizes
     assert pooled.records == serial.records and pooled.etas == serial.etas
     assert _WORKER == {}
+
+
+class SchedulePool(RecordingPool):
+    """A RecordingPool that logs every task it is given and every read of a CV task's result."""
+
+    events = []
+
+    def submit(self, fn, task):
+        future = super().submit(fn, task)
+        if fn is not harness._run_task:
+            self.events.append(("score", None))
+        elif task[5] is None:
+            self.events.append(("final", task))
+        else:
+            self.events.append(("cv", task))
+            read = future.result
+            future.result = lambda *args: (self.events.append(("read", task)), read(*args))[1]
+        return future
+
+
+@pytest.mark.parametrize("algorithms, prefixes, workers", [
+    (["aerr", "erm", "2p-ddaerr"], [20, 30], 2),  # six cells, one not cross-validated; final chunks of 3 and 2
+    (["aerr"], [30], 3),  # one CV cell split into three tasks of one fold; final chunks of 2, 2 and 1
+])
+def test_the_pool_decides_each_cell_then_submits_its_final_chunks(monkeypatch, algorithms, prefixes, workers):
+    """Every CV task is submitted first; then, cell by cell, the cell's CV
+    results are read and its final runs submitted, min(repeats, workers)
+    chunks that hold each repeat once, in order; the scoring task is last."""
+    config = small_config(algorithms=algorithms, prefixes=prefixes, repeats=5, folds=3, eta_grid=[0.05, 0.2])
+    serial = run_experiment(config)
+    monkeypatch.setattr(SchedulePool, "sizes", [])
+    monkeypatch.setattr(SchedulePool, "events", [])
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", SchedulePool)
+    pooled = run_experiment(config, workers=workers)
+    assert SchedulePool.sizes == [workers]
+    assert pooled.records == serial.records and pooled.etas == serial.etas
+    events = SchedulePool.events
+    kinds = [kind for kind, _ in events]
+    cv = kinds.count("cv")
+    assert kinds[:cv] == ["cv"] * cv and "cv" not in kinds[cv:] and kinds[-1] == "score"
+    cells = [(ai, algo, pi, m) for ai, algo in enumerate(algorithms) for pi, m in enumerate(prefixes)]
+    cv_chunks = {cell: [task for kind, task in events[:cv] if task[:4] == cell] for cell in cells}
+    expected = [event for cell in cells for event in
+                [("read", task) for task in cv_chunks[cell]] + [("final", cell)] * min(5, workers)]
+    assert [(kind, task if kind == "read" else task[:4]) for kind, task in events[cv:-1]] == expected
+    for cell in cells:
+        assert bool(cv_chunks[cell]) == (cell[1] != "erm")
+        chunks = [task[6] for kind, task in events if kind == "final" and task[:4] == cell]
+        assert [r for chunk in chunks for r in chunk] == list(range(5))
+        assert [len(chunk) for chunk in chunks] == ([3, 2] if workers == 2 else [2, 2, 1])
+
+
+@pytest.mark.skipif(multiprocessing.get_all_start_methods()[0] != "fork",
+                    reason="the patched train_run reaches the workers only when they are forked")
+def test_a_failed_final_chunk_cancels_the_pool_and_raises(monkeypatch, tmp_path):
+    """The failed task's error reaches the caller, which cancels the queued
+    tasks, leaves no worker running and no payload installed.  The first
+    cells' final runs fail at once; each of the twelve later ones logs its
+    start and takes 0.2 s, so without the cancel all twelve would run."""
+    real, log = harness.train_run, tmp_path / "started"
+
+    def fail(algo_id, *args):
+        if algo_id == "ddaerr":
+            raise RuntimeError("final run failed")
+        with open(log, "a") as out:
+            out.write(f"{algo_id}\n")
+        time.sleep(0.2)
+        return real(algo_id, *args)
+
+    log.touch()
+    monkeypatch.setattr(harness, "train_run", fail)  # before the pool forks its workers
+    with pytest.raises(RuntimeError, match="final run failed"):
+        run_experiment(small_config(algorithms=["ddaerr", "aerr"], prefixes=[20, 30, 40, 50, 60, 70], repeats=2),
+                       workers=2)
+    assert multiprocessing.active_children() == []
+    assert _WORKER == {}
+    assert len(log.read_text().split()) < 12
 
 
 def test_run_experiment_cv_and_erm_skip():

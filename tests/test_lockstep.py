@@ -5,10 +5,10 @@ the same stream, so ``train_grid`` runs the fixed-step budgeted
 algorithms as R rows of one pass (AdaGrad's are fit one by one).  Given
 several folds of one training length, each with its own examples and
 stream, it runs them as the (fold, step size) rows of one pass, and
-``run_experiment`` splits every CV cell into one chunk of folds per
-worker.  Each fold lays its own stream by its own rows' zero iterate:
-lasso passes start in a zero run that each fold leaves at its own
-example.  Each row must be bit for bit the ``train_run`` of its fold at
+``run_experiment`` gives each CV cell one task, splitting its folds
+into chunks only when there are fewer CV cells than workers.  Each
+fold lays its own stream by its own rows' zero iterate: lasso passes
+start in a zero run that each fold leaves at its own example.  Each row must be bit for bit the ``train_run`` of its fold at
 its step size: the weights, the values read, the zero-iterate steps and
 the improved-p fallbacks.  A row that leaves its fold's layout (a zero
 iterate beside moving rows) or whose p the rows cannot build is broken
@@ -21,6 +21,7 @@ lengths or a Generator key.
 
 import math
 import re
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -444,30 +445,47 @@ def test_a_ridge_chunk_whose_lockstep_breaks_is_fit_through_train_run(monkeypatc
                 one.attributes_consumed, one.zero_weight_steps, one.p_fallbacks), (f, eta)
 
 
-@pytest.mark.parametrize("workers", [1, 2, 3])
-def test_every_cv_cell_is_split_into_one_chunk_of_folds_per_worker(monkeypatch, workers):
-    """run_experiment splits the folds of every CV cell, ridge and lasso
-    alike, into min(workers, folds) chunks, one task each; every fold of
-    every cell is in one task."""
+@pytest.mark.parametrize("regime, algos, prefixes, workers, sizes", [
+    (Regime.L2, ["aerr"], [30], 3, [1, 1, 1]),
+    (Regime.LINF, ["2p-ddaelr"], [30], 2, [2, 1]),
+    (Regime.LINF, ["aelr", "ddaelr"], [30], 3, [2, 1]),
+    (Regime.L2, ["aerr", "2p-ddaerr"], [20, 30], 2, [3]),
+    (Regime.LINF, ["aelr", "ddaelr", "2p-ddaelr"], [20, 30], 2, [3]),
+    (Regime.L2, ["aerr"], [30], 1, [3]),
+], ids=["1-ridge-cell-3-workers", "1-lasso-cell-2-workers", "2-cells-3-workers", "4-ridge-cells-2-workers",
+        "6-lasso-cells-2-workers", "1-cell-1-worker"])
+def test_a_cv_cell_is_split_into_chunks_of_folds_only_when_there_are_fewer_cells_than_workers(
+        monkeypatch, regime, algos, prefixes, workers, sizes):
+    """run_experiment gives each CV cell, ridge and lasso alike, one task
+    holding all its folds, unless there are fewer CV cells than workers:
+    then it splits each cell's folds into min(folds, ceil(workers / cells))
+    chunks.  Every fold of every cell is in one task, in order."""
     tasks = []
-    real = harness._map_tasks
+    real = harness._run_task
 
-    def recorded(pool_exec, workers, fn, batch):
-        tasks.extend(task for task in batch if fn is harness._run_task and task[5] is not None)
-        return real(pool_exec, workers, fn, batch)
+    class RecordingExecutor(ProcessPoolExecutor):
+        def submit(self, fn, task):
+            if fn is harness._run_task and task[5] is not None:
+                tasks.append(task)
+            return super().submit(fn, task)
 
-    monkeypatch.setattr(harness, "_map_tasks", recorded)
-    for regime, algos in ((Regime.L2, ["aerr", "2p-ddaerr"]), (Regime.LINF, ["aelr", "ddaelr", "2p-ddaelr"])):
-        tasks.clear()
-        run_experiment(ExperimentConfig(algorithms=algos, regime=regime, prefixes=[20, 30], k=2, dim=4, alpha=-1.0,
-                                        repeats=1, folds=3, eta_grid=[0.05, 0.3], seed=2), workers=workers)
-        cells = {}
-        for _, algo, _, m, _, chunk, _ in tasks:
-            cells.setdefault((algo, m), []).append(chunk)
-        assert sorted(cells) == sorted((algo, m) for algo in algos for m in (20, 30))
-        for chunks in cells.values():
-            assert [f for chunk in chunks for f in chunk] == [0, 1, 2]
-            assert [len(chunk) for chunk in chunks] == {1: [3], 2: [2, 1], 3: [1, 1, 1]}[workers]
+    def recorded(task):  # one worker: each task runs in this process
+        if task[5] is not None:
+            tasks.append(task)
+        return real(task)
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingExecutor)
+    if workers == 1:
+        monkeypatch.setattr(harness, "_run_task", recorded)
+    run_experiment(ExperimentConfig(algorithms=algos, regime=regime, prefixes=prefixes, k=2, dim=4, alpha=-1.0,
+                                    repeats=1, folds=3, eta_grid=[0.05, 0.3], seed=2), workers=workers)
+    cells = {}
+    for _, algo, _, m, _, chunk, _ in tasks:
+        cells.setdefault((algo, m), []).append(chunk)
+    assert list(cells) == [(algo, m) for algo in algos for m in prefixes]
+    for chunks in cells.values():
+        assert [f for chunk in chunks for f in chunk] == [0, 1, 2]
+        assert [len(chunk) for chunk in chunks] == sizes
 
 
 @pytest.mark.parametrize("algo", ["aelr", "2p-ddaelr", "adagrad-gaelr", "eg-full"])
