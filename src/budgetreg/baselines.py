@@ -33,19 +33,15 @@ _GRAD_TOL = 1e-8
 
 
 def _ridge_full_step(state, x, y, config):
-    state.sum_w += state.w
+    state.charge(state.w, x.size)
     # gradient as values, phi = 1: eta * g rounds as the ogd-full fingerprint pins
     l2_step(state, slice(None), 1.0, (float(state.w @ x) - y) * x, config)
-    state.steps += 1
-    state.attributes_consumed += x.size
 
 
 def _lasso_full_step(state, x, y, config):
     w = eg_weights(state, config.b)
-    state.sum_w += w
+    state.charge(w, x.size)
     eg_update(state, slice(None), (float(w @ x) - y) * x, config.eta)
-    state.steps += 1
-    state.attributes_consumed += x.size
 
 
 def online_ridge_full(dataset, b, eta, adagrad=False):

@@ -99,11 +99,11 @@ class PassState:
     p_fallbacks: int = 0  # improved-p steps that fell back to the standard p
     accum: np.ndarray | None = None  # AdaGrad squared-gradient sums
 
-    def charge(self, w, config):
-        """Average in the pre-update iterate w; charge the full budget, so m steps read m(k+1) values."""
+    def charge(self, w, values):
+        """Average in the pre-update iterate w; charge the values read (budgeted: m steps read m(k+1))."""
         self.sum_w += w
         self.steps += 1
-        self.attributes_consumed += config.n_point + config.n_inner
+        self.attributes_consumed += values
 
 
 def estimate_point(x, q, draws):
@@ -160,7 +160,7 @@ def draw_step(state, w, x, y, config, inner, regime):
     where phi = -y costs no observation and ``inner`` is left unused;
     zero_weight_steps records how often that happened.
     """
-    state.charge(w, config)
+    state.charge(w, config.n_point + config.n_inner)
     if np.count_nonzero(w):
         if config.root_moments is not None:
             p = improved_inner_product_p(w, config.root_moments, regime)
@@ -329,7 +329,7 @@ def draw_rows(state, w, x, y, config, inner, regime):
     nonzero live rows, or a row whose p total underflows or overflows
     (which the one-run p refuses or rescales).
     """
-    state.charge(w, config)
+    state.charge(w, config.n_point + config.n_inner)
     if state.root_moments is None:
         weights = w * w if regime is Regime.L2 else np.abs(w)
     else:

@@ -503,10 +503,11 @@ def _run_task(task):
         blocks = payload["cv_blocks"][algo_index, prefix_index]
         return _fold_scores(pool, blocks, folds, algo_id, ctx, payload["eta_grid"],
                             (seed, _TAG_CV, algo_index, prefix_index))
-    runs = []
+    runs, shuffles = [], payload["shuffles"]  # this process's repeat -> first max(prefixes) of its shuffle
     for repeat in repeats:
-        order = stream(seed, _TAG_SHUFFLE, repeat).permutation(len(pool))
-        train = pool.subset(order[:m])
+        if repeat not in shuffles:
+            shuffles[repeat] = stream(seed, _TAG_SHUFFLE, repeat).permutation(len(pool))[:payload["max_prefix"]].copy()
+        train = pool.subset(shuffles[repeat][:m])
         result = train_run(algo_id, train, ctx, eta, stream(seed, _TAG_RUN, algo_index, prefix_index, repeat))
         runs.append((int(result.attributes_consumed), result.predictor))
     return runs
@@ -589,7 +590,7 @@ def run_experiment(config, workers: int = 1, on_start=None) -> ExperimentResult:
         on_start(workers)
     eta_grid = None if config.eta_grid is None else [float(eta) for eta in config.eta_grid]
     payload = {"pool": pool, "test": test, "ctx": ctx, "seed": config.seed, "cv_blocks": cv_blocks,
-               "eta_grid": eta_grid}
+               "eta_grid": eta_grid, "max_prefix": max(config.prefixes), "shuffles": {}}
     pool_exec = (ProcessPoolExecutor(max_workers=workers, initializer=_init_worker, initargs=(payload,))
                  if workers > 1 else None)
 

@@ -92,9 +92,9 @@ def sample_index(dist, u):
 
 
 def checked_moments(moments):
-    """Moments as a float array, refusing an empty, negative or all-zero vector."""
+    """Moments as a float array, refusing an empty, negative, non-finite or all-zero vector."""
     m = float_vector(moments)
-    if np.any(m < 0) or not np.any(m > 0):
+    if np.any(m < 0) or not np.any(m > 0) or not np.all(np.isfinite(m)):
         raise ValueError("degenerate moments")
     return m
 

@@ -1,4 +1,6 @@
 import itertools
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -93,21 +95,35 @@ def test_generate_dataset_errors():
         generate_dataset(np.array([0.5]), np.array([1.0, 1.0]), 5, Regime.LINF, 0)
     with pytest.raises(ValueError, match="at least one example"):
         generate_dataset(np.array([0.5]), np.array([1.0]), 0, Regime.LINF, 0)
+    # a NaN mean would make its attribute all zeros, a non-finite target weight NaN or infinite targets
+    with pytest.raises(ValueError, match="means must not be NaN"):
+        generate_dataset(np.array([np.nan, 0.5]), np.ones(2), 5, Regime.LINF, 0)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="target weights must be finite"):
+            generate_dataset(np.array([0.5, 0.5]), np.array([1.0, bad]), 5, Regime.L2, 0)
 
 
 def test_binary_l2_moments_enumeration_oracle():
     # brute force over all binary outcomes with the 1/max(1, ||x||) rescale
     rng = np.random.default_rng(5)
-    for _ in range(5):
-        u = rng.random(4) * 0.9
-        expected = np.zeros(4)
-        for bits in itertools.product((0, 1), repeat=4):
-            x = np.array(bits, dtype=float)
-            prob = float(np.prod(np.where(x > 0, u, 1 - u)))
-            count = x.sum()
-            scaled = x / max(1.0, np.sqrt(count))
-            expected += prob * scaled**2
-        np.testing.assert_allclose(binary_l2_moments(u), expected, atol=1e-12)
+    cases = [rng.random(4) * 0.9 for _ in range(5)]
+    for d in (8, 12):
+        for _ in range(5):
+            u = rng.random(d)
+            u[rng.choice(d, 3, replace=False)] = (0.0, 1.0, 1.0)  # one attribute never on, two always
+            cases.append(u)
+    for u in cases:
+        x = np.array(list(itertools.product((0.0, 1.0), repeat=u.size)))
+        prob = np.prod(np.where(x > 0, u, 1 - u), axis=1)
+        scaled = x / np.maximum(1.0, np.sqrt(x.sum(axis=1)))[:, None]
+        np.testing.assert_allclose(binary_l2_moments(u), prob @ scaled**2, atol=1e-12)
+
+
+def test_importing_budgetreg_leaves_numpy_polynomial_unloaded():
+    # binary_l2_moments imports its quadrature nodes when called, so `import budgetreg` does not pay for them
+    code = "import sys, budgetreg; assert 'numpy.polynomial' not in sys.modules, 'numpy.polynomial loaded'"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_binary_l2_moments_monte_carlo_agreement():
@@ -125,6 +141,10 @@ def test_binary_l2_moments_edge_cases():
     np.testing.assert_allclose(binary_l2_moments(np.array([1.0, 0.0])), [1.0, 0.0], atol=1e-15)
     with pytest.raises(ValueError, match="means must lie"):
         binary_l2_moments(np.array([-0.1]))
+    with pytest.raises(ValueError, match="means must lie"):
+        binary_l2_moments(np.array([0.5, np.inf]))
+    with pytest.raises(ValueError, match="means must not be NaN"):
+        binary_l2_moments(np.array([np.nan, 0.5]))
 
 
 def test_improvement_ratio_values():
@@ -145,6 +165,9 @@ def test_improvement_ratio_scale_invariant():
 def test_improvement_ratio_errors():
     with pytest.raises(ValueError, match="degenerate moments"):
         improvement_ratio([0.0, 0.0], Regime.L2)
+    for bad in ([np.nan, 1.0], [np.inf, 1.0]):
+        with pytest.raises(ValueError, match="degenerate moments"):
+            improvement_ratio(bad, Regime.L2)
     with pytest.raises(ValueError, match="'ridge' is not a valid Regime"):
         improvement_ratio([0.5], "ridge")
     with pytest.raises(ValueError, match="zero dimension"):

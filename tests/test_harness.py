@@ -661,6 +661,23 @@ def test_serial_run_experiment_leaves_no_worker_payload(monkeypatch):
     assert _WORKER == {}
 
 
+def test_each_repeat_derives_its_pool_shuffle_once(monkeypatch):
+    """At one worker every (algorithm, prefix) cell reuses its repeat's pool
+    shuffle: 3 derivations, not 3 algorithms x 2 prefixes x 3 repeats = 18."""
+    config = small_config()
+    expected = run_experiment(config)
+    tags = []
+
+    def counting(seed, *tag):
+        tags.append(tag)
+        return stream(seed, *tag)
+
+    monkeypatch.setattr(harness, "stream", counting)
+    result = run_experiment(config)
+    assert [tag for tag in tags if tag[:1] == (harness._TAG_SHUFFLE,)] == [(harness._TAG_SHUFFLE, r) for r in range(3)]
+    assert result.records == expected.records and _WORKER == {}
+
+
 class RecordingPool:
     """Stands in for ProcessPoolExecutor: records its size and runs each task
     in this process as it is submitted, into a finished future."""

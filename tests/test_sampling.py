@@ -113,6 +113,9 @@ def test_optimal_q_rejects_degenerate_moments():
             fn([0.1, -0.1])
         with pytest.raises(ValueError, match="degenerate moments"):
             fn([0.0, 0.0])
+        for bad in ([np.inf, 1.0], [np.nan, 1.0]):
+            with pytest.raises(ValueError, match="degenerate moments"):
+                fn(bad)
         with pytest.raises(ValueError, match="zero dimension"):
             fn([])
 
