@@ -119,6 +119,7 @@ def _cmd_train(args):
     raw = load_csv(args.data)
     scaler = Scaler(regime).fit(raw)
     train = scaler.transform(raw)
+    del raw  # the parsed table: dataset_moments' temporary need not sit beside it
     test = scaler.transform(load_csv(args.test)) if args.test is not None else None
     if test is not None and not np.any(test.y != 0):
         raise ValueError(f"test set has only zero targets ({len(test)} example(s)): relative loss is undefined")

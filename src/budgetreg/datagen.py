@@ -85,7 +85,7 @@ def generate_dataset(u, w_star, m, regime, seed):
     rng = stream(seed, _STREAM_EXAMPLES)
     x = (rng.random((m, u.size)) < u).astype(float)
     if regime == Regime.L2:
-        norms = np.sqrt((x * x).sum(axis=1))
+        norms = np.sqrt(x.sum(axis=1))  # x is 0/1, so x * x is x: no (m, d) square
         x *= (1.0 / np.maximum(1.0, norms))[:, None]
     y = x @ w_star
     return Dataset(x, y, regime)

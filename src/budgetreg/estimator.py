@@ -161,9 +161,10 @@ def draw_step(state, w, x, y, config, inner, regime):
     zero_weight_steps records how often that happened.
     """
     state.charge(w, config.n_point + config.n_inner)
-    if np.count_nonzero(w):
+    nonzeros = np.count_nonzero(w)
+    if nonzeros:
         if config.root_moments is not None:
-            p = improved_inner_product_p(w, config.root_moments, regime)
+            p = improved_inner_product_p(w, config.root_moments, regime, nonzeros)
             state.p_fallbacks += p.fallback
         else:
             p = inner_product_p(w, regime)

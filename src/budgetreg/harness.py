@@ -449,6 +449,8 @@ def _materialize(config):
 
     The split permutation, the generated data, and the scaling all depend
     only on the seed, so every run of the experiment sees the same bytes.
+    The parsed or generated table is freed once the split has copied its
+    rows, so the scaled copies and the moments' temporary never sit beside it.
     """
     def test_size(total):
         return max(1, int(round(config.test_fraction * total)))
@@ -472,6 +474,7 @@ def _materialize(config):
     perm = stream(config.seed, _TAG_SPLIT).permutation(len(raw))
     pool = raw.subset(perm[n_test:])
     test = raw.subset(perm[:n_test])
+    del raw
     if config.data is not None:
         scaler = Scaler(config.regime).fit(pool)
         pool = scaler.transform(pool)

@@ -144,7 +144,7 @@ def inner_product_p(w, regime):
     return _trusted(w * w if regime is Regime.L2 else np.abs(w), rescale=True)
 
 
-def improved_inner_product_p(w, root_moments, regime):
+def improved_inner_product_p(w, root_moments, regime, nonzeros=None):
     """Variance-reducing alternative: p_j proportional to sqrt(w_j^2 E[x_j^2]).
 
     Identical formula for both regimes; an empirical refinement with no
@@ -152,12 +152,16 @@ def improved_inner_product_p(w, root_moments, regime):
     p positive wherever w is nonzero, so a zero moment estimate on the
     support (possible with estimated moments) voids the weighting and the
     standard distribution is used instead (``fallback`` is then set).
-    ``root_moments`` is moment_roots(E[x^2]), computed once per run.
+    ``root_moments`` is moment_roots(E[x^2]), computed once per run;
+    ``nonzeros``, when given, is np.count_nonzero(w), which a caller that
+    has counted need not have counted again.
     """
     w = float_vector(w)
     weights = np.abs(w)
     weights *= root_moments
-    if np.count_nonzero(weights) != np.count_nonzero(w):
+    if nonzeros is None:
+        nonzeros = np.count_nonzero(w)
+    if np.count_nonzero(weights) != nonzeros:
         p = inner_product_p(w, regime)
         p.fallback = True
         return p

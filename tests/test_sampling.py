@@ -183,6 +183,26 @@ def test_improved_inner_product_p_falls_back_on_dead_support():
     np.testing.assert_allclose(p.probabilities, [0.25, 0.75])
 
 
+def test_improved_inner_product_p_with_a_given_count_equals_its_own_count():
+    """A caller's np.count_nonzero(w) gives the p and fallback of the call
+    that counts for itself, an underflowing |w_i| * sqrt(E[x_i^2]) included."""
+    cases = [
+        ([1.0, 1.0], [4.0, 1.0]),
+        ([1.0, 0.0, -2.0], [1.0, 1.0, 0.0]),  # a zero moment on the support: fallback
+        ([0.0, 3.0], [0.0, 1.0]),  # a zero moment off the support: no fallback
+        ([1e-200, 1.0], [1e-300, 1.0]),  # 1e-200 * 1e-150 underflows to 0 though neither factor is 0
+    ]
+    for w, moments in cases:
+        roots = moment_roots(moments, len(w))
+        for regime in (Regime.L2, Regime.LINF):
+            own = improved_inner_product_p(w, roots, regime)
+            given = improved_inner_product_p(w, roots, regime, np.count_nonzero(w))
+            assert given.fallback == own.fallback
+            assert given.probabilities.tobytes() == own.probabilities.tobytes()
+            assert given.cumulative.tobytes() == own.cumulative.tobytes()
+    assert improved_inner_product_p([1e-200, 1.0], moment_roots([1e-300, 1.0], 2), Regime.L2, 2).fallback
+
+
 def test_improved_inner_product_p_errors():
     with pytest.raises(ValueError, match="invalid weights: all weights are zero"):
         improved_inner_product_p([0.0], moment_roots([1.0], 1), Regime.L2)
