@@ -32,6 +32,7 @@ __all__ = [
 BALL_TOL = 1e-9
 # norm bounds whose square neither underflows to zero nor overflows
 B_RANGE = (math.sqrt(sys.float_info.min), math.sqrt(sys.float_info.max))
+_BLOCK_VALUES = 1 << 15  # values in a block of row_blocks: 256 KB of float64, which stays in cache
 
 
 class Regime(str, Enum):
@@ -49,6 +50,12 @@ def stream(seed, *tags):
         return seed
     base = seed if isinstance(seed, tuple) else (seed,)
     return np.random.default_rng(np.random.SeedSequence(base + tags))
+
+
+def row_blocks(x):
+    """x's rows as consecutive views of about _BLOCK_VALUES values (at least one row; one empty view if x is)."""
+    step = max(1, _BLOCK_VALUES // max(1, x.shape[1]))
+    return [x[start:start + step] for start in range(0, max(1, len(x)), step)]
 
 
 def float_vector(v):

@@ -8,7 +8,7 @@ second moments differ from u; ``binary_l2_moments`` computes them by quadrature.
 
 import numpy as np
 
-from .core import Dataset, Regime, float_vector, norm, stream
+from .core import Dataset, Regime, float_vector, norm, row_blocks, stream
 from .sampling import checked_moments
 
 __all__ = [
@@ -83,11 +83,13 @@ def generate_dataset(u, w_star, m, regime, seed):
         raise ValueError("need at least one example")
     regime = Regime(regime)
     rng = stream(seed, _STREAM_EXAMPLES)
-    x = (rng.random((m, u.size)) < u).astype(float)
-    if regime == Regime.L2:
-        norms = np.sqrt(x.sum(axis=1))  # x is 0/1, so x * x is x: no (m, d) square
-        x *= (1.0 / np.maximum(1.0, norms))[:, None]
-    y = x @ w_star
+    x = np.empty((m, u.size))
+    for block in row_blocks(x):  # the stream's uniforms in the order of one (m, d) draw
+        rng.random(out=block)
+        np.less(block, u, out=block)
+        if regime == Regime.L2:  # x is 0/1, so x * x is x: its row sums are the squared norms
+            block *= (1.0 / np.maximum(1.0, np.sqrt(block.sum(axis=1))))[:, None]
+    y = x @ w_star  # one product: per-block products could round differently
     return Dataset(x, y, regime)
 
 

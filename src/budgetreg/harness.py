@@ -11,7 +11,7 @@ from __future__ import annotations
 import functools
 import math
 import sys
-from concurrent.futures import Future, ProcessPoolExecutor
+import concurrent.futures  # its ProcessPoolExecutor, and multiprocessing with it, loads on a pool's first use
 from dataclasses import MISSING, dataclass, field, fields, replace
 
 import numpy as np
@@ -594,13 +594,13 @@ def run_experiment(config, workers: int = 1, on_start=None) -> ExperimentResult:
     eta_grid = None if config.eta_grid is None else [float(eta) for eta in config.eta_grid]
     payload = {"pool": pool, "test": test, "ctx": ctx, "seed": config.seed, "cv_blocks": cv_blocks,
                "eta_grid": eta_grid, "max_prefix": max(config.prefixes), "shuffles": {}}
-    pool_exec = (ProcessPoolExecutor(max_workers=workers, initializer=_init_worker, initargs=(payload,))
-                 if workers > 1 else None)
+    pool_exec = (concurrent.futures.ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,
+                                                        initargs=(payload,)) if workers > 1 else None)
 
     def submit(fn, task):
         if pool_exec is not None:
             return pool_exec.submit(fn, task)
-        done = Future()  # one worker: the task runs here, now
+        done = concurrent.futures.Future()  # one worker: the task runs here, now
         done.set_result(fn(task))
         return done
 

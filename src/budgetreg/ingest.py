@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import Dataset, Regime
+from .core import Dataset, Regime, row_blocks
 
 __all__ = [
     "load_csv",
@@ -33,32 +33,32 @@ def load_csv(path):
     errors are 1-based file line numbers; nan and +-inf cells are rejected.
     """
     with open(path, "r", encoding="ascii") as fh:
-        lines = fh.read().splitlines()
-    numbers = [n for n, line in enumerate(lines, start=1) if line != ""]
-    if not numbers:
+        text = fh.read()
+    lines = text.splitlines()
+    rows = [line for line in lines if line != ""] if "" in lines else lines
+    if not rows:
         raise ValueError("empty file: no data rows")
-    rows = [lines[n - 1] for n in numbers]
-    if any("\x1f" in row for row in rows):  # numpy strips \x1f around a cell as a blank; float() refuses it
-        _check_rows(rows, numbers)
+    if "," not in rows[0]:
+        raise ValueError(f"row {lines.index(rows[0]) + 1}: need at least one attribute and a label")
+    if "\x1f" in text:  # \x1f ends no line, so some row has it: numpy strips it as a blank, float() refuses it
+        _check_rows(rows, lines)
+    del text  # the lines hold a copy of it: not a second one while parsing
     try:
         data = np.loadtxt(rows, delimiter=",", comments=None, ndmin=2)
     except ValueError:
-        _check_rows(rows, numbers)
+        _check_rows(rows, lines)
         raise
-    if data.shape[1] < 2:
-        raise ValueError(f"row {numbers[0]}: need at least one attribute and a label")
     finite = np.isfinite(data)
     if not finite.all():
-        row, col = np.argwhere(~finite)[0]
-        raise ValueError(f"row {numbers[row]}: non-finite value {rows[row].split(',')[col]!r}")
+        row, col = np.argwhere(~finite)[0]  # an equal line before this row would have failed first
+        raise ValueError(f"row {lines.index(rows[row]) + 1}: non-finite value {rows[row].split(',')[col]!r}")
     return Dataset(data[:, :-1], data[:, -1], None)
 
 
-def _check_rows(rows, numbers):
+def _check_rows(rows, lines):
     """Raise the first malformed row's error, in file order; return if none is found."""
+    numbers = [n for n, line in enumerate(lines, start=1) if line != ""]  # 1-based, built only for an error
     width = len(rows[0].split(","))
-    if width < 2:
-        raise ValueError(f"row {numbers[0]}: need at least one attribute and a label")
     for lineno, line in zip(numbers, rows):
         cells = line.split(",")
         if len(cells) != width:
@@ -112,7 +112,7 @@ class Scaler:
             raise ValueError("all-zero dataset")
         self.dimension = dataset.dimension
         if self.regime == Regime.L2:
-            self.factors = np.array([np.sqrt((x * x).sum(axis=1)).max()])
+            self.factors = np.array([_row_norms(x).max()])
         else:
             col_max = _abs_max(x, axis=0)
             self.factors = np.where(col_max > 0, col_max, 1.0)
@@ -125,7 +125,7 @@ class Scaler:
             raise ValueError(f"scaler was fit on {self.dimension} attributes, got data with {dataset.dimension}")
         x = dataset.x / self.factors
         if self.regime == Regime.L2:
-            scale = np.sqrt((x * x).sum(axis=1))
+            scale = _row_norms(x)
         else:
             scale = _abs_max(x, axis=1)
         outside = scale > 1.0
@@ -133,6 +133,11 @@ class Scaler:
             self.clipped += int(outside.sum())
             x[outside] /= scale[outside, None]
         return Dataset(x, dataset.y.copy(), self.regime)
+
+
+def _row_norms(x):
+    """np.sqrt((x * x).sum(axis=1)) bit for bit, as a row's sum is its own reduction, squaring a block at a time."""
+    return np.sqrt(np.concatenate([np.square(block).sum(axis=1) for block in row_blocks(x)]))
 
 
 def _abs_max(x, axis):

@@ -1,11 +1,13 @@
 import itertools
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from budgetreg.core import Regime, norm
+from budgetreg import core
+from budgetreg.core import Regime, norm, stream
 from budgetreg.datagen import (
     binary_l2_moments,
     generate_dataset,
@@ -88,6 +90,39 @@ def test_generate_dataset_linf_mean_match():
     assert np.all(np.abs(ds.x.mean(axis=0) - u) <= 3 * se + 1e-12)
 
 
+@pytest.mark.parametrize("m, d", [(70, 1000), (5, 1000), (3, 40_000), (10_000, 7)],
+                         ids=["rows-past-a-block", "rows-below-a-block", "row-wider-than-a-block", "narrow"])
+@pytest.mark.parametrize("regime", [Regime.L2, Regime.LINF])
+def test_generate_dataset_equals_one_draw_of_the_whole_table(regime, m, d):
+    """x is filled in place a block of rows at a time, with the bytes of the
+    one (m, d) draw it replaced, written out here as the oracle."""
+    block_rows = max(1, core._BLOCK_VALUES // d)
+    assert m % block_rows != 0 or block_rows == 1  # a last block shorter than the others, or one row per block
+    for seed in (0, 1, 2):
+        u = power_law_means(d, -1.0, regime)
+        w_star = random_target_weights(d, regime, seed)
+        x = (stream(seed, 2).random((m, d)) < u).astype(float)
+        if regime == Regime.L2:
+            x *= (1.0 / np.maximum(1.0, np.sqrt((x * x).sum(axis=1))))[:, None]
+        ds = generate_dataset(u, w_star, m, regime, seed)
+        assert ds.x.tobytes() == x.tobytes() and ds.y.tobytes() == (x @ w_star).tobytes()
+
+
+@pytest.mark.parametrize("regime", [Regime.L2, Regime.LINF])
+def test_generate_dataset_peaks_at_its_table(regime):
+    """No (m, d) temporary: no uniforms table, no boolean table, no square."""
+    u = power_law_means(5000, -1.0, regime)
+    w_star = random_target_weights(5000, regime, 1)
+    tracemalloc.start()
+    try:
+        generate_dataset(u, w_star, 800, regime, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # measured: 1.12x with one (m, d) draw of uniforms, 1.002x with blocks of 2^15 values
+    assert peak < 1.05 * 800 * (5000 + 1) * 8
+
+
 def test_generate_dataset_errors():
     with pytest.raises(ValueError, match="means must lie"):
         generate_dataset(np.array([1.5]), np.array([1.0]), 5, Regime.LINF, 0)
@@ -122,6 +157,15 @@ def test_binary_l2_moments_enumeration_oracle():
 def test_importing_budgetreg_leaves_numpy_polynomial_unloaded():
     # binary_l2_moments imports its quadrature nodes when called, so `import budgetreg` does not pay for them
     code = "import sys, budgetreg; assert 'numpy.polynomial' not in sys.modules, 'numpy.polynomial loaded'"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_importing_budgetreg_and_its_cli_leaves_the_process_pool_unloaded():
+    # harness reaches ProcessPoolExecutor only to start a pool, so only a pooled run loads multiprocessing
+    code = ("import sys, budgetreg, budgetreg.cli; "
+            "loaded = [m for m in ('multiprocessing', 'concurrent.futures.process') if m in sys.modules]; "
+            "assert not loaded, loaded")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
 

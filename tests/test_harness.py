@@ -1,3 +1,4 @@
+import concurrent.futures
 import contextlib
 import math
 import multiprocessing
@@ -706,7 +707,7 @@ def test_run_experiment_pool_never_exceeds_the_task_count(monkeypatch, overrides
     config = small_config(algorithms=["aerr"], prefixes=[30], **overrides)
     serial = run_experiment(config)
     monkeypatch.setattr(RecordingPool, "sizes", [])
-    monkeypatch.setattr("budgetreg.harness.ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", RecordingPool)
     pooled = run_experiment(config, workers=8)
     assert RecordingPool.sizes == sizes
     assert pooled.records == serial.records and pooled.etas == serial.etas
@@ -743,7 +744,7 @@ def test_the_pool_decides_each_cell_then_submits_its_final_chunks(monkeypatch, a
     serial = run_experiment(config)
     monkeypatch.setattr(SchedulePool, "sizes", [])
     monkeypatch.setattr(SchedulePool, "events", [])
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", SchedulePool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SchedulePool)
     pooled = run_experiment(config, workers=workers)
     assert SchedulePool.sizes == [workers]
     assert pooled.records == serial.records and pooled.etas == serial.etas

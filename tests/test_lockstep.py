@@ -19,6 +19,7 @@ step size that is not a positive finite number, fold orders of unequal
 lengths or a Generator key.
 """
 
+import concurrent.futures
 import math
 import re
 from concurrent.futures import ProcessPoolExecutor
@@ -474,7 +475,7 @@ def test_a_cv_cell_is_split_into_chunks_of_folds_only_when_there_are_fewer_cells
             tasks.append(task)
         return real(task)
 
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingExecutor)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingExecutor)
     if workers == 1:
         monkeypatch.setattr(harness, "_run_task", recorded)
     run_experiment(ExperimentConfig(algorithms=algos, regime=regime, prefixes=prefixes, k=2, dim=4, alpha=-1.0,
