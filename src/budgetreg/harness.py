@@ -54,11 +54,15 @@ _TAG_CV = 106
 
 def relative_loss(predictor, test_set) -> float:
     """Total squared loss on the test set divided by the zero predictor's."""
+    return _relative_losses([predictor], test_set)[0]
+
+
+def _relative_losses(predictors, test_set):
+    """relative_loss of each predictor, the zero predictor's loss taken once."""
     base = float(np.sum(squared_loss(0.0, test_set.y)))
     if base == 0.0:
         raise ValueError("zero-predictor loss undefined")
-    preds = test_set.x @ predictor.weights
-    return float(np.sum(squared_loss(preds, test_set.y))) / base
+    return [float(np.sum(squared_loss(test_set.x @ p.weights, test_set.y))) / base for p in predictors]
 
 
 def dataset_moments(dataset) -> np.ndarray:
@@ -281,8 +285,7 @@ def _fold_scores(dataset, blocks, folds, algorithm, ctx, eta_grid, key):
                     result.predictor.validate()
                 except ValueError as exc:
                     raise ValueError(f"{algorithm} at eta {eta}, fold {f}: {exc}") from None
-            val = dataset.subset(blocks[f])
-            scores[f] = [relative_loss(result.predictor, val) for result in fits]
+            scores[f] = _relative_losses([result.predictor for result in fits], dataset.subset(blocks[f]))
     return [scores[f] for f in folds]
 
 

@@ -13,6 +13,8 @@ verbatim to test data; test examples that land outside the ball after
 scaling are rescaled onto the boundary and counted.
 """
 
+import os
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,7 +33,12 @@ def load_csv(path):
     """Rectangular numeric CSV, label last -> raw Dataset whose x and y are
     views of the one parsed table (no regime attached).  Row numbers in
     errors are 1-based file line numbers; nan and +-inf cells are rejected.
+    numpy reads the file itself unless _numpy_table declines it; the text
+    below then parses it and names any row at fault.
     """
+    data = _numpy_table(path)
+    if data is not None and data.shape[1] > 1 and all(np.isfinite(block).all() for block in row_blocks(data)):
+        return Dataset(data[:, :-1], data[:, -1], None)
     with open(path, "r", encoding="ascii") as fh:
         text = fh.read()
     lines = text.splitlines()
@@ -53,6 +60,29 @@ def load_csv(path):
         row, col = np.argwhere(~finite)[0]  # an equal line before this row would have failed first
         raise ValueError(f"row {lines.index(rows[row]) + 1}: non-finite value {rows[row].split(',')[col]!r}")
     return Dataset(data[:, :-1], data[:, -1], None)
+
+
+def _numpy_table(path):
+    """np.loadtxt of the file read by numpy itself, or None where numpy refuses it or would
+    not see the lines of str.splitlines: a byte beyond ASCII, one of \\x0b \\x0c \\x1c \\x1d
+    \\x1e (line ends for splitlines only) or \\x1f (numpy strips it as a blank), or a name
+    numpy decompresses.  Given a bound on the rows, numpy allocates the table once."""
+    if os.path.splitext(path)[1] in (".bz2", ".gz", ".lzma", ".xz"):
+        return None
+    lines = 1  # one more than the line breaks: a bound on the rows
+    with open(path, "rb") as fh:
+        while chunk := fh.read(1 << 20):  # ends as b"", holding no chunk beside the table
+            if not chunk.isascii() or any(byte in chunk for byte in b"\x0b\x0c\x1c\x1d\x1e\x1f"):
+                return None
+            lines += chunk.count(b"\n") + (chunk.count(b"\r") - chunk.count(b"\r\n") if b"\r" in chunk else 0)
+    try:
+        with warnings.catch_warnings():  # numpy warns that max_rows counts no blank line
+            warnings.simplefilter("ignore", UserWarning)
+            # a real path: numpy would download a relative one that parses as a URL
+            return np.loadtxt(os.path.realpath(path), delimiter=",", comments=None, ndmin=2, encoding="ascii",
+                              max_rows=lines)
+    except ValueError:
+        return None
 
 
 def _check_rows(rows, lines):
@@ -108,7 +138,7 @@ class Scaler:
 
     def fit(self, dataset):
         x = dataset.x
-        if not np.any(x != 0):
+        if not x.any():
             raise ValueError("all-zero dataset")
         self.dimension = dataset.dimension
         if self.regime == Regime.L2:

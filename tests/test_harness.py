@@ -572,7 +572,7 @@ def test_final_runs_are_scored_after_every_final_run_has_trained(monkeypatch, et
         return wrapper
 
     monkeypatch.setattr(harness, "train_run", logged("train", harness.train_run))
-    monkeypatch.setattr(harness, "relative_loss", logged("score", harness.relative_loss))
+    monkeypatch.setattr(harness, "_relative_losses", logged("score", harness._relative_losses))
     config = small_config(eta_grid=eta_grid)
     result = run_experiment(config)
     finals = len(result.records)
@@ -581,10 +581,11 @@ def test_final_runs_are_scored_after_every_final_run_has_trained(monkeypatch, et
         assert len(calls) == 2 * finals
     else:  # the CV fits come first, one task per cell at one worker (its folds have one training
         # length): the budgeted algorithms fit every fold's grid in one lockstep pass, the
-        # full-information one through train_run per fold and step size; then each fold is scored
+        # full-information one through train_run per fold and step size; then each fold scores its
+        # grid in one call, which takes the fold's zero-predictor loss once
         fits = {"aerr": [], "ddaerr": [], "ogd-full": ["train"] * 2 * config.folds}
         assert calls[:-2 * finals] == [call for algo in config.algorithms for _ in config.prefixes
-                                       for call in fits[algo] + ["score"] * 2 * config.folds]
+                                       for call in fits[algo] + ["score"] * config.folds]
 
 
 def test_run_experiment_identical_across_worker_counts_with_a_blas_threaded_test_split():
